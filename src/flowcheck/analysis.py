@@ -43,13 +43,11 @@ class DataFlowAnalysis:
     def find_all_sequences(self) -> list[ActionSequence]:
         return find_all_sequences(self.model, max_call_depth=self.max_call_depth)
 
-    def evaluate_data_flows(
-        self, sequences=None, *, threads: int | None = None
-    ) -> list[PropagatedSequence]:
+    def evaluate_data_flows(self, sequences=None) -> list[PropagatedSequence]:
         """Propagate labels; extracts the sequences first when not given."""
         if sequences is None:
             sequences = self.find_all_sequences()
-        return evaluate_all(self.model, sequences, threads=threads)
+        return evaluate_all(self.model, sequences)
 
     def query_data_flow(
         self,

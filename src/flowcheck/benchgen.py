@@ -26,7 +26,6 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from . import kernel
 from .constraints import parse_constraint, query_many
 from .extraction import find_all_sequences
 from .loader import load_model_text, model_from_data, model_to_json
@@ -63,15 +62,12 @@ class BenchConfig:
     repetitions: int = 10
     include_load: bool = True
     timeout_s: float = 600.0
-    # empty: use the active kernel backend; multiple entries compare them
-    backends: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class BenchResult:
     feature: BenchFeature
     size: int
-    backend: str
     runs_ms: tuple[float, ...]
     median_ms: float | None
     peak_rss_bytes: int | None
@@ -185,18 +181,18 @@ def generate_bench_model(feature: BenchFeature, size: int) -> ArchitectureModel:
     return model_from_data(data)
 
 
-def _pipeline(model: ArchitectureModel | None, text: str | None, backend: str | None) -> int:
+def _pipeline(model: ArchitectureModel | None, text: str | None) -> int:
     """One full analysis pass; returns the violation count."""
     if text is not None:
         model = load_model_text(text)
     sequences = find_all_sequences(model)
-    propagated = evaluate_all(model, sequences, backend=backend)
+    propagated = evaluate_all(model, sequences)
     constraint = parse_constraint(ALL_VIOLATIONS_CONSTRAINT, model.dictionary)
     violations = query_many(propagated, [constraint])
     return sum(len(v) for v in violations.values())
 
 
-def _bench_point(config: BenchConfig, backend: str | None, backend_name: str, size: int) -> BenchResult:
+def _bench_point(config: BenchConfig, size: int) -> BenchResult:
     clear_parse_cache()
     runs: list[float] = []
     outcome = "completed"
@@ -217,7 +213,7 @@ def _bench_point(config: BenchConfig, backend: str | None, backend_name: str, si
                 gc.collect()
                 gc.disable()
                 start = time.perf_counter()
-                _pipeline(prepared, text, backend)
+                _pipeline(prepared, text)
                 runs.append((time.perf_counter() - start) * 1000.0)
                 if gc_was_enabled:
                     gc.enable()
@@ -230,33 +226,20 @@ def _bench_point(config: BenchConfig, backend: str | None, backend_name: str, si
         outcome = f"failed: {type(exc).__name__}: {exc}"
     median = statistics.median(runs) if runs and outcome == "completed" else None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    return BenchResult(
-        config.feature,
-        size,
-        backend_name,
-        tuple(runs),
-        median,
-        peak,
-        outcome,
-    )
+    return BenchResult(config.feature, size, tuple(runs), median, peak, outcome)
 
 
 def run_bench(config: BenchConfig, *, progress=None) -> list[BenchResult]:
-    """Execute the configured sweep; one result per (backend, size).
+    """Execute the configured sweep; one result per size.
 
     ``progress`` is called with each finished :class:`BenchResult`.
     """
     results = []
-    if config.backends:
-        plans = [(name, name) for name in config.backends]
-    else:
-        plans = [(None, kernel.active_backend())]
-    for backend, backend_name in plans:
-        for size in config.sizes:
-            result = _bench_point(config, backend, backend_name, size)
-            results.append(result)
-            if progress is not None:
-                progress(result)
+    for size in config.sizes:
+        result = _bench_point(config, size)
+        results.append(result)
+        if progress is not None:
+            progress(result)
     return results
 
 
@@ -264,43 +247,27 @@ def run_bench(config: BenchConfig, *, progress=None) -> list[BenchResult]:
 # CSV output
 
 
-def _with_backend_column(results) -> bool:
-    return len({r.backend for r in results}) > 1
-
-
 def write_runs_csv(results, path) -> None:
     """Per-repetition wall times: feature,size,run,wall_ms,outcome."""
     import csv
 
-    with_backend = _with_backend_column(results)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        header = ["feature", "size", "run", "wall_ms", "outcome"]
-        if with_backend:
-            header.append("backend")
-        writer.writerow(header)
+        writer.writerow(["feature", "size", "run", "wall_ms", "outcome"])
         for result in results:
             for run, wall_ms in enumerate(result.runs_ms):
-                row = [result.feature.value, result.size, run, f"{wall_ms:.3f}", "completed"]
-                if with_backend:
-                    row.append(result.backend)
-                writer.writerow(row)
+                writer.writerow(
+                    [result.feature.value, result.size, run, f"{wall_ms:.3f}", "completed"]
+                )
 
 
 def write_medians_csv(results, path) -> None:
     """Aggregates: feature,size,median_ms,outcome."""
     import csv
 
-    with_backend = _with_backend_column(results)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        header = ["feature", "size", "median_ms", "outcome"]
-        if with_backend:
-            header.append("backend")
-        writer.writerow(header)
+        writer.writerow(["feature", "size", "median_ms", "outcome"])
         for result in results:
             median = "" if result.median_ms is None else f"{result.median_ms:.3f}"
-            row = [result.feature.value, result.size, median, result.outcome]
-            if with_backend:
-                row.append(result.backend)
-            writer.writerow(row)
+            writer.writerow([result.feature.value, result.size, median, result.outcome])

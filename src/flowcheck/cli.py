@@ -5,7 +5,8 @@
     flowcheck validate MODEL
     flowcheck bench --feature variable-actions --sizes 1,10,100 --reps 3
 
-Exit codes: 0 no violations, 1 violations found, 2 usage or load errors.
+Exit codes: 0 no violations, 1 violations found, 2 usage or load errors
+and unexpected failures.
 Reports are deterministic: two runs over the same inputs produce byte
 identical output.
 """
@@ -28,7 +29,6 @@ from .benchgen import (
 from .constraints import format_report, load_constraints, query_many
 from .errors import FlowcheckError, ModelLoadError
 from .extraction import find_all_sequences
-from .kernel import active_backend, available_backends
 from .loader import load_model
 from .propagation import evaluate_all
 
@@ -42,7 +42,6 @@ class AnalysisRun:
     model_path: str
     constraints_path: str | None
     dump_propagation: bool
-    threads: int | None
     sequences: list = field(default_factory=list)
     propagated: list = field(default_factory=list)
     violations: dict = field(default_factory=dict)
@@ -95,10 +94,9 @@ def _cmd_analyze(args) -> int:
             model_path=args.model,
             constraints_path=args.constraints,
             dump_propagation=args.dump_propagation,
-            threads=args.threads,
         )
         run.sequences = find_all_sequences(model)
-        run.propagated = evaluate_all(model, run.sequences, threads=args.threads)
+        run.propagated = evaluate_all(model, run.sequences)
         run.constraint_order = [c.name for c in constraints]
         run.violations = query_many(run.propagated, constraints)
     except FlowcheckError as exc:
@@ -152,37 +150,18 @@ def _cmd_bench(args) -> int:
         return _fail(f"error: --sizes must be a comma separated list of integers")
     if not sizes or any(size < 1 for size in sizes):
         return _fail("error: --sizes needs positive integers")
-    if args.backend == "both":
-        missing = {"pure", "compiled"} - set(available_backends())
-        if missing:
-            return _fail(
-                f"error: backend comparison needs the compiled kernel "
-                f"(available: {', '.join(available_backends())})"
-            )
-        backends = ("pure", "compiled")
-    elif args.backend == "auto":
-        backends = ()
-    else:
-        if args.backend not in available_backends():
-            return _fail(
-                f"error: backend '{args.backend}' not available "
-                f"(available: {', '.join(available_backends())})"
-            )
-        backends = (args.backend,)
     config = BenchConfig(
         feature=feature,
         sizes=sizes,
         repetitions=args.reps,
         include_load=not args.no_load,
         timeout_s=args.timeout,
-        backends=backends,
     )
 
     def progress(result):
         median = "-" if result.median_ms is None else f"{result.median_ms:.3f} ms"
         print(
-            f"{result.feature.value} size={result.size} backend={result.backend} "
-            f"median={median} [{result.outcome}]",
+            f"{result.feature.value} size={result.size} median={median} [{result.outcome}]",
             file=sys.stderr,
         )
 
@@ -214,12 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-propagation",
         action="store_true",
         help="print per-element labels before the violation report",
-    )
-    analyze.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count(),
-        help="worker threads for propagation (default: CPU count)",
     )
     analyze.add_argument(
         "--timing", action="store_true", help="print elapsed time to stderr"
@@ -261,12 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exclude model load from the timed region",
     )
     bench.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "pure", "compiled", "both"],
-        help=f"kernel backend to time (active: {active_backend()})",
-    )
-    bench.add_argument(
         "--timeout",
         type=float,
         default=600.0,
@@ -280,7 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FlowcheckError as exc:
+        return _fail(f"error: {exc}")
+    except Exception as exc:  # a crash must not read as "violations found"
+        return _fail(f"error: internal: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -14,18 +14,17 @@ whole label set, a ``v.Type.*`` target replaces exactly that type's
 labels and leaves the rest untouched.  A reference to a variable that is
 not in scope simply evaluates to false.
 
-Sequences are lowered to small opcode programs executed by the kernel
-(compiled or pure Python); per-element results snapshot the visible
-frame, so later queries never re-run the propagation.
+Sequences are lowered to small opcode programs (see
+:mod:`flowcheck.kernel`) and executed by the kernel; per-element results
+snapshot the visible frame, so later queries never re-run the
+propagation.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import _kernel_py, _ops, kernel, terms
+from . import kernel, terms
 from .errors import DictionaryError, PropagationError
 from .extraction import (
     ActionSequence,
@@ -52,18 +51,11 @@ __all__ = [
 ]
 
 _run_count = 0
-_run_lock = threading.Lock()
 
 
 def propagation_runs() -> int:
     """Number of sequence propagations performed so far in this process."""
     return _run_count
-
-
-def _reset_run_counter() -> None:
-    global _run_count
-    with _run_lock:
-        _run_count = 0
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +65,14 @@ def _reset_run_counter() -> None:
 def _mask_expr(node, dictionary):
     tag = node[0]
     if tag == "ref":
-        return (_ops.M_REF, node[1])
+        return (kernel.M_REF, node[1])
     if tag == "const":
-        return (_ops.M_CONST, dictionary.universe_mask if node[1] else 0)
+        return (kernel.M_CONST, dictionary.universe_mask if node[1] else 0)
     if tag == "not":
-        return (_ops.M_NOT, _mask_expr(node[1], dictionary), dictionary.universe_mask)
+        return (kernel.M_NOT, _mask_expr(node[1], dictionary), dictionary.universe_mask)
     if tag == "and":
-        return (_ops.M_AND, _mask_expr(node[1], dictionary), _mask_expr(node[2], dictionary))
-    return (_ops.M_OR, _mask_expr(node[1], dictionary), _mask_expr(node[2], dictionary))
+        return (kernel.M_AND, _mask_expr(node[1], dictionary), _mask_expr(node[2], dictionary))
+    return (kernel.M_OR, _mask_expr(node[1], dictionary), _mask_expr(node[2], dictionary))
 
 
 def _bool_term(node, dictionary, value):
@@ -92,20 +84,20 @@ def _bool_term(node, dictionary, value):
         if ref_value is None:
             ref_value = value
             if not dictionary.has_label(type_name, ref_value):
-                return (_ops.B_CONST, False)
-        return (_ops.B_REF, var, 1 << dictionary.bit(type_name, ref_value))
+                return (kernel.B_CONST, False)
+        return (kernel.B_REF, var, 1 << dictionary.bit(type_name, ref_value))
     if tag == "const":
-        return (_ops.B_CONST, node[1])
+        return (kernel.B_CONST, node[1])
     if tag == "not":
-        return (_ops.B_NOT, _bool_term(node[1], dictionary, value))
+        return (kernel.B_NOT, _bool_term(node[1], dictionary, value))
     if tag == "and":
         return (
-            _ops.B_AND,
+            kernel.B_AND,
             _bool_term(node[1], dictionary, value),
             _bool_term(node[2], dictionary, value),
         )
     return (
-        _ops.B_OR,
+        kernel.B_OR,
         _bool_term(node[1], dictionary, value),
         _bool_term(node[2], dictionary, value),
     )
@@ -113,44 +105,44 @@ def _bool_term(node, dictionary, value):
 
 def _fold(term):
     tag = term[0]
-    if tag == _ops.B_NOT:
+    if tag == kernel.B_NOT:
         sub = _fold(term[1])
-        if sub[0] == _ops.B_CONST:
-            return (_ops.B_CONST, not sub[1])
-        return (_ops.B_NOT, sub)
-    if tag == _ops.B_AND or tag == _ops.B_OR:
+        if sub[0] == kernel.B_CONST:
+            return (kernel.B_CONST, not sub[1])
+        return (kernel.B_NOT, sub)
+    if tag == kernel.B_AND or tag == kernel.B_OR:
         left = _fold(term[1])
         right = _fold(term[2])
-        conjunction = tag == _ops.B_AND
-        if left[0] == _ops.B_CONST:
+        conjunction = tag == kernel.B_AND
+        if left[0] == kernel.B_CONST:
             if left[1] == conjunction:
                 return right
-            return (_ops.B_CONST, not conjunction)
-        if right[0] == _ops.B_CONST:
+            return (kernel.B_CONST, not conjunction)
+        if right[0] == kernel.B_CONST:
             if right[1] == conjunction:
                 return left
-            return (_ops.B_CONST, not conjunction)
+            return (kernel.B_CONST, not conjunction)
         return (tag, left, right)
     return term
 
 
 def _expr_reads(expr) -> bool:
     tag = expr[0]
-    if tag == _ops.M_REF:
+    if tag == kernel.M_REF:
         return True
-    if tag == _ops.M_NOT:
+    if tag == kernel.M_NOT:
         return _expr_reads(expr[1])
-    if tag == _ops.M_AND or tag == _ops.M_OR:
+    if tag == kernel.M_AND or tag == kernel.M_OR:
         return _expr_reads(expr[1]) or _expr_reads(expr[2])
     return False
 
 
 def _op_reads(op) -> bool:
     code = op[0]
-    if code == _ops.A_MASK_FULL or code == _ops.A_MASK_REGION:
+    if code == kernel.A_MASK_FULL or code == kernel.A_MASK_REGION:
         return _expr_reads(op[2])
     # A_EVAL pairs only survive folding when they reference variables
-    return code == _ops.A_EVAL
+    return code == kernel.A_EVAL
 
 
 def _build_program(dictionary, assignments):
@@ -160,14 +152,14 @@ def _build_program(dictionary, assignments):
         target = a.target_var
         if arity == 2:
             # v.*.* covers every dictionary label: full replacement
-            ops.append((_ops.A_MASK_FULL, target, _mask_expr(a.rhs, dictionary)))
+            ops.append((kernel.A_MASK_FULL, target, _mask_expr(a.rhs, dictionary)))
         elif arity == 1:
             region = dictionary.type_mask(a.target_type)
             aligned = all(ref[2] == a.target_type for ref in terms.iter_refs(a.rhs))
             if aligned:
                 # same type on both sides: value positions line up bitwise
                 ops.append(
-                    (_ops.A_MASK_REGION, target, _mask_expr(a.rhs, dictionary), region)
+                    (kernel.A_MASK_REGION, target, _mask_expr(a.rhs, dictionary), region)
                 )
             else:
                 pairs = []
@@ -176,7 +168,7 @@ def _build_program(dictionary, assignments):
                 for value in dictionary.values_of(a.target_type):
                     bit = 1 << dictionary.bit(a.target_type, value)
                     term = _fold(_bool_term(a.rhs, dictionary, value))
-                    if term[0] == _ops.B_CONST:
+                    if term[0] == kernel.B_CONST:
                         if term[1]:
                             add |= bit
                         else:
@@ -185,19 +177,19 @@ def _build_program(dictionary, assignments):
                         pairs.append((bit, term))
                 # the three pieces touch disjoint bits of one target
                 if pairs:
-                    ops.append((_ops.A_EVAL, target, tuple(pairs)))
+                    ops.append((kernel.A_EVAL, target, tuple(pairs)))
                 if add:
-                    ops.append((_ops.A_ADD, target, add))
+                    ops.append((kernel.A_ADD, target, add))
                 if clear or not (pairs or add):
                     # also materialises the variable when nothing else does
-                    ops.append((_ops.A_CLEAR, target, clear))
+                    ops.append((kernel.A_CLEAR, target, clear))
         else:
             bit = 1 << dictionary.bit(a.target_type, a.target_value)
             term = _fold(_bool_term(a.rhs, dictionary, None))
-            if term[0] == _ops.B_CONST:
-                ops.append((_ops.A_ADD, target, bit) if term[1] else (_ops.A_CLEAR, target, bit))
+            if term[0] == kernel.B_CONST:
+                ops.append((kernel.A_ADD, target, bit) if term[1] else (kernel.A_CLEAR, target, bit))
             else:
-                ops.append((_ops.A_EVAL, target, ((bit, term),)))
+                ops.append((kernel.A_EVAL, target, ((bit, term),)))
     needs_pre = any(_op_reads(op) for op in ops)
     return (needs_pre, tuple(ops))
 
@@ -220,19 +212,17 @@ def _lower_sequence(model: ArchitectureModel, sequence: ActionSequence):
     for element in sequence.elements:
         cls = type(element)
         if cls is SeffVariableNode or cls is SeffReturnNode:
-            needs_pre, assign_ops = _lower_program(dictionary, element.assignments)
-            ops.append((_ops.APPLY, needs_pre, assign_ops))
+            ops.append((kernel.APPLY, _lower_program(dictionary, element.assignments)[1]))
             masks.append(index.node_mask(element.instance_id))
         elif cls is UserVariableNode:
-            needs_pre, assign_ops = _lower_program(dictionary, element.assignments)
-            ops.append((_ops.APPLY, needs_pre, assign_ops))
+            ops.append((kernel.APPLY, _lower_program(dictionary, element.assignments)[1]))
             masks.append(user_mask)
         elif cls is CallingUserNode:
-            ops.append((_ops.CALL, element.bindings))
+            ops.append((kernel.CALL, element.bindings))
             masks.append(user_mask)
         elif cls is CallingSeffNode:
             # the calling bracket still runs on the caller's node
-            ops.append((_ops.CALL, element.bindings))
+            ops.append((kernel.CALL, element.bindings))
             masks.append(index.node_mask(element.instance_id))
         elif cls is ReturningSeffNode:
             program = (
@@ -240,7 +230,7 @@ def _lower_sequence(model: ArchitectureModel, sequence: ActionSequence):
                 if element.result_assignments
                 else None
             )
-            ops.append((_ops.POP_BIND, element.result_variable, program))
+            ops.append((kernel.POP_BIND, element.result_variable, program))
             masks.append(index.node_mask(element.instance_id))
         elif cls is ReturningUserNode:
             program = (
@@ -248,10 +238,10 @@ def _lower_sequence(model: ArchitectureModel, sequence: ActionSequence):
                 if element.result_assignments
                 else None
             )
-            ops.append((_ops.POP_BIND, element.result_variable, program))
+            ops.append((kernel.POP_BIND, element.result_variable, program))
             masks.append(user_mask)
         elif cls is UserStart:
-            ops.append((_ops.PUSH,))
+            ops.append((kernel.PUSH,))
             masks.append(user_mask)
         else:
             raise PropagationError(f"unknown sequence element kind {cls.__name__}")
@@ -414,39 +404,21 @@ class PropagatedSequence:
 # public entry points
 
 
-def propagate(model: ArchitectureModel, sequence: ActionSequence, *, backend: str | None = None) -> PropagatedSequence:
+def propagate(model: ArchitectureModel, sequence: ActionSequence) -> PropagatedSequence:
     """Run label propagation over one sequence.
 
-    ``backend`` picks a specific kernel ("pure" or "compiled"); the
-    default is the active one.  Each call counts as one propagation run.
+    Each call counts as one propagation run.
     """
     global _run_count
     ops, masks = _lower_sequence(model, sequence)
-    runner = kernel.run_sequence if backend is None else kernel.backend_runner(backend)
-    snapshots = runner(ops)
-    with _run_lock:
-        _run_count += 1
+    snapshots = kernel.run_sequence(ops)
+    _run_count += 1
     return PropagatedSequence(sequence, masks, snapshots, model.dictionary)
 
 
-def evaluate_all(
-    model: ArchitectureModel,
-    sequences,
-    *,
-    threads: int | None = None,
-    backend: str | None = None,
-) -> list[PropagatedSequence]:
-    """Propagate every sequence; order follows the input.
-
-    ``threads`` > 1 distributes sequences over a thread pool.  Results
-    are identical to the sequential run; the splitting is purely by
-    sequence, so it never changes evaluation order within one.
-    """
-    sequences = list(sequences)
-    if threads is not None and threads > 1 and len(sequences) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: propagate(model, s, backend=backend), sequences))
-    return [propagate(model, sequence, backend=backend) for sequence in sequences]
+def evaluate_all(model: ArchitectureModel, sequences) -> list[PropagatedSequence]:
+    """Propagate every sequence; order follows the input."""
+    return [propagate(model, sequence) for sequence in sequences]
 
 
 def evaluate_assignments(
@@ -465,8 +437,7 @@ def evaluate_assignments(
                 f"variable '{variable.name}' belongs to a different data dictionary"
             )
         frame[variable.name] = variable.labels.mask
-    needs_pre, assign_ops = _lower_program(dictionary, tuple(assignments))
-    _kernel_py.apply_program(frame, needs_pre, assign_ops)
+    kernel.run_program(frame, _lower_program(dictionary, tuple(assignments)))
     return tuple(
         DataFlowVariable(name, LabelSet(dictionary, mask))
         for name, mask in sorted(frame.items())

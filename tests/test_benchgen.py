@@ -103,15 +103,6 @@ def test_run_bench_no_load_still_measures():
     assert results[0].median_ms >= 0.0
 
 
-def test_run_bench_both_backends():
-    import flowcheck.kernel as kernel
-    config = BenchConfig(BenchFeature.NODE_CHARACTERISTICS,
-                         sizes=(1,), repetitions=1,
-                         backends=tuple(kernel.available_backends()))
-    results = run_bench(config)
-    assert [r.backend for r in results] == list(kernel.available_backends())
-
-
 def csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -133,22 +124,3 @@ def test_runs_csv_columns(tmp_path):
     rows = csv_rows(medians_path)
     assert rows[0] == ["feature", "size", "median_ms", "outcome"]
     assert [r[1] for r in rows[1:]] == ["1", "10"]
-
-
-def test_csv_backend_column_only_with_multiple_backends(tmp_path):
-    import flowcheck.kernel as kernel
-    if len(kernel.available_backends()) < 2:
-        pytest.skip("single backend build")
-    config = BenchConfig(BenchFeature.NODE_CHARACTERISTICS,
-                         sizes=(1,), repetitions=1,
-                         backends=tuple(kernel.available_backends()))
-    results = run_bench(config)
-    runs_path = tmp_path / "runs.csv"
-    medians_path = tmp_path / "medians.csv"
-    write_runs_csv(results, runs_path)
-    write_medians_csv(results, medians_path)
-    # the backend column is appended only when several backends took part
-    assert csv_rows(runs_path)[0] == [
-        "feature", "size", "run", "wall_ms", "outcome", "backend"]
-    assert csv_rows(medians_path)[0] == [
-        "feature", "size", "median_ms", "outcome", "backend"]

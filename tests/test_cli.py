@@ -139,22 +139,24 @@ def test_bench_rejects_unknown_feature(capsys):
     assert info.value.code == 2
 
 
-def test_bench_backend_both_adds_column(tmp_path, capsys):
-    import flowcheck.kernel as kernel
-    if len(kernel.available_backends()) < 2:
-        pytest.skip("single backend build")
-    runs = tmp_path / "runs.csv"
-    code, _, _ = run_cli(
-        ["bench", "--feature", "variable-actions", "--sizes", "1", "--reps", "1",
-         "--out", runs, "--backend", "both"], capsys)
-    assert code == 0
-    assert runs.read_text().splitlines()[0].endswith(",backend")
+def test_analyze_crash_exits_two(shop_no_encrypt_path, tmp_path, capsys):
+    # a 1 000-operand | chain overflows the recursive term evaluation; the
+    # crash must not read as exit 1, "violations found"
+    chain = " | ".join(["data.DataSensitivity.Personal"] * 1000)
+    constraints = tmp_path / "deep.constraints"
+    constraints.write_text(f"VIOLATION deep WHERE TRUE AND DATA {chain}\n")
+    code, out, err = run_cli(
+        ["analyze", shop_no_encrypt_path, "--constraints", constraints], capsys)
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: internal: RecursionError: ")
 
 
 def test_build_parser_smoke():
     parser = build_parser()
-    args = parser.parse_args(["analyze", "m.json", "--threads", "2"])
-    assert args.threads == 2
+    args = parser.parse_args(["analyze", "m.json", "--constraints", "c.txt"])
+    assert args.constraints == "c.txt"
 
 
 def test_module_entry_point(shop_path):

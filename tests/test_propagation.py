@@ -16,7 +16,7 @@ from flowcheck.propagation import (
     propagate,
     propagation_runs,
 )
-from flowcheck import _kernel_py
+from flowcheck import kernel
 
 
 EU = ["ServerLocation.EU"]
@@ -123,6 +123,32 @@ def test_has_data_characteristic(model_data):
     got = last.variable("got")
     assert got.has_data_characteristic("Color", "Blue")
     assert not got.has_data_characteristic("Color", "Red")
+
+
+def test_element_reads_pre_state_after_call_and_return(model_data):
+    # the first callee element and the first caller element after the
+    # return both read a variable that a sibling assignment overwrites
+    seff = model_data["components"][0]["seffs"]["svc"]
+    seff[0]["assignments"] = ["p.Color.Red := FALSE", "out.Color.Blue := p.Color.Red"]
+    model_data["usageScenarios"][0]["actions"].append({
+        "type": "variable", "id": "u2",
+        "assignments": ["got.Color.Blue := FALSE", "seen.Color.Red := got.Color.Blue"],
+    })
+    model = model_from_data(model_data)
+    seq = find_all_sequences(model)[0]
+    propagated = propagate(model, seq)
+    kinds = [r.element.kind for r in propagated.results]
+    s0 = kinds.index("SeffVariableNode")
+    assert kinds[s0 - 1] == "CallingUserNode"
+    assert kinds[-2:] == ["ReturningUserNode", "UserVariableNode"]
+
+    def labels(result):
+        return {v.name: v.labels.names() for v in result.variables}
+
+    assert labels(propagated.results[s0]) == {"out": ["Color.Blue"], "p": []}
+    assert labels(propagated.results[-1]) == {
+        "got": [], "seen": ["Color.Red"], "v": ["Color.Red"]}
+    assert propagated == oracle_propagate(model, seq)
 
 
 # -- single-action semantics ----------------------------------------------
@@ -247,35 +273,27 @@ def test_run_counter_counts_propagations(model_data):
     assert propagation_runs() == before + len(sequences)
 
 
-def test_evaluate_all_threaded_matches_sequential(model_data):
-    scn2 = {
-        "id": "scn2", "name": "again", "userLabels": ["Color.Blue"],
-        "actions": [{"type": "variable", "id": "w0",
-                     "assignments": ["q.Color.Blue := TRUE"]}],
-    }
-    model_data["usageScenarios"].append(scn2)
-    model = model_from_data(model_data)
-    sequences = find_all_sequences(model)
-    assert evaluate_all(model, sequences, threads=2) == evaluate_all(model, sequences)
-
-
 # -- kernel error paths ----------------------------------------------------
 
+def test_kernel_push_snapshots_empty_frame():
+    assert kernel.run_sequence(((kernel.PUSH,),)) == [{}]
+
+
 def test_kernel_rejects_apply_without_frame():
-    apply = (1, False, ())
+    apply = (1, ())
     with pytest.raises(PropagationError, match="no active frame"):
-        _kernel_py.run_sequence((apply,))
+        kernel.run_sequence((apply,))
 
 
 def test_kernel_rejects_unbalanced_pops():
     ops = ((0,), (3, None, None))  # one PUSH cannot satisfy a POP_BIND
     with pytest.raises(PropagationError, match="pops more frames than it pushed"):
-        _kernel_py.run_sequence(ops)
+        kernel.run_sequence(ops)
 
 
 def test_kernel_rejects_unknown_op():
     with pytest.raises(PropagationError, match="unknown element op 99"):
-        _kernel_py.run_sequence(((99,),))
+        kernel.run_sequence(((99,),))
 
 
 def test_kernel_rejects_missing_call_binding():
@@ -283,4 +301,4 @@ def test_kernel_rejects_missing_call_binding():
     ops = ((0,), (2, (("p", "ghost"),)))
     with pytest.raises(PropagationError,
                        match="call binds parameter 'p' to missing variable 'ghost'"):
-        _kernel_py.run_sequence(ops)
+        kernel.run_sequence(ops)
