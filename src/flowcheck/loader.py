@@ -5,11 +5,16 @@ A model document has five members: ``dictionary``, ``components``,
 either given inline or as a string holding a path to a JSON file,
 resolved relative to the document's own location.
 
-Loading is tolerant: structural problems, unparseable assignment texts
-and unknown labels are collected as defects, and a single
-:class:`ModelLoadError` carrying all of them is raised at the end.
-Behaviour is restricted to straight-line actions; any other action type
-(branches, loops, forks, ...) is rejected here.
+Loading walks the document once.  The builder collects *structural*
+defects (wrong JSON shapes or types, unparseable assignment texts,
+unknown labels) and checks each entry against its siblings as it reads
+it (duplicate ids, names, assignments, variable scope, Return placement,
+seff coverage); :func:`~flowcheck.model.validate_model` then makes the
+cross-reference checks.  Semantic defects are reported, local ones
+first, only when there is no structural defect, and a single
+:class:`ModelLoadError` carries all of them.  Behaviour is restricted to
+straight-line actions; any other action type (branches, loops, forks,
+...) is rejected here.
 """
 
 from __future__ import annotations
@@ -17,12 +22,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import DictionaryError, ModelLoadError, TermSyntaxError
-from .labels import DataDictionary, Label, LabelSet, LabelType
+from . import terms
+from .errors import ModelLoadError, TermSyntaxError
+from .labels import DataDictionary, LabelSet, LabelType, is_identifier, validate_dictionary
 from .model import (
+    RETURN_VARIABLE,
     ArchitectureModel,
     Assembly,
     AssemblyInstance,
+    Assignment,
     Component,
     Connector,
     Container,
@@ -73,21 +81,56 @@ def model_from_data(data, base_dir=None) -> ArchitectureModel:
     """Construct and validate a model from an already-parsed document."""
     builder = _Builder(base_dir)
     model = builder.build(data)
-    defects = builder.defects
-    if not defects:
-        # structural defects make follow-up semantic noise likely; only a
-        # structurally sound model goes through the semantic sweep
-        defects = validate_model(model)
+    # structural defects make follow-up semantic noise likely; semantic
+    # defects are reported only for a structurally sound document
+    defects = builder.defects or builder.semantic + validate_model(model)
     if defects:
         raise ModelLoadError(defects)
     return model
 
 
+def _assignment_defects(a: Assignment, dictionary: DataDictionary, return_target: bool):
+    """Owner-independent defect suffixes for one parsed assignment."""
+    out = []
+    if return_target:
+        if a.target_var != RETURN_VARIABLE:
+            out.append(f"return assignments must target {RETURN_VARIABLE}")
+    elif a.target_var == RETURN_VARIABLE:
+        out.append(f"variable name {RETURN_VARIABLE} is reserved")
+    arity = a.wildcard_arity()
+    if a.target_type is not None and not dictionary.has_type(a.target_type):
+        out.append(f"unknown label type '{a.target_type}'")
+    elif a.target_value is not None and not dictionary.has_label(
+        a.target_type, a.target_value
+    ):
+        out.append(
+            f"unknown value '{a.target_value}' for label type '{a.target_type}'"
+        )
+    for ref in terms.iter_refs(a.rhs):
+        _, var, type_name, value = ref
+        ref_arity = terms.wildcard_arity(type_name, value)
+        if ref_arity != arity:
+            out.append(
+                f"reference '{var}' has wildcard arity {ref_arity}, target has {arity}"
+            )
+        if type_name is not None and not dictionary.has_type(type_name):
+            out.append(f"unknown label type '{type_name}'")
+        elif value is not None and not dictionary.has_label(type_name, value):
+            out.append(f"unknown value '{value}' for label type '{type_name}'")
+    return tuple(out)
+
+
 class _Builder:
     def __init__(self, base_dir):
         self.base_dir = Path(base_dir) if base_dir is not None else None
-        self.defects: list[str] = []
+        self.defects: list[str] = []  # structural
+        self.semantic: list[str] = []  # local semantic
         self.dictionary = DataDictionary(())
+        self.signature_owner: dict[str, str] = {}  # signature id -> component id
+        # The parse cache interns assignment texts, so verdicts are cached per
+        # Assignment object; one dict per return_target flag, because a tuple
+        # key per lookup would feed the cyclic collector during the build.
+        self.verdicts: tuple[dict[Assignment, tuple[str, ...]], ...] = ({}, {})
 
     def defect(self, message: str) -> None:
         self.defects.append(message)
@@ -98,6 +141,7 @@ class _Builder:
             data = {}
         dictionary_data = self._member(data, "dictionary", dict, {})
         self.dictionary = self._dictionary(dictionary_data)
+        self.semantic.extend(validate_dictionary(self.dictionary))
         components = self._components(self._member(data, "components", list, []))
         assembly = self._assembly(self._member(data, "assembly", dict, {}))
         deployment = self._deployment(self._member(data, "deployment", dict, {}))
@@ -133,15 +177,18 @@ class _Builder:
             self.defect(f"member '{name}': malformed JSON in '{path}': {exc}")
             return None
 
+    def _list(self, obj, key, where) -> list:
+        value = obj.get(key, [])
+        if isinstance(value, list):
+            return value
+        self.defect(f"{where}: '{key}' must be a list")
+        return []
+
     # -- member builders ----------------------------------------------------
 
     def _dictionary(self, data) -> DataDictionary:
         types = []
-        raw = data.get("labelTypes", [])
-        if not isinstance(raw, list):
-            self.defect("dictionary: 'labelTypes' must be a list")
-            raw = []
-        for entry in raw:
+        for entry in self._list(data, "labelTypes", "dictionary"):
             if not isinstance(entry, dict):
                 self.defect("dictionary: each label type must be an object")
                 continue
@@ -160,21 +207,18 @@ class _Builder:
         if not isinstance(raw, list):
             self.defect(f"{where}: 'labels' must be a list of 'Type.Value' strings")
             raw = []
-        labels = []
+        dictionary = self.dictionary
+        mask = 0
         for item in raw:
             if not isinstance(item, str) or item.count(".") != 1:
                 self.defect(f"{where}: label {item!r} must be a 'Type.Value' string")
                 continue
             type_name, value = item.split(".")
-            if not self.dictionary.has_label(type_name, value):
+            if not dictionary.has_label(type_name, value):
                 self.defect(f"{where}: label '{item}' is not in the dictionary")
                 continue
-            labels.append(Label(type_name, value))
-        try:
-            return self.dictionary.label_set(labels)
-        except DictionaryError as exc:  # defensive; has_label filtered already
-            self.defect(f"{where}: {exc}")
-            return self.dictionary.empty_set()
+            mask |= 1 << dictionary.bit(type_name, value)
+        return dictionary.set_from_mask(mask)
 
     @staticmethod
     def _at(where, action_id):
@@ -224,6 +268,7 @@ class _Builder:
 
     def _components(self, raw) -> tuple:
         components = []
+        seen: set[str] = set()
         for entry in raw:
             if not isinstance(entry, dict):
                 self.defect("components: each entry must be an object")
@@ -232,10 +277,14 @@ class _Builder:
             if cid is None:
                 continue
             where = f"component '{cid}'"
+            duplicate = cid in seen
+            if duplicate:
+                self.semantic.append(f"duplicate component id '{cid}'")
+            seen.add(cid)
             name = entry.get("name", cid)
             labels = self._labels(entry.get("labels"), where)
             signatures = []
-            for sig in entry.get("signatures", []):
+            for sig in self._list(entry, "signatures", where):
                 if not isinstance(sig, dict):
                     self.defect(f"{where}: each signature must be an object")
                     continue
@@ -247,26 +296,95 @@ class _Builder:
                     self.defect(f"{where}: signature '{sig_id}': parameters must be strings")
                     params = []
                 signatures.append(Signature(sig_id, sig.get("name", sig_id), tuple(params)))
+                if not duplicate:
+                    self._check_signature(cid, sig_id, params)
+            params_of = {s.id: s.parameters for s in reversed(signatures)}  # first one wins
             seffs = []
             raw_seffs = entry.get("seffs", {})
             if not isinstance(raw_seffs, dict):
                 self.defect(f"{where}: 'seffs' must map signature ids to action lists")
                 raw_seffs = {}
-            for sig_id, actions in raw_seffs.items():
-                seffs.append(Seff(sig_id, self._seff_actions(actions, where, sig_id)))
+            for sig_id, raw_actions in raw_seffs.items():
+                owner = f"{where}, seff '{sig_id}'"
+                if not isinstance(raw_actions, list):
+                    self.defect(f"{where}: seff '{sig_id}' must be a list of actions")
+                    raw_actions = []
+                actions = self._actions(raw_actions, owner, seff=True)
+                seffs.append(Seff(sig_id, actions))
+                if sig_id in params_of:
+                    self._check_actions(owner, actions, set(params_of[sig_id]))
+                else:
+                    self.semantic.append(f"{owner}: component does not provide this signature")
+            for sig_id in sorted(params_of.keys() - raw_seffs.keys()):
+                self.semantic.append(f"{where}: no seff for provided signature '{sig_id}'")
             components.append(
                 Component(cid, name, labels, tuple(signatures), tuple(seffs))
             )
         return tuple(components)
 
-    def _seff_actions(self, raw, where, sig_id) -> tuple:
-        if not isinstance(raw, list):
-            self.defect(f"{where}: seff '{sig_id}' must be a list of actions")
-            return ()
-        prefix = f"{where}, seff '{sig_id}'"
+    def _check_signature(self, component_id, sig_id, params) -> None:
+        other = self.signature_owner.get(sig_id)
+        if other is not None:
+            self.semantic.append(
+                f"duplicate signature id '{sig_id}' (components '{other}' and '{component_id}')"
+            )
+            return
+        self.signature_owner[sig_id] = component_id
+        seen: set[str] = set()
+        for param in params:
+            if param in terms.RESERVED_WORDS or param == RETURN_VARIABLE:
+                self.semantic.append(f"signature '{sig_id}': parameter name '{param}' is reserved")
+            elif not is_identifier(param):
+                self.semantic.append(
+                    f"signature '{sig_id}': parameter {param!r} is not a valid identifier"
+                )
+            if param in seen:
+                self.semantic.append(f"signature '{sig_id}': duplicate parameter '{param}'")
+            seen.add(param)
+
+    def _check_actions(self, where, actions, scope: set[str]) -> None:
+        """Check one seff's or scenario's actions, in order, against each other."""
+        semantic, verdicts = self.semantic, self.verdicts
+        seen: set[str] = set()
+        for position, action in enumerate(actions):
+            aid = action.id
+            if aid in seen:
+                semantic.append(f"{where}, action '{aid}': duplicate action id")
+            seen.add(aid)
+            is_return = False
+            # variable actions come first: scaled models are almost all of them
+            if isinstance(action, VariableAction):
+                assignments = action.assignments
+            elif isinstance(action, ReturnAction):
+                is_return = True
+                if position != len(actions) - 1:
+                    semantic.append(f"{where}, action '{aid}': Return must be the final action")
+                assignments = action.assignments
+            else:  # ExternalCall or SystemCall
+                for _, var in action.bindings:
+                    if var not in scope:
+                        semantic.append(f"{where}, action '{aid}': binding references "
+                                        f"variable '{var}' not in scope")
+                if action.result_variable == RETURN_VARIABLE:
+                    semantic.append(f"{where}, action '{aid}': variable name "
+                                    f"{RETURN_VARIABLE} is reserved")
+                if action.result_variable is not None:
+                    scope.add(action.result_variable)
+                assignments = action.result_assignments
+            cache = verdicts[is_return]
+            for a in assignments:
+                suffixes = cache.get(a)
+                if suffixes is None:
+                    suffixes = cache[a] = _assignment_defects(a, self.dictionary, is_return)
+                for suffix in suffixes:
+                    semantic.append(f"{where}, action '{aid}': assignment '{a.text}': {suffix}")
+                if not is_return:
+                    scope.add(a.target_var)
+
+    def _actions(self, raw, where, *, seff: bool) -> tuple:
         actions = []
         for entry in raw:
-            action = self._action(entry, prefix, seff=True)
+            action = self._action(entry, where, seff=seff)
             if action is not None:
                 actions.append(action)
         return tuple(actions)
@@ -313,16 +431,21 @@ class _Builder:
 
     def _assembly(self, raw) -> Assembly:
         instances = []
-        for entry in raw.get("instances", []):
+        seen: set = set()
+        for entry in self._list(raw, "instances", "assembly"):
             if not isinstance(entry, dict):
                 self.defect("assembly: each instance must be an object")
                 continue
             iid = self._str(entry, "id", "assembly instance")
             component = self._str(entry, "component", f"assembly instance '{iid}'")
             if iid is not None and component is not None:
+                if iid in seen:
+                    self.semantic.append(f"duplicate assembly instance id '{iid}'")
+                seen.add(iid)
                 instances.append(AssemblyInstance(iid, component))
         connectors = []
-        for entry in raw.get("connectors", []):
+        seen = set()
+        for entry in self._list(raw, "connectors", "assembly"):
             if not isinstance(entry, dict):
                 self.defect("assembly: each connector must be an object")
                 continue
@@ -330,18 +453,27 @@ class _Builder:
             role = self._str(entry, "role", "connector")
             target = self._str(entry, "target", "connector")
             if instance is not None and role is not None and target is not None:
+                if (instance, role) in seen:
+                    self.semantic.append(
+                        f"connector ({instance}, {role}): duplicate connector for this role"
+                    )
+                seen.add((instance, role))
                 connectors.append(Connector(instance, role, target))
         return Assembly(tuple(instances), tuple(connectors))
 
     def _deployment(self, raw) -> Deployment:
         containers = []
-        for entry in raw.get("containers", []):
+        seen: set[str] = set()
+        for entry in self._list(raw, "containers", "deployment"):
             if not isinstance(entry, dict):
                 self.defect("deployment: each container must be an object")
                 continue
             cid = self._str(entry, "id", "container")
             if cid is None:
                 continue
+            if cid in seen:
+                self.semantic.append(f"duplicate container id '{cid}'")
+            seen.add(cid)
             containers.append(
                 Container(cid, entry.get("name", cid), self._labels(entry.get("labels"), f"container '{cid}'"))
             )
@@ -359,6 +491,7 @@ class _Builder:
 
     def _scenarios(self, raw) -> tuple:
         scenarios = []
+        seen: set[str] = set()
         for entry in raw:
             if not isinstance(entry, dict):
                 self.defect("usageScenarios: each entry must be an object")
@@ -368,17 +501,14 @@ class _Builder:
                 continue
             where = f"scenario '{sid}'"
             user_labels = self._labels(entry.get("userLabels"), where)
-            actions = []
-            raw_actions = entry.get("actions", [])
-            if not isinstance(raw_actions, list):
-                self.defect(f"{where}: 'actions' must be a list")
-                raw_actions = []
-            for action_entry in raw_actions:
-                action = self._action(action_entry, where, seff=False)
-                if action is not None:
-                    actions.append(action)
+            actions = self._actions(self._list(entry, "actions", where), where, seff=False)
+            if sid in seen:
+                self.semantic.append(f"duplicate usage scenario id '{sid}'")
+            else:
+                seen.add(sid)
+                self._check_actions(where, actions, set())
             scenarios.append(
-                UsageScenario(sid, entry.get("name", sid), user_labels, tuple(actions))
+                UsageScenario(sid, entry.get("name", sid), user_labels, actions)
             )
         return tuple(scenarios)
 

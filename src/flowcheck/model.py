@@ -11,8 +11,8 @@ Action records are the one part of the graph constructed in bulk
 (generated models hold many thousand), so they are tuple-backed records
 rather than frozen dataclasses: construction is a C-level tuple fill.
 
-``validate_model`` performs the full static well-formedness sweep and
-returns one message per defect instead of stopping at the first.
+``validate_model`` makes the cross-reference checks and returns one
+message per defect instead of stopping at the first.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import terms
 from .errors import UnknownElementError
-from .labels import DataDictionary, LabelSet, is_identifier, validate_dictionary
+from .labels import DataDictionary, LabelSet
 
 __all__ = [
     "RETURN_VARIABLE",
@@ -217,7 +217,8 @@ class ModelIndex:
     """By-id lookup tables plus cached node label masks."""
 
     def __init__(self, model: ArchitectureModel):
-        self.model = model
+        # no back reference to the model: the model holds its index, and a
+        # cycle would keep a refused model alive until the cyclic collector runs
         self.components = {c.id: c for c in model.components}
         self.signature_owner: dict[str, tuple[Component, Signature]] = {}
         for component in model.components:
@@ -307,276 +308,103 @@ def node_labels_for_instance(model: ArchitectureModel, instance_id: str) -> Labe
 # validation
 
 
-def _assignment_defects(a: Assignment, dictionary: DataDictionary, return_target: bool):
-    """Owner-independent defect suffixes for one parsed assignment."""
-    out = []
-    if return_target:
-        if a.target_var != RETURN_VARIABLE:
-            out.append(f"return assignments must target {RETURN_VARIABLE}")
-    elif a.target_var == RETURN_VARIABLE:
-        out.append(f"variable name {RETURN_VARIABLE} is reserved")
-    arity = a.wildcard_arity()
-    if a.target_type is not None and not dictionary.has_type(a.target_type):
-        out.append(f"unknown label type '{a.target_type}'")
-    elif a.target_value is not None and not dictionary.has_label(
-        a.target_type, a.target_value
-    ):
-        out.append(
-            f"unknown value '{a.target_value}' for label type '{a.target_type}'"
-        )
-    for ref in terms.iter_refs(a.rhs):
-        _, var, type_name, value = ref
-        ref_arity = terms.wildcard_arity(type_name, value)
-        if ref_arity != arity:
-            out.append(
-                f"reference '{var}' has wildcard arity {ref_arity}, target has {arity}"
-            )
-        if type_name is not None and not dictionary.has_type(type_name):
-            out.append(f"unknown label type '{type_name}'")
-        elif value is not None and not dictionary.has_label(type_name, value):
-            out.append(f"unknown value '{value}' for label type '{type_name}'")
-    return tuple(out)
-
-
 def validate_model(model: ArchitectureModel) -> list[str]:
-    """Full static well-formedness sweep; returns one message per defect."""
-    defects = list(validate_dictionary(model.dictionary))
-    dictionary = model.dictionary
+    """Cross-reference checks, which follow an id to the entry it names.
 
-    # Generated models repeat one assignment text thousands of times, and
-    # the parse cache makes those the same object; verdicts are cached by
-    # identity so the sweep stays linear in distinct assignments.
-    verdicts: dict[tuple[int, bool], tuple[str, ...]] = {}
+    Returns one message per defect.  The loader has already checked each
+    entry against its siblings while reading the document.
+    """
+    index = index_of(model)
+    signature_owner = index.signature_owner
+    defects: list[str] = []
 
-    def check_assignments(owner: str, assignments, *, return_target: bool, action_id=None) -> None:
-        for a in assignments:
-            key = (id(a), return_target)
-            cached = verdicts.get(key)
-            if cached is None:
-                cached = _assignment_defects(a, dictionary, return_target)
-                verdicts[key] = cached
-            for suffix in cached:
-                prefix = owner if action_id is None else f"{owner}, action '{action_id}'"
-                defects.append(f"{prefix}: assignment '{a.text}': {suffix}")
-
-    def check_call(owner: str, call, signature_owner, scope: set[str]) -> None:
+    def check_call(where: str, call) -> None:
         resolved = signature_owner.get(call.signature_id)
         if resolved is None:
-            defects.append(f"{owner}: unknown signature '{call.signature_id}'")
-        else:
-            component, signature = resolved
-            params = set(signature.parameters)
-            seen_params: set[str] = set()
-            for param, var in call.bindings:
-                if param not in params:
-                    defects.append(
-                        f"{owner}: binding names unknown parameter '{param}' "
-                        f"of signature '{signature.id}'"
-                    )
-                if param in seen_params:
-                    defects.append(f"{owner}: parameter '{param}' bound twice")
-                seen_params.add(param)
-                if var not in scope:
-                    defects.append(f"{owner}: binding references variable '{var}' not in scope")
-            if call.result_variable is not None:
-                seff = next(
-                    (s for s in component.seffs if s.signature_id == signature.id), None
-                )
-                has_return = bool(
-                    seff and seff.actions and isinstance(seff.actions[-1], ReturnAction)
-                )
-                if not has_return:
-                    defects.append(
-                        f"{owner}: result variable set but seff of "
-                        f"'{signature.id}' has no Return action"
-                    )
-        if call.result_variable is not None:
-            if call.result_variable == RETURN_VARIABLE:
-                defects.append(f"{owner}: variable name {RETURN_VARIABLE} is reserved")
-            scope.add(call.result_variable)
-        check_assignments(owner, call.result_assignments, return_target=False)
-        scope.update(a.target_var for a in call.result_assignments)
-
-    # components, signatures, seffs
-    seen_components: set[str] = set()
-    signature_owner: dict[str, tuple[Component, Signature]] = {}
-    for component in model.components:
-        if component.id in seen_components:
-            defects.append(f"duplicate component id '{component.id}'")
-            continue
-        seen_components.add(component.id)
-        for signature in component.signatures:
-            other = signature_owner.get(signature.id)
-            if other is not None:
+            defects.append(f"{where}: unknown signature '{call.signature_id}'")
+            return
+        component, signature = resolved
+        params = set(signature.parameters)
+        for param, _ in call.bindings:
+            if param not in params:
                 defects.append(
-                    f"duplicate signature id '{signature.id}' "
-                    f"(components '{other[0].id}' and '{component.id}')"
+                    f"{where}: binding names unknown parameter '{param}' "
+                    f"of signature '{signature.id}'"
                 )
-                continue
-            signature_owner[signature.id] = (component, signature)
-            seen_params: set[str] = set()
-            for param in signature.parameters:
-                if param in terms.RESERVED_WORDS or param == RETURN_VARIABLE:
-                    defects.append(
-                        f"signature '{signature.id}': parameter name '{param}' is reserved"
-                    )
-                elif not is_identifier(param):
-                    defects.append(
-                        f"signature '{signature.id}': parameter {param!r} "
-                        f"is not a valid identifier"
-                    )
-                if param in seen_params:
-                    defects.append(f"signature '{signature.id}': duplicate parameter '{param}'")
-                seen_params.add(param)
+        if call.result_variable is not None:
+            seff = index.seffs.get((component.id, signature.id))
+            if not (seff and seff.actions and isinstance(seff.actions[-1], ReturnAction)):
+                defects.append(
+                    f"{where}: result variable set but seff of "
+                    f"'{signature.id}' has no Return action"
+                )
 
     for component in model.components:
-        provided = {s.id for s in component.signatures}
-        seen_seffs: set[str] = set()
         for seff in component.seffs:
-            owner = f"component '{component.id}', seff '{seff.signature_id}'"
-            if seff.signature_id not in provided:
-                defects.append(f"{owner}: component does not provide this signature")
-                continue
-            if seff.signature_id in seen_seffs:
-                defects.append(f"{owner}: duplicate seff for this signature")
-                continue
-            seen_seffs.add(seff.signature_id)
-            signature = next(s for s in component.signatures if s.id == seff.signature_id)
-            scope = set(signature.parameters)
-            seen_actions: set[str] = set()
-            # variable actions come first in the dispatch and get their
-            # defect prefix lazily; scaled models are almost all of them
-            for position, action in enumerate(seff.actions):
-                aid = action.id
-                if aid in seen_actions:
-                    defects.append(f"{owner}, action '{aid}': duplicate action id")
-                seen_actions.add(aid)
-                if isinstance(action, VariableAction):
-                    check_assignments(
-                        owner, action.assignments, return_target=False, action_id=aid
-                    )
-                    for a in action.assignments:
-                        scope.add(a.target_var)
-                elif isinstance(action, ExternalCall):
-                    check_call(f"{owner}, action '{aid}'", action, signature_owner, scope)
-                elif isinstance(action, ReturnAction):
-                    where = f"{owner}, action '{aid}'"
-                    if position != len(seff.actions) - 1:
-                        defects.append(f"{where}: Return must be the final action")
-                    check_assignments(where, action.assignments, return_target=True)
-                else:
-                    defects.append(
-                        f"{owner}, action '{aid}': unsupported action kind {type(action).__name__}"
-                    )
-        missing = provided - {s.signature_id for s in component.seffs}
-        for signature_id in sorted(missing):
-            defects.append(
-                f"component '{component.id}': no seff for provided signature '{signature_id}'"
-            )
+            owner = signature_owner.get(seff.signature_id)
+            if owner is None or owner[0] is not component:
+                continue  # a seff for a signature its component does not provide
+            for action in seff.actions:
+                if isinstance(action, ExternalCall):
+                    where = f"component '{component.id}', seff '{seff.signature_id}'"
+                    check_call(f"{where}, action '{action.id}'", action)
 
-    # assembly
-    seen_instances: set[str] = set()
+    # each instance is allocated, and its component and external calls resolve
     for instance in model.assembly.instances:
-        if instance.id in seen_instances:
-            defects.append(f"duplicate assembly instance id '{instance.id}'")
-            continue
-        seen_instances.add(instance.id)
-        if instance.component_id not in seen_components:
+        if instance.id not in index.allocation:
+            defects.append(f"instance '{instance.id}' is not allocated to any container")
+        component = index.components.get(instance.component_id)
+        if component is None:
             defects.append(
                 f"instance '{instance.id}': unknown component '{instance.component_id}'"
             )
-    instance_by_id = {i.id: i for i in model.assembly.instances}
-    seen_connectors: set[tuple[str, str]] = set()
-    for connector in model.assembly.connectors:
-        key = (connector.instance_id, connector.role)
-        where = f"connector ({connector.instance_id}, {connector.role})"
-        if key in seen_connectors:
-            defects.append(f"{where}: duplicate connector for this role")
-        seen_connectors.add(key)
-        if connector.instance_id not in instance_by_id:
-            defects.append(f"{where}: unknown source instance")
-        if connector.target_instance_id not in instance_by_id:
-            defects.append(f"{where}: unknown target instance '{connector.target_instance_id}'")
-
-    # every external call of every assembled instance must resolve
-    connector_target = {
-        (c.instance_id, c.role): c.target_instance_id for c in model.assembly.connectors
-    }
-    component_by_id = {c.id: c for c in model.components}
-    for instance in model.assembly.instances:
-        component = component_by_id.get(instance.component_id)
-        if component is None:
             continue
         for seff in component.seffs:
             for action in seff.actions:
                 if not isinstance(action, ExternalCall):
                     continue
                 where = f"instance '{instance.id}', call '{action.id}'"
-                target_id = connector_target.get((instance.id, action.role))
+                target_id = index.connectors.get((instance.id, action.role))
                 if target_id is None:
                     defects.append(f"{where}: no connector for role '{action.role}'")
                     continue
-                target = instance_by_id.get(target_id)
+                target = index.instances.get(target_id)
                 provider = signature_owner.get(action.signature_id)
-                if target is None or provider is None:
-                    continue
-                if target.component_id != provider[0].id:
+                if target and provider and target.component_id != provider[0].id:
                     defects.append(
                         f"{where}: connector target '{target_id}' does not provide "
                         f"signature '{action.signature_id}'"
                     )
 
-    # deployment
-    seen_containers: set[str] = set()
-    for container in model.deployment.containers:
-        if container.id in seen_containers:
-            defects.append(f"duplicate container id '{container.id}'")
-        seen_containers.add(container.id)
-    allocated: set[str] = set()
+    for connector in model.assembly.connectors:
+        where = f"connector ({connector.instance_id}, {connector.role})"
+        if connector.instance_id not in index.instances:
+            defects.append(f"{where}: unknown source instance")
+        if connector.target_instance_id not in index.instances:
+            defects.append(f"{where}: unknown target instance '{connector.target_instance_id}'")
+
     for instance_id, container_id in model.deployment.allocations:
         where = f"allocation of '{instance_id}'"
-        if instance_id not in instance_by_id:
+        if instance_id not in index.instances:
             defects.append(f"{where}: unknown instance")
-        if container_id not in seen_containers:
+        if container_id not in index.containers:
             defects.append(f"{where}: unknown container '{container_id}'")
-        if instance_id in allocated:
-            defects.append(f"{where}: instance allocated more than once")
-        allocated.add(instance_id)
-    for instance in model.assembly.instances:
-        if instance.id not in allocated:
-            defects.append(f"instance '{instance.id}' is not allocated to any container")
 
-    # usage scenarios
-    seen_scenarios: set[str] = set()
     for scenario in model.scenarios:
-        if scenario.id in seen_scenarios:
-            defects.append(f"duplicate usage scenario id '{scenario.id}'")
-            continue
-        seen_scenarios.add(scenario.id)
-        scope: set[str] = set()
-        seen_actions: set[str] = set()
         for action in scenario.actions:
+            if not isinstance(action, SystemCall):
+                continue
             where = f"scenario '{scenario.id}', action '{action.id}'"
-            if action.id in seen_actions:
-                defects.append(f"{where}: duplicate action id")
-            seen_actions.add(action.id)
-            if isinstance(action, SystemCall):
-                if action.instance_id not in instance_by_id:
-                    defects.append(f"{where}: unknown instance '{action.instance_id}'")
-                    continue
-                instance = instance_by_id[action.instance_id]
-                provider = signature_owner.get(action.signature_id)
-                if provider is not None and provider[0].id != instance.component_id:
-                    defects.append(
-                        f"{where}: instance '{instance.id}' does not provide "
-                        f"signature '{action.signature_id}'"
-                    )
-                check_call(where, action, signature_owner, scope)
-            elif isinstance(action, VariableAction):
-                check_assignments(where, action.assignments, return_target=False)
-                for a in action.assignments:
-                    scope.add(a.target_var)
-            else:
-                defects.append(f"{where}: unsupported action kind {type(action).__name__}")
+            instance = index.instances.get(action.instance_id)
+            if instance is None:
+                defects.append(f"{where}: unknown instance '{action.instance_id}'")
+                continue
+            provider = signature_owner.get(action.signature_id)
+            if provider is not None and provider[0].id != instance.component_id:
+                defects.append(
+                    f"{where}: instance '{instance.id}' does not provide "
+                    f"signature '{action.signature_id}'"
+                )
+            check_call(where, action)
 
     return defects

@@ -3,7 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import minimal_model_data
 from flowcheck.errors import ModelLoadError
 from flowcheck.loader import (
     load_model,
@@ -102,6 +104,62 @@ def test_defects_are_collected_not_first_only(model_data):
     msgs = defects_of(model_data)
     assert any("Shape.Round" in d for d in msgs)
     assert any("Size.Big" in d for d in msgs)
+
+
+@pytest.mark.parametrize("value", [5, None, "svc"])
+@pytest.mark.parametrize("path, where", [
+    (("components", 0, "signatures"), "component 'comp.a'"),
+    (("assembly", "instances"), "assembly"),
+    (("assembly", "connectors"), "assembly"),
+    (("deployment", "containers"), "deployment"),
+], ids=["signatures", "instances", "connectors", "containers"])
+def test_non_list_member_is_one_defect(model_data, path, where, value):
+    node = model_data
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    assert defects_of(model_data) == [f"{where}: '{path[-1]}' must be a list"]
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(_paths(minimal_model_data()))), _json_values),
+                min_size=1, max_size=3))
+def test_mutated_document_loads_or_raises_model_load_error(edits):
+    data = {"doc": minimal_model_data()}
+    for path, value in edits:
+        path = ("doc",) + path
+        node = data
+        try:
+            for step in path[:-1]:
+                node = node[step]
+            node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit replaced this part of the document
+    try:
+        model_from_data(data["doc"])
+    except ModelLoadError:
+        pass
 
 
 def test_model_load_error_str(model_data):

@@ -238,3 +238,193 @@ def test_connector_checks(model_data):
     model_data["assembly"]["connectors"][0]["target"] = "inst.b"
     assert any("does not provide signature 'svc'" in d
                for d in defects_of(model_data))
+
+
+# -- one document holding one defect of each kind -------------------------
+
+def _call(aid, role, sig, bindings=None, result=None):
+    out = {"type": "call", "id": aid, "role": role, "signature": sig,
+           "bindings": bindings or {}}
+    if result is not None:
+        out["result"] = result
+    return out
+
+
+_MULTI_FAULT = {
+    "dictionary": {"labelTypes": [
+        {"name": "Color", "values": ["Red", "Blue", "Red"]},
+        {"name": "Color", "values": ["Green"]},
+        {"name": "Size", "values": []},
+        {"name": "bad-name", "values": ["x"]},
+        {"name": "Shape", "values": ["round-ish"]},
+    ]},
+    "components": [
+        {"id": "comp.a", "labels": ["Color.Red"],
+         "signatures": [
+             {"id": "svc", "parameters": ["p"]},
+             {"id": "noret", "parameters": []},
+             {"id": "aux", "parameters": ["RETURN", "1bad", "q", "q"]},
+         ],
+         "seffs": {
+             "svc": [
+                 {"type": "variable", "id": "s0", "assignments": ["out.Color.Blue := p.Color.Red"]},
+                 {"type": "variable", "id": "s0", "assignments": ["t.Color.Red := TRUE"]},
+                 {"type": "variable", "id": "s1", "assignments": ["t.Nope.X := TRUE"]},
+                 {"type": "variable", "id": "s2", "assignments": ["w.Color.* := p.Color.Red"]},
+                 {"type": "return", "id": "s3", "assignments": ["oops.Color.Blue := out.Color.Blue"]},
+             ],
+             "noret": [{"type": "variable", "id": "n0", "assignments": ["m.Color.Red := TRUE"]}],
+             "ghost": [{"type": "return", "id": "g0", "assignments": []}],
+         }},
+        {"id": "comp.b",
+         "signatures": [{"id": "entry", "parameters": ["e"]}],
+         "seffs": {"entry": [
+             _call("b0", "dep", "svc", {"p": "local"}),
+             _call("b1", "dep", "nosuch"),
+             _call("b2", "dep", "svc", {"zz": "e"}),
+             _call("b3", "dep", "noret", result="r"),
+             _call("b4", "side", "svc"),
+             _call("b5", "wrong", "svc"),
+             _call("b6", "dep", "svc", result="RETURN"),
+             {"type": "return", "id": "b7", "assignments": []},
+             {"type": "variable", "id": "b8", "assignments": ["z.Color.Red := TRUE"]},
+         ]}},
+        {"id": "comp.c"},
+        {"id": "comp.c"},
+        {"id": "comp.d",
+         "signatures": [{"id": "svc", "parameters": []}],
+         "seffs": {"svc": [{"type": "return", "id": "d0", "assignments": []}]}},
+    ],
+    "assembly": {
+        "instances": [
+            {"id": "inst.a", "component": "comp.a"},
+            {"id": "inst.b", "component": "comp.b"},
+            {"id": "inst.d", "component": "comp.c"},
+            {"id": "inst.d", "component": "comp.c"},
+            {"id": "inst.x", "component": "comp.ghost"},
+            {"id": "inst.y", "component": "comp.c"},
+        ],
+        "connectors": [
+            {"instance": "inst.b", "role": "dep", "target": "inst.a"},
+            {"instance": "inst.b", "role": "wrong", "target": "inst.b"},
+            {"instance": "inst.b", "role": "dep", "target": "inst.a"},
+            {"instance": "inst.ghost", "role": "r", "target": "inst.a"},
+            {"instance": "inst.a", "role": "r2", "target": "inst.nowhere"},
+        ],
+    },
+    "deployment": {
+        "containers": [{"id": "host"}, {"id": "host"}],
+        "allocations": {"inst.a": "host", "inst.b": "host", "inst.d": "nowhere",
+                        "inst.x": "host", "inst.gone": "host"},
+    },
+    "usageScenarios": [
+        {"id": "scn", "actions": [
+            {"type": "variable", "id": "u0", "assignments": ["v.Color.Red := TRUE"]},
+            {"type": "call", "id": "u1", "instance": "inst.a", "signature": "svc",
+             "bindings": {"p": "v"}, "result": "got"},
+            {"type": "variable", "id": "u1", "assignments": ["v.Color.Blue := TRUE"]},
+            {"type": "variable", "id": "u2", "assignments": ["v.Color.Purple := TRUE"]},
+            {"type": "call", "id": "u3", "instance": "inst.none", "signature": "svc"},
+            {"type": "call", "id": "u4", "instance": "inst.a", "signature": "entry"},
+            {"type": "call", "id": "u5", "instance": "inst.a", "signature": "svc",
+             "bindings": {"p": "nothere"}},
+            {"type": "variable", "id": "u6", "assignments": ["RETURN.Color.Red := TRUE"]},
+        ]},
+        {"id": "scn", "actions": []},
+    ],
+}
+
+# the loader's defects, in reading order, come before the cross-references
+_MULTI_FAULT_LOCAL = [
+    "label type 'Color': duplicate value 'Red'",
+    "duplicate label type name 'Color'",
+    "label type 'Size' declares no values",
+    "label type name 'bad-name' is not a valid identifier",
+    "label type 'Shape': value 'round-ish' is not a valid identifier",
+    "signature 'aux': parameter name 'RETURN' is reserved",
+    "signature 'aux': parameter '1bad' is not a valid identifier",
+    "signature 'aux': duplicate parameter 'q'",
+    "component 'comp.a', seff 'svc', action 's0': duplicate action id",
+    "component 'comp.a', seff 'svc', action 's1': assignment 't.Nope.X := TRUE': unknown label type 'Nope'",
+    "component 'comp.a', seff 'svc', action 's2': assignment 'w.Color.* := p.Color.Red': reference 'p' has wildcard arity 0, target has 1",
+    "component 'comp.a', seff 'svc', action 's3': assignment 'oops.Color.Blue := out.Color.Blue': return assignments must target RETURN",
+    "component 'comp.a', seff 'ghost': component does not provide this signature",
+    "component 'comp.a': no seff for provided signature 'aux'",
+    "component 'comp.b', seff 'entry', action 'b0': binding references variable 'local' not in scope",
+    "component 'comp.b', seff 'entry', action 'b6': variable name RETURN is reserved",
+    "component 'comp.b', seff 'entry', action 'b7': Return must be the final action",
+    "duplicate component id 'comp.c'",
+    "duplicate signature id 'svc' (components 'comp.a' and 'comp.d')",
+    "duplicate assembly instance id 'inst.d'",
+    "connector (inst.b, dep): duplicate connector for this role",
+    "duplicate container id 'host'",
+    "scenario 'scn', action 'u1': duplicate action id",
+    "scenario 'scn', action 'u2': assignment 'v.Color.Purple := TRUE': unknown value 'Purple' for label type 'Color'",
+    "scenario 'scn', action 'u5': binding references variable 'nothere' not in scope",
+    "scenario 'scn', action 'u6': assignment 'RETURN.Color.Red := TRUE': variable name RETURN is reserved",
+    "duplicate usage scenario id 'scn'",
+]
+_MULTI_FAULT_CROSS_REFERENCES = [
+    "component 'comp.b', seff 'entry', action 'b1': unknown signature 'nosuch'",
+    "component 'comp.b', seff 'entry', action 'b2': binding names unknown parameter 'zz' of signature 'svc'",
+    "component 'comp.b', seff 'entry', action 'b3': result variable set but seff of 'noret' has no Return action",
+    "instance 'inst.b', call 'b4': no connector for role 'side'",
+    "instance 'inst.b', call 'b5': connector target 'inst.b' does not provide signature 'svc'",
+    "instance 'inst.x': unknown component 'comp.ghost'",
+    "instance 'inst.y' is not allocated to any container",
+    "connector (inst.ghost, r): unknown source instance",
+    "connector (inst.a, r2): unknown target instance 'inst.nowhere'",
+    "allocation of 'inst.d': unknown container 'nowhere'",
+    "allocation of 'inst.gone': unknown instance",
+    "scenario 'scn', action 'u3': unknown instance 'inst.none'",
+    "scenario 'scn', action 'u4': instance 'inst.a' does not provide signature 'entry'",
+]
+# recorded from the loader that still validated in a second sweep
+_MULTI_FAULT_SORTED_BEFORE_SPLIT = [
+    "allocation of 'inst.d': unknown container 'nowhere'",
+    "allocation of 'inst.gone': unknown instance",
+    "component 'comp.a', seff 'ghost': component does not provide this signature",
+    "component 'comp.a', seff 'svc', action 's0': duplicate action id",
+    "component 'comp.a', seff 'svc', action 's1': assignment 't.Nope.X := TRUE': unknown label type 'Nope'",
+    "component 'comp.a', seff 'svc', action 's2': assignment 'w.Color.* := p.Color.Red': reference 'p' has wildcard arity 0, target has 1",
+    "component 'comp.a', seff 'svc', action 's3': assignment 'oops.Color.Blue := out.Color.Blue': return assignments must target RETURN",
+    "component 'comp.a': no seff for provided signature 'aux'",
+    "component 'comp.b', seff 'entry', action 'b0': binding references variable 'local' not in scope",
+    "component 'comp.b', seff 'entry', action 'b1': unknown signature 'nosuch'",
+    "component 'comp.b', seff 'entry', action 'b2': binding names unknown parameter 'zz' of signature 'svc'",
+    "component 'comp.b', seff 'entry', action 'b3': result variable set but seff of 'noret' has no Return action",
+    "component 'comp.b', seff 'entry', action 'b6': variable name RETURN is reserved",
+    "component 'comp.b', seff 'entry', action 'b7': Return must be the final action",
+    "connector (inst.a, r2): unknown target instance 'inst.nowhere'",
+    "connector (inst.b, dep): duplicate connector for this role",
+    "connector (inst.ghost, r): unknown source instance",
+    "duplicate assembly instance id 'inst.d'",
+    "duplicate component id 'comp.c'",
+    "duplicate container id 'host'",
+    "duplicate label type name 'Color'",
+    "duplicate signature id 'svc' (components 'comp.a' and 'comp.d')",
+    "duplicate usage scenario id 'scn'",
+    "instance 'inst.b', call 'b4': no connector for role 'side'",
+    "instance 'inst.b', call 'b5': connector target 'inst.b' does not provide signature 'svc'",
+    "instance 'inst.x': unknown component 'comp.ghost'",
+    "instance 'inst.y' is not allocated to any container",
+    "label type 'Color': duplicate value 'Red'",
+    "label type 'Shape': value 'round-ish' is not a valid identifier",
+    "label type 'Size' declares no values",
+    "label type name 'bad-name' is not a valid identifier",
+    "scenario 'scn', action 'u1': duplicate action id",
+    "scenario 'scn', action 'u2': assignment 'v.Color.Purple := TRUE': unknown value 'Purple' for label type 'Color'",
+    "scenario 'scn', action 'u3': unknown instance 'inst.none'",
+    "scenario 'scn', action 'u4': instance 'inst.a' does not provide signature 'entry'",
+    "scenario 'scn', action 'u5': binding references variable 'nothere' not in scope",
+    "scenario 'scn', action 'u6': assignment 'RETURN.Color.Red := TRUE': variable name RETURN is reserved",
+    "signature 'aux': duplicate parameter 'q'",
+    "signature 'aux': parameter '1bad' is not a valid identifier",
+    "signature 'aux': parameter name 'RETURN' is reserved",
+]
+
+
+def test_multi_fault_document_defects():
+    msgs = defects_of(_MULTI_FAULT)
+    assert sorted(msgs) == _MULTI_FAULT_SORTED_BEFORE_SPLIT
+    assert msgs == _MULTI_FAULT_LOCAL + _MULTI_FAULT_CROSS_REFERENCES
