@@ -1,6 +1,6 @@
 """Command line interface.
 
-    flowcheck analyze MODEL --constraints FILE [--dump-propagation]
+    flowcheck analyze MODEL --constraints FILE [--dump-propagation] [--timing]
     flowcheck sequences MODEL
     flowcheck validate MODEL
     flowcheck bench --feature variable-actions --sizes 1,10,100 --reps 3
@@ -77,35 +77,53 @@ def _fail(message: str) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    started = time.perf_counter()
+    stage_ms: dict[str, float] = {}
+    started = last = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        stage_ms[stage] = (now - last) * 1000.0
+        last = now
+
     try:
         model = load_model(args.model)
     except ModelLoadError as exc:
         for defect in exc.defects:
             print(defect, file=sys.stderr)
         return _fail(f"error: cannot load model '{args.model}'")
+    lap("load")
     try:
         constraints = (
             load_constraints(args.constraints, model.dictionary)
             if args.constraints
             else []
         )
+        lap("constraints")
         run = AnalysisRun(
             model_path=args.model,
             constraints_path=args.constraints,
             dump_propagation=args.dump_propagation,
         )
         run.sequences = find_all_sequences(model)
+        lap("extract")
         run.propagated = evaluate_all(model, run.sequences)
+        lap("propagate")
         run.constraint_order = [c.name for c in constraints]
         run.violations = query_many(run.propagated, constraints)
+        lap("query")
     except FlowcheckError as exc:
         return _fail(f"error: {exc}")
-    run.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if run.dump_propagation:
-        print(run.propagation_dump())
-    print(run.report())
+    dump = run.propagation_dump() if run.dump_propagation else None
+    report = run.report()
+    lap("report")
+    run.elapsed_ms = (last - started) * 1000.0
+    if dump is not None:
+        print(dump)
+    print(report)
     if args.timing:
+        for stage, ms in stage_ms.items():
+            print(f"{stage} {ms:.1f} ms", file=sys.stderr)
         print(f"elapsed {run.elapsed_ms:.1f} ms", file=sys.stderr)
     return 1 if run.total_violations() else 0
 
@@ -195,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-element labels before the violation report",
     )
     analyze.add_argument(
-        "--timing", action="store_true", help="print elapsed time to stderr"
+        "--timing",
+        action="store_true",
+        help="print the time of each stage and the total to stderr",
     )
     analyze.set_defaults(func=_cmd_analyze)
 

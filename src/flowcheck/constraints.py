@@ -15,7 +15,10 @@ also matches elements that carry no variables at all.  Wildcards are not
 allowed in constraints.
 
 Evaluation works purely on propagated results; checking any number of
-constraints never re-runs propagation.
+constraints never re-runs propagation.  A query walks each sequence once
+per textual constraint and re-tests only the variables each element
+writes, following :data:`flowcheck.propagation.FRAME_EFFECTS`; within
+one query the node and data terms each run once per distinct mask.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from typing import NamedTuple
 
 from . import terms
 from .errors import ConstraintError, DictionaryError, TermSyntaxError
+from .kernel import APPLY, POP_BIND
 from .labels import DataDictionary
+from .propagation import FRAME_EFFECTS
 
 __all__ = [
     "Constraint",
@@ -206,56 +211,104 @@ def load_constraints(path, dictionary: DataDictionary) -> list[Constraint]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConstraintError(f"cannot read constraints file '{path}': {exc}") from None
     return parse_constraints_text(text, dictionary, source=str(path))
+
+
+class _Verdicts(dict):
+    """One mask test's outcome per distinct mask, computed on first use."""
+
+    __slots__ = ("test",)
+
+    def __init__(self, test):
+        super().__init__()
+        self.test = test
+
+    def __missing__(self, mask):
+        verdict = self[mask] = self.test(mask)
+        return verdict
 
 
 def _scan(sequence_index, propagated, rows) -> None:
     """Match all constraint rows against one propagated sequence.
 
-    Each row is (name, node_fn, data_fn, data_has_refs, predicate,
-    bucket); the compiled fast path of :meth:`Constraint.matches` is
-    unrolled here over the raw mask and frame arrays because this loop
-    touches every element times every constraint.
+    Each row is (name, node_ok, data_ok, data_has_refs, predicate,
+    bucket); ``node_ok`` and ``data_ok`` are the compiled tests wrapped
+    in :class:`_Verdicts`, which live for one query, so each test runs
+    once per distinct mask however many elements or variables carry it.
+    Both are ``None`` for a programmatic row, whose predicate sees every
+    element result.
     """
-    frames = propagated.frames
     elements = propagated.sequence.elements
-    results = None
-    for element_index, node_mask in enumerate(propagated.node_masks):
-        for name, node_fn, data_fn, data_has_refs, predicate, bucket in rows:
-            if node_fn is not None:
-                if not node_fn(node_mask):
-                    continue
-                if data_has_refs:
-                    satisfying = sorted(
-                        var
-                        for var, mask in frames[element_index].items()
-                        if data_fn(mask)
-                    )
-                    if not satisfying:
-                        continue
-                    names = tuple(satisfying)
-                else:
-                    if not data_fn(0):
-                        continue
-                    names = ()
-            else:
-                if results is None:
-                    results = propagated.results
-                result = results[element_index]
-                if not predicate(result.node_labels, result.variables):
-                    continue
-                names = ()
-            bucket.append(
-                Violation(
-                    name,
-                    sequence_index,
-                    element_index,
-                    elements[element_index].element_id,
-                    names,
-                )
+    for name, node_ok, data_ok, data_has_refs, predicate, bucket in rows:
+        if data_has_refs:
+            matches = _data_matches(propagated, node_ok, data_ok)
+        elif node_ok is None:
+            matches = (
+                (element_index, ())
+                for element_index, result in enumerate(propagated.results)
+                if predicate(result.node_labels, result.variables)
             )
+        elif data_ok[0]:
+            matches = (
+                (element_index, ())
+                for element_index, node_mask in enumerate(propagated.node_masks)
+                if node_ok[node_mask]
+            )
+        else:
+            continue
+        bucket.extend(
+            Violation(name, sequence_index, element_index, elements[element_index].element_id, names)
+            for element_index, names in matches
+        )
+
+
+def _data_matches(propagated, node_ok, data_ok):
+    """Yield (element index, sorted satisfying names) for a data term
+    with references, re-testing only what each element writes.
+
+    The walk keeps the set of variables in the top frame that satisfy
+    the term, plus the saved sets of the caller frames, and follows
+    :data:`flowcheck.propagation.FRAME_EFFECTS`: PUSH and CALL rebuild
+    the set from the new frame, APPLY re-tests only its assignment
+    targets, and POP_BIND restores the caller's set, then re-tests the
+    result variable and the result-assignment targets.  This is exact
+    because ``propagated.frames`` is the propagation of
+    ``propagated.sequence``, so a variable an element does not write
+    keeps its mask.
+    """
+    node_masks = propagated.node_masks
+    satisfying: set[str] = set()
+    names = ()  # sorted ``satisfying``; None while stale
+    callers = []
+    for element_index, (element, frame) in enumerate(
+        zip(propagated.sequence.elements, propagated.frames)
+    ):
+        code = FRAME_EFFECTS[type(element)]
+        if code == APPLY:
+            written = element.assignments
+        elif code == POP_BIND:
+            satisfying, names = callers.pop()
+            var = element.result_variable
+            if var is not None and data_ok[frame[var]] != (var in satisfying):
+                satisfying ^= {var}
+                names = None
+            written = element.result_assignments
+        else:  # PUSH or CALL: a new top frame
+            callers.append((satisfying, names))
+            satisfying = {var for var, mask in frame.items() if data_ok[mask]}
+            names = None
+            written = ()
+        for a in written:
+            var = a.target_var
+            if data_ok[frame[var]] != (var in satisfying):
+                satisfying ^= {var}
+                names = None
+        if satisfying and node_ok[node_masks[element_index]]:
+            if names is None:
+                names = tuple(sorted(satisfying))
+            yield element_index, names
 
 
 def _rows_for(constraints, out: dict[str, list[Violation]]):
@@ -265,7 +318,12 @@ def _rows_for(constraints, out: dict[str, list[Violation]]):
             raise ConstraintError("duplicate constraint names in one query")
         bucket: list[Violation] = []
         out[c.name] = bucket
-        rows.append((c.name, c._node_fn, c._data_fn, c._data_has_refs, c.predicate, bucket))
+        if c._node_fn is None:
+            rows.append((c.name, None, None, False, c.predicate, bucket))
+        else:
+            node_ok = _Verdicts(c._node_fn)
+            data_ok = _Verdicts(c._data_fn)
+            rows.append((c.name, node_ok, data_ok, c._data_has_refs, c.predicate, bucket))
     return rows
 
 

@@ -56,7 +56,10 @@ __all__ = [
     "save_model",
 ]
 
-_MEMBERS = ("dictionary", "components", "assembly", "deployment", "usageScenarios")
+# json.loads raises JSONDecodeError (a ValueError) on bad syntax, a plain
+# ValueError on an integer literal past the digit limit, and RecursionError
+# on a document nested too deeply for its recursive decoder
+_JSON_ERRORS = (ValueError, RecursionError)
 
 
 def load_model(path) -> ArchitectureModel:
@@ -64,7 +67,7 @@ def load_model(path) -> ArchitectureModel:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelLoadError([f"cannot read model file '{path}': {exc}"]) from None
     return load_model_text(text, base_dir=path.parent, source=str(path))
 
@@ -72,7 +75,7 @@ def load_model(path) -> ArchitectureModel:
 def load_model_text(text: str, base_dir=None, source: str = "<text>") -> ArchitectureModel:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise ModelLoadError([f"{source}: malformed JSON: {exc}"]) from None
     return model_from_data(data, base_dir=base_dir)
 
@@ -168,12 +171,12 @@ class _Builder:
         path = self.base_dir / ref
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             self.defect(f"member '{name}': cannot read '{path}': {exc}")
             return None
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except _JSON_ERRORS as exc:
             self.defect(f"member '{name}': malformed JSON in '{path}': {exc}")
             return None
 

@@ -37,6 +37,7 @@ from .extraction import (
     UserStart,
     UserVariableNode,
 )
+from .kernel import APPLY, CALL, POP_BIND, PUSH
 from .labels import DataDictionary, LabelSet
 from .model import ArchitectureModel, index_of
 
@@ -203,6 +204,26 @@ def _lower_program(dictionary: DataDictionary, assignments: tuple):
     return program
 
 
+# What each element kind does to the frame stack.  _lower_sequence lowers
+# by this table, and the constraint query follows it to re-test only the
+# variables an element writes, so the kernel and the query cannot drift
+# apart.  PUSH and CALL open a new top frame, APPLY writes the targets of
+# ``assignments`` in it, and POP_BIND returns to the caller's frame and
+# writes ``result_variable`` and the targets of ``result_assignments``.
+FRAME_EFFECTS = {
+    UserStart: PUSH,
+    UserVariableNode: APPLY,
+    SeffVariableNode: APPLY,
+    SeffReturnNode: APPLY,
+    CallingUserNode: CALL,
+    CallingSeffNode: CALL,
+    ReturningUserNode: POP_BIND,
+    ReturningSeffNode: POP_BIND,
+}
+
+_USER_SIDE = frozenset({UserStart, UserVariableNode, CallingUserNode, ReturningUserNode})
+
+
 def _lower_sequence(model: ArchitectureModel, sequence: ActionSequence):
     dictionary = model.dictionary
     index = index_of(model)
@@ -210,41 +231,26 @@ def _lower_sequence(model: ArchitectureModel, sequence: ActionSequence):
     ops = []
     masks = []
     for element in sequence.elements:
-        cls = type(element)
-        if cls is SeffVariableNode or cls is SeffReturnNode:
-            ops.append((kernel.APPLY, _lower_program(dictionary, element.assignments)[1]))
-            masks.append(index.node_mask(element.instance_id))
-        elif cls is UserVariableNode:
-            ops.append((kernel.APPLY, _lower_program(dictionary, element.assignments)[1]))
-            masks.append(user_mask)
-        elif cls is CallingUserNode:
-            ops.append((kernel.CALL, element.bindings))
-            masks.append(user_mask)
-        elif cls is CallingSeffNode:
-            # the calling bracket still runs on the caller's node
-            ops.append((kernel.CALL, element.bindings))
-            masks.append(index.node_mask(element.instance_id))
-        elif cls is ReturningSeffNode:
+        kind = type(element)
+        try:
+            code = FRAME_EFFECTS[kind]
+        except KeyError:
+            raise PropagationError(f"unknown sequence element kind {kind.__name__}") from None
+        if code == APPLY:
+            ops.append((APPLY, _lower_program(dictionary, element.assignments)[1]))
+        elif code == CALL:
+            ops.append((CALL, element.bindings))
+        elif code == POP_BIND:
             program = (
                 _lower_program(dictionary, element.result_assignments)
                 if element.result_assignments
                 else None
             )
-            ops.append((kernel.POP_BIND, element.result_variable, program))
-            masks.append(index.node_mask(element.instance_id))
-        elif cls is ReturningUserNode:
-            program = (
-                _lower_program(dictionary, element.result_assignments)
-                if element.result_assignments
-                else None
-            )
-            ops.append((kernel.POP_BIND, element.result_variable, program))
-            masks.append(user_mask)
-        elif cls is UserStart:
-            ops.append((kernel.PUSH,))
-            masks.append(user_mask)
+            ops.append((POP_BIND, element.result_variable, program))
         else:
-            raise PropagationError(f"unknown sequence element kind {cls.__name__}")
+            ops.append((PUSH,))
+        # a seff's calling bracket still runs on the caller's node
+        masks.append(user_mask if kind in _USER_SIDE else index.node_mask(element.instance_id))
     return ops, masks
 
 

@@ -62,11 +62,21 @@ def test_analyze_reruns_are_identical(shop_no_encrypt_path, geo_constraints_path
     assert first == second
 
 
-def test_analyze_timing_goes_to_stderr(shop_path, capsys):
-    code, out, err = run_cli(["analyze", shop_path, "--timing"], capsys)
+def test_analyze_timing_goes_to_stderr(shop_path, geo_constraints_path, capsys):
+    code, out, err = run_cli(
+        ["analyze", shop_path, "--constraints", geo_constraints_path, "--timing"], capsys)
     assert code == 0
-    assert "elapsed" in err
-    assert "elapsed" not in out
+    assert out.splitlines() == ["TOTAL 0 violations"]
+    lines = err.splitlines()
+    stages = ["load", "constraints", "extract", "propagate", "query", "report"]
+    assert [line.split()[0] for line in lines] == stages + ["elapsed"]
+    times = []
+    for line in lines:
+        _, ms, unit = line.split()
+        assert unit == "ms"
+        times.append(float(ms))
+    # the stages cover the whole run; each printed time is rounded to 0.1 ms
+    assert abs(sum(times[:-1]) - times[-1]) <= 0.05 * len(lines) + 1e-9
 
 
 def test_analyze_dump_propagation(shop_path, capsys):
@@ -107,6 +117,17 @@ def test_validate_reports_defects(tmp_path, capsys):
     assert code == 2
     assert "allocation of 'x': unknown container 'y'" in out
     assert out.rstrip().endswith("2 defect(s)")
+
+
+def test_validate_deeply_nested_document_is_a_defect(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run_cli(["validate", deep], capsys)
+    assert code == 2
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith(f"{deep}: malformed JSON: ")
+    assert lines[1:] == ["1 defect(s)"]
 
 
 def test_bench_writes_both_csv_files(tmp_path, capsys):

@@ -55,6 +55,43 @@ def test_malformed_json(tmp_path):
     assert any("malformed JSON" in d for d in info.value.defects)
 
 
+DEEP = "[" * 100_000  # past the recursion limit of json's decoder
+
+
+def test_deeply_nested_document_is_malformed_json():
+    with pytest.raises(ModelLoadError) as info:
+        load_model_text(DEEP, source="deep.json")
+    assert len(info.value.defects) == 1
+    assert info.value.defects[0].startswith("deep.json: malformed JSON: ")
+
+
+def test_deeply_nested_member_file_is_malformed_json(tmp_path):
+    (tmp_path / "dictionary.json").write_text(DEEP)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dictionary": "dictionary.json"}))
+    with pytest.raises(ModelLoadError) as info:
+        load_model(path)
+    assert len(info.value.defects) == 1
+    assert info.value.defects[0].startswith(
+        f"member 'dictionary': malformed JSON in '{tmp_path / 'dictionary.json'}': "
+    )
+
+
+def test_oversized_integer_literal_is_malformed_json():
+    # int() refuses more than 4 300 digits with a plain ValueError
+    with pytest.raises(ModelLoadError) as info:
+        load_model_text('{"components": ' + "1" * 5000 + "}")
+    assert info.value.defects[0].startswith("<text>: malformed JSON: ")
+
+
+def test_undecodable_model_file_cannot_be_read(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ModelLoadError) as info:
+        load_model(path)
+    assert info.value.defects[0].startswith(f"cannot read model file '{path}': ")
+
+
 def test_missing_file():
     with pytest.raises(ModelLoadError) as info:
         load_model("/no/such/model.json")
