@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import gc
-import resource
 import statistics
 import time
 from dataclasses import dataclass
@@ -70,7 +69,6 @@ class BenchResult:
     size: int
     runs_ms: tuple[float, ...]
     median_ms: float | None
-    peak_rss_bytes: int | None
     outcome: str  # "completed" or "failed: <reason>"
 
     @property
@@ -225,8 +223,7 @@ def _bench_point(config: BenchConfig, size: int) -> BenchResult:
     except Exception as exc:  # a failed point must not kill the harness
         outcome = f"failed: {type(exc).__name__}: {exc}"
     median = statistics.median(runs) if runs and outcome == "completed" else None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    return BenchResult(config.feature, size, tuple(runs), median, peak, outcome)
+    return BenchResult(config.feature, size, tuple(runs), median, outcome)
 
 
 def run_bench(config: BenchConfig, *, progress=None) -> list[BenchResult]:

@@ -159,17 +159,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        feature = BenchFeature(args.feature)
-    except ValueError:
-        return _fail(f"error: unknown feature '{args.feature}'")
-    try:
         sizes = tuple(int(part) for part in args.sizes.split(",") if part)
     except ValueError:
-        return _fail(f"error: --sizes must be a comma separated list of integers")
+        return _fail("error: --sizes must be a comma separated list of integers")
     if not sizes or any(size < 1 for size in sizes):
         return _fail("error: --sizes needs positive integers")
     config = BenchConfig(
-        feature=feature,
+        feature=BenchFeature(args.feature),
         sizes=sizes,
         repetitions=args.reps,
         include_load=not args.no_load,

@@ -117,10 +117,10 @@ class Constraint:
         return f"Constraint({self.name!r})"
 
 
-def _compile_mask_test(node, dictionary, prefix, name):
-    tag = node[0]
-    if tag == "ref":
-        _, var, type_name, value = node
+def _mask_test(node, dictionary, prefix, name):
+    """Compile one side of a constraint into a test over a label mask."""
+    def ref(ref_node):
+        _, var, type_name, value = ref_node
         if var != prefix:
             raise ConstraintError(
                 f"constraint '{name}': the {prefix} term must reference "
@@ -135,17 +135,11 @@ def _compile_mask_test(node, dictionary, prefix, name):
         except DictionaryError as exc:
             raise ConstraintError(f"constraint '{name}': {exc}") from None
         return lambda mask: mask & bit_mask != 0
-    if tag == "const":
-        value = node[1]
-        return lambda mask: value
-    if tag == "not":
-        sub = _compile_mask_test(node[1], dictionary, prefix, name)
-        return lambda mask: not sub(mask)
-    left = _compile_mask_test(node[1], dictionary, prefix, name)
-    right = _compile_mask_test(node[2], dictionary, prefix, name)
-    if tag == "and":
-        return lambda mask: left(mask) and right(mask)
-    return lambda mask: left(mask) or right(mask)
+
+    test = terms.compile_truth(node, ref)
+    if isinstance(test, bool):
+        return lambda mask: test
+    return test
 
 
 def parse_constraint(text: str, dictionary: DataDictionary) -> Constraint:
@@ -163,8 +157,10 @@ def parse_constraint(text: str, dictionary: DataDictionary) -> Constraint:
     data_ast = parser.parse_term()
     parser.expect_end()
 
-    node_fn = _compile_mask_test(node_ast, dictionary, NODE_PREFIX, name)
-    data_fn = _compile_mask_test(data_ast, dictionary, DATA_PREFIX, name)
+    node_fn = _mask_test(node_ast, dictionary, NODE_PREFIX, name)
+    data_fn = _mask_test(data_ast, dictionary, DATA_PREFIX, name)
+    # from the AST, not the compiled test: folding must not turn an
+    # existential data term into a plain condition
     data_has_refs = any(True for _ in terms.iter_refs(data_ast))
 
     def predicate(node_labels, variables) -> bool:

@@ -17,7 +17,10 @@ not in scope simply evaluates to false.
 Sequences are lowered to small opcode programs (see
 :mod:`flowcheck.kernel`) and executed by the kernel; per-element results
 snapshot the visible frame, so later queries never re-run the
-propagation.
+propagation.  Assignment terms compile to closures over the frame state
+before the element: a right-hand side whose value positions line up
+with the target's becomes one mask-valued closure, any other is compiled
+per target label by :func:`flowcheck.terms.compile_truth`.
 """
 
 from __future__ import annotations
@@ -63,87 +66,43 @@ def propagation_runs() -> int:
 # lowering: assignments -> kernel programs
 
 
-def _mask_expr(node, dictionary):
+def _mask_fn(node, universe):
+    """Compile a term into a closure mapping the pre-state to a mask.
+
+    A reference yields the variable's whole mask, so this serves targets
+    whose value positions line up bitwise with the references'.
+    """
     tag = node[0]
     if tag == "ref":
-        return (kernel.M_REF, node[1])
+        var = node[1]
+        return lambda pre: pre.get(var, 0)
     if tag == "const":
-        return (kernel.M_CONST, dictionary.universe_mask if node[1] else 0)
+        mask = universe if node[1] else 0
+        return lambda pre: mask
     if tag == "not":
-        return (kernel.M_NOT, _mask_expr(node[1], dictionary), dictionary.universe_mask)
+        sub = _mask_fn(node[1], universe)
+        # complement within the dictionary universe so it stays bounded
+        return lambda pre: universe & ~sub(pre)
+    left = _mask_fn(node[1], universe)
+    right = _mask_fn(node[2], universe)
     if tag == "and":
-        return (kernel.M_AND, _mask_expr(node[1], dictionary), _mask_expr(node[2], dictionary))
-    return (kernel.M_OR, _mask_expr(node[1], dictionary), _mask_expr(node[2], dictionary))
+        return lambda pre: left(pre) & right(pre)
+    return lambda pre: left(pre) | right(pre)
 
 
-def _bool_term(node, dictionary, value):
+def _truth_ref(dictionary, value):
     # value substitutes wildcard value segments when expanding a v.Type.*
     # target per dictionary value; concrete refs ignore it
-    tag = node[0]
-    if tag == "ref":
+    def ref(node):
         _, var, type_name, ref_value = node
         if ref_value is None:
             ref_value = value
             if not dictionary.has_label(type_name, ref_value):
-                return (kernel.B_CONST, False)
-        return (kernel.B_REF, var, 1 << dictionary.bit(type_name, ref_value))
-    if tag == "const":
-        return (kernel.B_CONST, node[1])
-    if tag == "not":
-        return (kernel.B_NOT, _bool_term(node[1], dictionary, value))
-    if tag == "and":
-        return (
-            kernel.B_AND,
-            _bool_term(node[1], dictionary, value),
-            _bool_term(node[2], dictionary, value),
-        )
-    return (
-        kernel.B_OR,
-        _bool_term(node[1], dictionary, value),
-        _bool_term(node[2], dictionary, value),
-    )
+                return False
+        bit = 1 << dictionary.bit(type_name, ref_value)
+        return lambda pre: pre.get(var, 0) & bit != 0
 
-
-def _fold(term):
-    tag = term[0]
-    if tag == kernel.B_NOT:
-        sub = _fold(term[1])
-        if sub[0] == kernel.B_CONST:
-            return (kernel.B_CONST, not sub[1])
-        return (kernel.B_NOT, sub)
-    if tag == kernel.B_AND or tag == kernel.B_OR:
-        left = _fold(term[1])
-        right = _fold(term[2])
-        conjunction = tag == kernel.B_AND
-        if left[0] == kernel.B_CONST:
-            if left[1] == conjunction:
-                return right
-            return (kernel.B_CONST, not conjunction)
-        if right[0] == kernel.B_CONST:
-            if right[1] == conjunction:
-                return left
-            return (kernel.B_CONST, not conjunction)
-        return (tag, left, right)
-    return term
-
-
-def _expr_reads(expr) -> bool:
-    tag = expr[0]
-    if tag == kernel.M_REF:
-        return True
-    if tag == kernel.M_NOT:
-        return _expr_reads(expr[1])
-    if tag == kernel.M_AND or tag == kernel.M_OR:
-        return _expr_reads(expr[1]) or _expr_reads(expr[2])
-    return False
-
-
-def _op_reads(op) -> bool:
-    code = op[0]
-    if code == kernel.A_MASK_FULL or code == kernel.A_MASK_REGION:
-        return _expr_reads(op[2])
-    # A_EVAL pairs only survive folding when they reference variables
-    return code == kernel.A_EVAL
+    return ref
 
 
 def _build_program(dictionary, assignments):
@@ -153,29 +112,27 @@ def _build_program(dictionary, assignments):
         target = a.target_var
         if arity == 2:
             # v.*.* covers every dictionary label: full replacement
-            ops.append((kernel.A_MASK_FULL, target, _mask_expr(a.rhs, dictionary)))
+            ops.append((kernel.A_MASK_FULL, target, _mask_fn(a.rhs, dictionary.universe_mask)))
         elif arity == 1:
             region = dictionary.type_mask(a.target_type)
             aligned = all(ref[2] == a.target_type for ref in terms.iter_refs(a.rhs))
             if aligned:
                 # same type on both sides: value positions line up bitwise
-                ops.append(
-                    (kernel.A_MASK_REGION, target, _mask_expr(a.rhs, dictionary), region)
-                )
+                fn = _mask_fn(a.rhs, dictionary.universe_mask)
+                ops.append((kernel.A_MASK_REGION, target, fn, region))
             else:
                 pairs = []
                 add = 0
                 clear = 0
                 for value in dictionary.values_of(a.target_type):
                     bit = 1 << dictionary.bit(a.target_type, value)
-                    term = _fold(_bool_term(a.rhs, dictionary, value))
-                    if term[0] == kernel.B_CONST:
-                        if term[1]:
-                            add |= bit
-                        else:
-                            clear |= bit
+                    test = terms.compile_truth(a.rhs, _truth_ref(dictionary, value))
+                    if test is True:
+                        add |= bit
+                    elif test is False:
+                        clear |= bit
                     else:
-                        pairs.append((bit, term))
+                        pairs.append((bit, test))
                 # the three pieces touch disjoint bits of one target
                 if pairs:
                     ops.append((kernel.A_EVAL, target, tuple(pairs)))
@@ -186,13 +143,14 @@ def _build_program(dictionary, assignments):
                     ops.append((kernel.A_CLEAR, target, clear))
         else:
             bit = 1 << dictionary.bit(a.target_type, a.target_value)
-            term = _fold(_bool_term(a.rhs, dictionary, None))
-            if term[0] == kernel.B_CONST:
-                ops.append((kernel.A_ADD, target, bit) if term[1] else (kernel.A_CLEAR, target, bit))
+            test = terms.compile_truth(a.rhs, _truth_ref(dictionary, None))
+            if test is True:
+                ops.append((kernel.A_ADD, target, bit))
+            elif test is False:
+                ops.append((kernel.A_CLEAR, target, bit))
             else:
-                ops.append((kernel.A_EVAL, target, ((bit, term),)))
-    needs_pre = any(_op_reads(op) for op in ops)
-    return (needs_pre, tuple(ops))
+                ops.append((kernel.A_EVAL, target, ((bit, test),)))
+    return tuple(ops)
 
 
 def _lower_program(dictionary: DataDictionary, assignments: tuple):
@@ -237,7 +195,7 @@ def _lower_sequence(model: ArchitectureModel, sequence: ActionSequence):
         except KeyError:
             raise PropagationError(f"unknown sequence element kind {kind.__name__}") from None
         if code == APPLY:
-            ops.append((APPLY, _lower_program(dictionary, element.assignments)[1]))
+            ops.append((APPLY, _lower_program(dictionary, element.assignments)))
         elif code == CALL:
             ops.append((CALL, element.bindings))
         elif code == POP_BIND:

@@ -22,12 +22,15 @@ The AST is plain tuples, first element a tag string:
     ("not", term)
     ("and", left, right)
     ("or", left, right)
+
+:func:`compile_truth` compiles boolean terms for both label assignments
+and constraints; they differ only in what a reference compiles to.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import TermSyntaxError
 
@@ -35,6 +38,7 @@ __all__ = [
     "parse_term",
     "parse_assignment",
     "iter_refs",
+    "compile_truth",
     "wildcard_arity",
     "TermParser",
     "RESERVED_WORDS",
@@ -219,6 +223,38 @@ def iter_refs(node: tuple) -> Iterator[tuple]:
     elif tag in ("and", "or"):
         yield from iter_refs(node[1])
         yield from iter_refs(node[2])
+
+
+def compile_truth(node: tuple, ref: Callable[[tuple], object]):
+    """Compile a boolean term into a ``bool`` or a one-argument test.
+
+    ``ref`` turns each reference node into a ``bool`` or a test; it is
+    called for every reference, left to right, before any folding, so it
+    also checks references in branches that folding removes.  The result
+    is a ``bool`` exactly when the term's value is a constant.
+    """
+    tag = node[0]
+    if tag == "ref":
+        return ref(node)
+    if tag == "const":
+        return node[1]
+    if tag == "not":
+        sub = compile_truth(node[1], ref)
+        if isinstance(sub, bool):
+            return not sub
+        return lambda arg: not sub(arg)
+    left = compile_truth(node[1], ref)
+    right = compile_truth(node[2], ref)
+    conjunction = tag == "and"
+    # a constant that is neutral for the operator leaves the other side,
+    # one that absorbs it decides the term
+    if isinstance(left, bool):
+        return right if left == conjunction else not conjunction
+    if isinstance(right, bool):
+        return left if right == conjunction else not conjunction
+    if conjunction:
+        return lambda arg: left(arg) and right(arg)
+    return lambda arg: left(arg) or right(arg)
 
 
 def wildcard_arity(type_name: str | None, value: str | None) -> int:

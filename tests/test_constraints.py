@@ -108,6 +108,31 @@ def test_data_true_matches_every_element(shop):
     assert violations[0].variable_names == ()
 
 
+def test_data_term_with_refs_stays_existential_when_it_folds(shop):
+    # "data.X.Y | TRUE" folds to a constant, but it references data, so it
+    # still asks for a variable: it reports every variable in scope and
+    # skips elements without any, where "DATA TRUE" matches with VARS -
+    model, propagated = shop
+    folded = parse_constraint(
+        "VIOLATION any WHERE TRUE AND DATA data.DataSensitivity.Personal | TRUE",
+        model.dictionary)
+    plain = parse_constraint("VIOLATION all WHERE TRUE AND DATA TRUE", model.dictionary)
+    out = query_many(propagated, [folded, plain])
+    elements = [(seq, index, tuple(result.variable_names()))
+                for seq, p in enumerate(propagated)
+                for index, result in enumerate(p.results)]
+    assert any(not names for _, _, names in elements)
+    assert [(v.sequence_index, v.element_index, v.variable_names) for v in out["any"]] == [
+        element for element in elements if element[2]]
+    assert [(v.sequence_index, v.element_index, v.variable_names) for v in out["all"]] == [
+        (seq, index, ()) for seq, index, _ in elements]
+    assert out == per_element(propagated, [folded, plain])
+    for p in propagated:
+        for result in p.results:
+            hit = folded.predicate(result.node_labels, result.variables)
+            assert hit == bool(result.variable_names())
+
+
 def test_violations_ordered_by_sequence_then_element(shop_plain):
     model, propagated = shop_plain
     c = parse_constraint("VIOLATION all WHERE TRUE AND DATA TRUE", model.dictionary)
@@ -125,6 +150,13 @@ def test_violations_ordered_by_sequence_then_element(shop_plain):
      "constraint 'c': wildcards are not allowed in constraints"),
     ("VIOLATION c WHERE node.Mood.Happy AND DATA TRUE",
      "constraint 'c': unknown label type 'Mood'"),
+    # constant folding removes these references, yet each is still checked
+    ("VIOLATION c WHERE FALSE & node.Bogus.X AND DATA TRUE",
+     "constraint 'c': unknown label type 'Bogus'"),
+    ("VIOLATION c WHERE TRUE AND DATA TRUE | data.*.*",
+     "constraint 'c': wildcards are not allowed in constraints"),
+    ("VIOLATION c WHERE TRUE AND DATA FALSE & node.A.B",
+     "constraint 'c': the data term must reference 'data', found 'node'"),
 ])
 def test_parse_constraint_rejections(shop, text, message):
     model, _ = shop

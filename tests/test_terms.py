@@ -1,10 +1,14 @@
-"""Textual term grammar: parsing, precedence, and error positions."""
+"""Textual term grammar: parsing, precedence, error positions, the term
+compiler, and fuzzed term texts."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from flowcheck.errors import TermSyntaxError
+from flowcheck.constraints import parse_constraint
+from flowcheck.errors import ConstraintError, TermSyntaxError
+from flowcheck.labels import DataDictionary, LabelType
 from flowcheck.terms import (
+    compile_truth,
     iter_refs,
     parse_assignment,
     parse_term,
@@ -138,3 +142,121 @@ terms = st.recursive(
 @given(terms)
 def test_render_reparse_round_trip(ast):
     assert parse_term(render(ast)) == ast
+
+
+# compile_truth: the one compiler of boolean terms. References to "zz"
+# compile to the constant False (as an unknown label does in assignment
+# lowering), the others to a test over a frame of (type, value) pairs.
+def evaluate(node, frame):
+    k = node[0]
+    if k == "const":
+        return node[1]
+    if k == "ref":
+        return (node[2], node[3]) in frame.get(node[1], ())
+    if k == "not":
+        return not evaluate(node[1], frame)
+    if k == "and":
+        return evaluate(node[1], frame) and evaluate(node[2], frame)
+    return evaluate(node[1], frame) or evaluate(node[2], frame)
+
+
+def frame_ref(node):
+    _, var, type_name, value = node
+    if var == "zz":
+        return False
+    return lambda frame: (type_name, value) in frame.get(var, ())
+
+
+pairs = st.frozensets(st.tuples(st.sampled_from(["T", "U"]), st.sampled_from(["A", "B"])))
+frames = st.dictionaries(st.sampled_from(["x", "y"]), pairs)
+
+
+@settings(derandomize=True, database=None)
+@given(terms, st.lists(frames, min_size=1, max_size=5))
+def test_compile_truth_agrees_with_direct_evaluation(ast, sample):
+    compiled = compile_truth(ast, frame_ref)
+    for frame in sample:
+        got = compiled if isinstance(compiled, bool) else compiled(frame)
+        assert got is evaluate(ast, frame)
+
+
+@settings(derandomize=True, database=None)
+@given(terms)
+def test_compile_truth_calls_ref_for_every_reference_in_order(ast):
+    seen = []
+
+    def ref(node):
+        seen.append(node)
+        return frame_ref(node)
+
+    compile_truth(ast, ref)
+    assert seen == list(iter_refs(ast))
+
+
+def test_compile_truth_folds_constants():
+    seen = []
+
+    def ref(node):
+        seen.append(node[1])
+        return frame_ref(node)
+
+    assert compile_truth(parse_term("FALSE & x.T.A"), ref) is False
+    assert compile_truth(parse_term("!(y.T.A | TRUE)"), ref) is False
+    assert compile_truth(parse_term("zz.T.A | !x.T.B & FALSE"), ref) is False
+    assert compile_truth(parse_term("!zz.T.A"), ref) is True
+    # references in folded-away branches were still compiled, left to right
+    assert seen == ["x", "y", "zz", "x", "zz"]
+    test = compile_truth(parse_term("TRUE & x.T.A"), ref)
+    assert test({"x": {("T", "A")}}) is True
+    assert test({}) is False
+
+
+# Term texts over the grammar's alphabet: whatever the input, the parsers
+# refuse it with their own error types, never with another exception.
+# Texts are well-formed terms with up to three pieces spliced in at
+# random character positions, so they reach reference and constraint
+# checks as well as every syntax error.
+REF_TEXTS = ["x.Color.Red", "node.Color.Red", "data.Color.Blue", "data.Color.*",
+             "data.*.*", "x.*.Red", "node.Bogus.X", "data.Color.Green", "TRUE.Color.Red",
+             "x.Color.FALSE"]
+PIECES = REF_TEXTS + ["x", "Color", "TRUE", "FALSE", "AND DATA", " ",
+                      ".", "*", "&", "|", "!", "(", ")", ":="]
+COLORS = DataDictionary((LabelType("Color", ("Red", "Blue")),))
+well_formed = st.recursive(
+    st.sampled_from(REF_TEXTS + ["TRUE", "FALSE"]),
+    lambda sub: st.builds("!{}".format, sub)
+    | st.builds("{} & {}".format, sub, sub)
+    | st.builds("{} | {}".format, sub, sub)
+    | st.builds("({})".format, sub),
+    max_leaves=6,
+)
+
+
+def splice(text, edits):
+    for position, piece in edits:
+        position %= len(text) + 1
+        text = text[:position] + piece + text[position:]
+    return text
+
+
+term_texts = st.builds(
+    splice, well_formed,
+    st.lists(st.tuples(st.integers(0, 200), st.sampled_from(PIECES)), max_size=3),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.sampled_from(REF_TEXTS), term_texts, term_texts)
+def test_term_texts_raise_only_parse_errors(target, first, second):
+    texts = [first, f"{target} := {first}"]
+    for parse in (parse_term, parse_assignment):
+        for text in texts:
+            try:
+                parse(text)
+            except TermSyntaxError:
+                pass
+    for text in (first, f"VIOLATION c WHERE {first} AND DATA {second}"):
+        try:
+            parse_constraint(text, COLORS)
+        except (TermSyntaxError, ConstraintError):
+            pass
