@@ -16,9 +16,14 @@ as needed.
             for v in node.variables
         ),
     )
+
+``run_pipeline`` is the same pipeline as one timed call, shared by
+``flowcheck analyze`` and ``flowcheck bench``.
 """
 
 from __future__ import annotations
+
+import time
 
 from .constraints import Constraint, Violation, query, query_many
 from .extraction import ActionSequence, find_all_sequences
@@ -26,7 +31,7 @@ from .loader import load_model
 from .model import ArchitectureModel
 from .propagation import PropagatedSequence, evaluate_all
 
-__all__ = ["DataFlowAnalysis"]
+__all__ = ["DataFlowAnalysis", "Timings", "run_pipeline"]
 
 
 class DataFlowAnalysis:
@@ -81,3 +86,46 @@ class DataFlowAnalysis:
     def query_all(self, propagated_sequences, constraints) -> dict[str, list[Violation]]:
         """Evaluate many constraints against already-propagated results."""
         return query_many(propagated_sequences, constraints)
+
+
+class Timings:
+    """Wall time of each pipeline stage, in the order the stages ran."""
+
+    def __init__(self):
+        self.stage_ms: dict[str, float] = {}
+        self.started = self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        """Close ``stage``: it took the time since the previous lap."""
+        now = time.perf_counter()
+        self.stage_ms[stage] = (now - self._last) * 1000.0
+        self._last = now
+
+    @property
+    def total_ms(self) -> float:
+        """From the start to the last lap."""
+        return (self._last - self.started) * 1000.0
+
+
+def run_pipeline(load, constraints_for):
+    """Load, extract, propagate and query, timing each stage.
+
+    ``load()`` returns the model and ``constraints_for(model)`` the
+    constraints to query.  Returns ``(model, sequences, propagated,
+    constraints, violations, timings)``; ``timings`` holds the stages
+    ``load``, ``constraints``, ``extract``, ``propagate`` and ``query``.
+    The stage functions are looked up as module globals on every call,
+    so a wrapper installed over them later is seen.
+    """
+    timings = Timings()
+    model = load()
+    timings.lap("load")
+    constraints = constraints_for(model)
+    timings.lap("constraints")
+    sequences = find_all_sequences(model)
+    timings.lap("extract")
+    propagated = evaluate_all(model, sequences)
+    timings.lap("propagate")
+    violations = query_many(propagated, constraints)
+    timings.lap("query")
+    return model, sequences, propagated, constraints, violations, timings

@@ -1,4 +1,4 @@
-"""Scalability benchmark: model generators, harness and CSV output.
+"""Scalability benchmark: model generators, harness and JSON output.
 
 Four model features scale independently while everything else stays
 constant, so each run isolates one growth dimension:
@@ -8,28 +8,28 @@ constant, so each run isolates one growth dimension:
 * ``variable-actions``: label-setting actions in the seff
 * ``seff-parameters``: parameters of the called signature
 
-Each timed repetition executes the full pipeline: parse the in-memory
-JSON serialization, resolve and validate, extract sequences, propagate,
-and evaluate a constraint that flags every element ("all violations").
-``include_load=False`` drops the parse/resolve step from the timed
-region.  One data point starts from cold caches; a crash, timeout or
-memory exhaustion is recorded as a failed outcome instead of killing the
-harness.
+Each timed repetition executes the full pipeline through
+``analysis.run_pipeline``: parse the in-memory JSON serialization,
+resolve and validate, parse a constraint that flags every element ("all
+violations"), extract sequences, propagate and query.  Each repetition
+keeps its wall time and the time of each stage.  One data point starts
+from cold caches; a crash, timeout or memory exhaustion is recorded as a
+failed outcome instead of killing the harness.
 """
 
 from __future__ import annotations
 
 import enum
 import gc
+import json
 import statistics
 import time
 from dataclasses import dataclass
 
-from .constraints import parse_constraint, query_many
-from .extraction import find_all_sequences
+from .analysis import run_pipeline
+from .constraints import parse_constraint
 from .loader import load_model_text, model_from_data, model_to_json
 from .model import ArchitectureModel, clear_parse_cache
-from .propagation import evaluate_all
 
 __all__ = [
     "BenchFeature",
@@ -38,8 +38,7 @@ __all__ = [
     "ALL_VIOLATIONS_CONSTRAINT",
     "generate_bench_model",
     "run_bench",
-    "write_runs_csv",
-    "write_medians_csv",
+    "write_bench_json",
 ]
 
 ALL_VIOLATIONS_CONSTRAINT = "VIOLATION all WHERE TRUE AND DATA TRUE"
@@ -59,7 +58,6 @@ class BenchConfig:
     feature: BenchFeature
     sizes: tuple[int, ...] = DEFAULT_SIZES
     repetitions: int = 10
-    include_load: bool = True
     timeout_s: float = 600.0
 
 
@@ -68,7 +66,9 @@ class BenchResult:
     feature: BenchFeature
     size: int
     runs_ms: tuple[float, ...]
+    stage_runs_ms: tuple[dict[str, float], ...]  # per run: stage -> ms
     median_ms: float | None
+    stage_median_ms: dict[str, float]  # empty unless completed
     outcome: str  # "completed" or "failed: <reason>"
 
     @property
@@ -179,25 +179,17 @@ def generate_bench_model(feature: BenchFeature, size: int) -> ArchitectureModel:
     return model_from_data(data)
 
 
-def _pipeline(model: ArchitectureModel | None, text: str | None) -> int:
-    """One full analysis pass; returns the violation count."""
-    if text is not None:
-        model = load_model_text(text)
-    sequences = find_all_sequences(model)
-    propagated = evaluate_all(model, sequences)
-    constraint = parse_constraint(ALL_VIOLATIONS_CONSTRAINT, model.dictionary)
-    violations = query_many(propagated, [constraint])
-    return sum(len(v) for v in violations.values())
+def _all_violations(model: ArchitectureModel) -> list:
+    return [parse_constraint(ALL_VIOLATIONS_CONSTRAINT, model.dictionary)]
 
 
 def _bench_point(config: BenchConfig, size: int) -> BenchResult:
     clear_parse_cache()
     runs: list[float] = []
+    stage_runs: list[dict[str, float]] = []
     outcome = "completed"
     try:
-        model = generate_bench_model(config.feature, size)
-        text = model_to_json(model) if config.include_load else None
-        prepared = None if config.include_load else model
+        text = model_to_json(generate_bench_model(config.feature, size))
         deadline = time.monotonic() + config.timeout_s
         # collector pauses land on random repetitions and would skew the
         # medians between sizes, so collection is forced between timed
@@ -211,8 +203,11 @@ def _bench_point(config: BenchConfig, size: int) -> BenchResult:
                 gc.collect()
                 gc.disable()
                 start = time.perf_counter()
-                _pipeline(prepared, text)
+                result = run_pipeline(lambda: load_model_text(text), _all_violations)
                 runs.append((time.perf_counter() - start) * 1000.0)
+                stage_runs.append(result[-1].stage_ms)
+                # freed outside the timed region, before the next run
+                del result
                 if gc_was_enabled:
                     gc.enable()
         finally:
@@ -222,8 +217,16 @@ def _bench_point(config: BenchConfig, size: int) -> BenchResult:
         outcome = "failed: out of memory"
     except Exception as exc:  # a failed point must not kill the harness
         outcome = f"failed: {type(exc).__name__}: {exc}"
-    median = statistics.median(runs) if runs and outcome == "completed" else None
-    return BenchResult(config.feature, size, tuple(runs), median, outcome)
+    median, stage_median = None, {}
+    if runs and outcome == "completed":
+        median = statistics.median(runs)
+        stage_median = {
+            stage: statistics.median(run[stage] for run in stage_runs)
+            for stage in stage_runs[0]
+        }
+    return BenchResult(
+        config.feature, size, tuple(runs), tuple(stage_runs), median, stage_median, outcome
+    )
 
 
 def run_bench(config: BenchConfig, *, progress=None) -> list[BenchResult]:
@@ -241,30 +244,34 @@ def run_bench(config: BenchConfig, *, progress=None) -> list[BenchResult]:
 
 
 # ---------------------------------------------------------------------------
-# CSV output
+# JSON output
 
 
-def write_runs_csv(results, path) -> None:
-    """Per-repetition wall times: feature,size,run,wall_ms,outcome."""
-    import csv
+def write_bench_json(results, path) -> None:
+    """One document: ``{"points": [...]}``, one point per result in sweep order.
 
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["feature", "size", "run", "wall_ms", "outcome"])
-        for result in results:
-            for run, wall_ms in enumerate(result.runs_ms):
-                writer.writerow(
-                    [result.feature.value, result.size, run, f"{wall_ms:.3f}", "completed"]
-                )
-
-
-def write_medians_csv(results, path) -> None:
-    """Aggregates: feature,size,median_ms,outcome."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["feature", "size", "median_ms", "outcome"])
-        for result in results:
-            median = "" if result.median_ms is None else f"{result.median_ms:.3f}"
-            writer.writerow([result.feature.value, result.size, median, result.outcome])
+    A point has ``feature``, ``size``, ``outcome``, ``runs_ms`` (wall time
+    per repetition), ``stage_runs_ms`` (per repetition, stage -> time),
+    ``median_ms`` (null unless completed) and ``stage_median_ms``.  Stages
+    keep pipeline order; times are milliseconds rounded to microseconds.
+    """
+    points = [
+        {
+            "feature": result.feature.value,
+            "size": result.size,
+            "outcome": result.outcome,
+            "runs_ms": [round(ms, 3) for ms in result.runs_ms],
+            "stage_runs_ms": [
+                {stage: round(ms, 3) for stage, ms in stages.items()}
+                for stages in result.stage_runs_ms
+            ],
+            "median_ms": None if result.median_ms is None else round(result.median_ms, 3),
+            "stage_median_ms": {
+                stage: round(ms, 3) for stage, ms in result.stage_median_ms.items()
+            },
+        }
+        for result in results
+    ]
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"points": points}, handle, indent=2)
+        handle.write("\n")

@@ -3,7 +3,7 @@
     flowcheck analyze MODEL --constraints FILE [--dump-propagation] [--timing]
     flowcheck sequences MODEL
     flowcheck validate MODEL
-    flowcheck bench --feature variable-actions --sizes 1,10,100 --reps 3
+    flowcheck bench [--feature NAME] [--sizes 1,10,100] [--reps 3] [--out FILE]
 
 Exit codes: 0 no violations, 1 violations found, 2 usage or load errors
 and unexpected failures.
@@ -14,61 +14,32 @@ identical output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import time
-from dataclasses import dataclass, field
 
-from .benchgen import (
-    BenchConfig,
-    BenchFeature,
-    run_bench,
-    write_medians_csv,
-    write_runs_csv,
-)
-from .constraints import format_report, load_constraints, query_many
+from .analysis import DataFlowAnalysis, run_pipeline
+from .benchgen import BenchConfig, BenchFeature, run_bench, write_bench_json
+from .constraints import format_report, load_constraints
 from .errors import FlowcheckError, ModelLoadError
-from .extraction import find_all_sequences
 from .loader import load_model
-from .propagation import evaluate_all
 
-__all__ = ["main", "AnalysisRun"]
+__all__ = ["main", "propagation_dump"]
 
 
-@dataclass
-class AnalysisRun:
-    """Everything one analyze invocation produced."""
-
-    model_path: str
-    constraints_path: str | None
-    dump_propagation: bool
-    sequences: list = field(default_factory=list)
-    propagated: list = field(default_factory=list)
-    violations: dict = field(default_factory=dict)
-    constraint_order: list = field(default_factory=list)
-    elapsed_ms: float = 0.0
-
-    def report(self) -> str:
-        return format_report(self.violations, self.constraint_order)
-
-    def total_violations(self) -> int:
-        return sum(len(v) for v in self.violations.values())
-
-    def propagation_dump(self) -> str:
-        """Per element: node labels, then each variable with its labels."""
-        lines = []
-        for index, propagated in enumerate(self.propagated):
-            lines.append(f"SEQUENCE {index}")
-            for element_index, result in enumerate(propagated.results):
-                element = result.element
-                node = ",".join(result.node_labels.names()) or "-"
-                lines.append(
-                    f"ELEM {element_index} {element.kind} {element.element_id} NODE {node}"
-                )
-                for variable in result.variables:
-                    labels = ",".join(variable.labels.names()) or "-"
-                    lines.append(f"VAR {variable.name} {labels}")
-        return "\n".join(lines)
+def propagation_dump(propagated) -> str:
+    """Per element: node labels, then each variable with its labels."""
+    lines = []
+    for index, sequence in enumerate(propagated):
+        lines.append(f"SEQUENCE {index}")
+        for element_index, result in enumerate(sequence.results):
+            element = result.element
+            node = ",".join(result.node_labels.names()) or "-"
+            lines.append(
+                f"ELEM {element_index} {element.kind} {element.element_id} NODE {node}"
+            )
+            for variable in result.variables:
+                labels = ",".join(variable.labels.names()) or "-"
+                lines.append(f"VAR {variable.name} {labels}")
+    return "\n".join(lines)
 
 
 def _fail(message: str) -> int:
@@ -76,69 +47,45 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _cannot_load(path, exc: ModelLoadError) -> int:
+    for defect in exc.defects:
+        print(defect, file=sys.stderr)
+    return _fail(f"error: cannot load model '{path}'")
+
+
 def _cmd_analyze(args) -> int:
-    stage_ms: dict[str, float] = {}
-    started = last = time.perf_counter()
+    def constraints_for(model):
+        if not args.constraints:
+            return []
+        return load_constraints(args.constraints, model.dictionary)
 
-    def lap(stage: str) -> None:
-        nonlocal last
-        now = time.perf_counter()
-        stage_ms[stage] = (now - last) * 1000.0
-        last = now
-
+    # model and sequences are held until return, so that freeing them is
+    # not timed as part of the report stage
     try:
-        model = load_model(args.model)
+        model, sequences, propagated, constraints, violations, timings = run_pipeline(
+            lambda: load_model(args.model), constraints_for
+        )
     except ModelLoadError as exc:
-        for defect in exc.defects:
-            print(defect, file=sys.stderr)
-        return _fail(f"error: cannot load model '{args.model}'")
-    lap("load")
-    try:
-        constraints = (
-            load_constraints(args.constraints, model.dictionary)
-            if args.constraints
-            else []
-        )
-        lap("constraints")
-        run = AnalysisRun(
-            model_path=args.model,
-            constraints_path=args.constraints,
-            dump_propagation=args.dump_propagation,
-        )
-        run.sequences = find_all_sequences(model)
-        lap("extract")
-        run.propagated = evaluate_all(model, run.sequences)
-        lap("propagate")
-        run.constraint_order = [c.name for c in constraints]
-        run.violations = query_many(run.propagated, constraints)
-        lap("query")
-    except FlowcheckError as exc:
-        return _fail(f"error: {exc}")
-    dump = run.propagation_dump() if run.dump_propagation else None
-    report = run.report()
-    lap("report")
-    run.elapsed_ms = (last - started) * 1000.0
+        return _cannot_load(args.model, exc)
+    dump = propagation_dump(propagated) if args.dump_propagation else None
+    report = format_report(violations, [c.name for c in constraints])
+    timings.lap("report")
     if dump is not None:
         print(dump)
     print(report)
     if args.timing:
-        for stage, ms in stage_ms.items():
+        for stage, ms in timings.stage_ms.items():
             print(f"{stage} {ms:.1f} ms", file=sys.stderr)
-        print(f"elapsed {run.elapsed_ms:.1f} ms", file=sys.stderr)
-    return 1 if run.total_violations() else 0
+        print(f"elapsed {timings.total_ms:.1f} ms", file=sys.stderr)
+    return 1 if any(violations.values()) else 0
 
 
 def _cmd_sequences(args) -> int:
     try:
-        model = load_model(args.model)
-        sequences = find_all_sequences(model)
+        analysis = DataFlowAnalysis.from_file(args.model)
     except ModelLoadError as exc:
-        for defect in exc.defects:
-            print(defect, file=sys.stderr)
-        return _fail(f"error: cannot load model '{args.model}'")
-    except FlowcheckError as exc:
-        return _fail(f"error: {exc}")
-    for index, sequence in enumerate(sequences):
+        return _cannot_load(args.model, exc)
+    for index, sequence in enumerate(analysis.find_all_sequences()):
         print(f"SEQUENCE {index}")
         for element_index, element in enumerate(sequence):
             print(f"{element_index} {element.kind} {element.element_id}")
@@ -164,13 +111,9 @@ def _cmd_bench(args) -> int:
         return _fail("error: --sizes must be a comma separated list of integers")
     if not sizes or any(size < 1 for size in sizes):
         return _fail("error: --sizes needs positive integers")
-    config = BenchConfig(
-        feature=BenchFeature(args.feature),
-        sizes=sizes,
-        repetitions=args.reps,
-        include_load=not args.no_load,
-        timeout_s=args.timeout,
-    )
+    if args.reps < 1:
+        return _fail("error: --reps needs a positive integer")
+    features = [BenchFeature(args.feature)] if args.feature else list(BenchFeature)
 
     def progress(result):
         median = "-" if result.median_ms is None else f"{result.median_ms:.3f} ms"
@@ -179,18 +122,16 @@ def _cmd_bench(args) -> int:
             file=sys.stderr,
         )
 
-    results = run_bench(config, progress=progress)
-    runs_path = args.out
-    medians_path = args.median_out or _derive_medians_path(runs_path)
-    write_runs_csv(results, runs_path)
-    write_medians_csv(results, medians_path)
-    print(f"wrote {runs_path} and {medians_path}")
+    results = [
+        result
+        for feature in features
+        for result in run_bench(
+            BenchConfig(feature, sizes, args.reps, args.timeout), progress=progress
+        )
+    ]
+    write_bench_json(results, args.out)
+    print(f"wrote {args.out}")
     return 0
-
-
-def _derive_medians_path(runs_path: str) -> str:
-    root, ext = os.path.splitext(runs_path)
-    return f"{root}_medians{ext or '.csv'}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,9 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run the scalability benchmark")
     bench.add_argument(
         "--feature",
-        required=True,
         choices=[f.value for f in BenchFeature],
-        help="model feature to scale",
+        help="model feature to scale (default: all four, one after another)",
     )
     bench.add_argument(
         "--sizes",
@@ -236,19 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma separated sizes (default: powers of ten up to 100000)",
     )
     bench.add_argument("--reps", type=int, default=10, help="repetitions per size")
-    bench.add_argument(
-        "--out", default="bench_runs.csv", help="per-run CSV output path"
-    )
-    bench.add_argument(
-        "--median-out",
-        default=None,
-        help="aggregate CSV output path (default: derived from --out)",
-    )
-    bench.add_argument(
-        "--no-load",
-        action="store_true",
-        help="exclude model load from the timed region",
-    )
+    bench.add_argument("--out", default="bench.json", help="JSON output path")
     bench.add_argument(
         "--timeout",
         type=float,

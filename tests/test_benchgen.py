@@ -1,6 +1,6 @@
-"""Benchmark model generation, the measurement harness, and CSV output."""
+"""Benchmark model generation, the measurement harness, and JSON output."""
 
-import csv
+import json
 import statistics
 
 import pytest
@@ -12,14 +12,16 @@ from flowcheck.benchgen import (
     BenchResult,
     generate_bench_model,
     run_bench,
-    write_medians_csv,
-    write_runs_csv,
+    write_bench_json,
 )
 from flowcheck.constraints import parse_constraint, query_many
 from flowcheck.extraction import find_all_sequences
 from flowcheck.propagation import evaluate_all
 
 FEATURES = list(BenchFeature)
+STAGES = ["load", "constraints", "extract", "propagate", "query"]
+POINT_KEYS = {"feature", "size", "outcome", "runs_ms", "stage_runs_ms",
+              "median_ms", "stage_median_ms"}
 
 # elements in the single extracted sequence as a function of model size
 EXPECTED_ELEMENTS = {
@@ -94,32 +96,75 @@ def test_run_bench_timeout_marks_failure():
     assert results[0].outcome.startswith("failed: timeout")
 
 
-def test_run_bench_no_load_still_measures():
-    config = BenchConfig(BenchFeature.VARIABLE_ACTIONS,
-                         sizes=(1,), repetitions=2, include_load=False)
-    results = run_bench(config)
-    assert results[0].completed
-    assert results[0].median_ms >= 0.0
+def assert_stages_cover_runs(runs_ms, stage_runs_ms, rounding=1e-9):
+    """The stages add up to each run's wall time, short of the runner's bookkeeping.
+
+    A preemption can land between two stages of any one run, so the
+    bookkeeping alone (tens of microseconds) shows in the run with the
+    smallest gap.
+    """
+    gaps = [wall - sum(stages.values()) for wall, stages in zip(runs_ms, stage_runs_ms)]
+    assert all(gap >= -rounding for gap in gaps)
+    assert min(gaps) <= 0.1 + 0.01 * max(runs_ms) + rounding
 
 
-def csv_rows(path):
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
+def test_run_bench_times_each_stage():
+    config = BenchConfig(BenchFeature.VARIABLE_ACTIONS, sizes=(1, 2000), repetitions=3)
+    for r in run_bench(config):
+        assert len(r.stage_runs_ms) == 3
+        assert all(list(stages) == STAGES for stages in r.stage_runs_ms)
+        assert_stages_cover_runs(r.runs_ms, r.stage_runs_ms)
+        assert list(r.stage_median_ms) == STAGES
+        for stage in STAGES:
+            assert r.stage_median_ms[stage] == pytest.approx(
+                statistics.median(run[stage] for run in r.stage_runs_ms))
 
 
-def test_runs_csv_columns(tmp_path):
+def bench_json(tmp_path, name, results):
+    path = tmp_path / name
+    write_bench_json(results, path)
+    return json.loads(path.read_text())
+
+
+def key_structure(document):
+    return [
+        (sorted(point), list(point["stage_median_ms"]),
+         [list(stages) for stages in point["stage_runs_ms"]])
+        for point in document["points"]
+    ]
+
+
+def test_bench_json_points(tmp_path):
     config = BenchConfig(BenchFeature.NODE_CHARACTERISTICS,
                          sizes=(1, 10), repetitions=2)
-    results = run_bench(config)
-    runs_path = tmp_path / "runs.csv"
-    medians_path = tmp_path / "medians.csv"
-    write_runs_csv(results, runs_path)
-    write_medians_csv(results, medians_path)
+    document = bench_json(tmp_path, "bench.json", run_bench(config))
+    assert list(document) == ["points"]
+    points = document["points"]
+    assert [(p["feature"], p["size"]) for p in points] == [
+        ("node-characteristics", 1), ("node-characteristics", 10)]
+    for point in points:
+        assert set(point) == POINT_KEYS
+        assert point["outcome"] == "completed"
+        assert len(point["runs_ms"]) == len(point["stage_runs_ms"]) == 2
+        assert point["median_ms"] == pytest.approx(
+            statistics.median(point["runs_ms"]), abs=1e-3)
+        assert list(point["stage_median_ms"]) == STAGES
+        assert all(list(stages) == STAGES for stages in point["stage_runs_ms"])
+        # each of the six rounded times is off by at most half a microsecond
+        assert_stages_cover_runs(point["runs_ms"], point["stage_runs_ms"], rounding=0.003)
 
-    rows = csv_rows(runs_path)
-    assert rows[0] == ["feature", "size", "run", "wall_ms", "outcome"]
-    assert len(rows) == 1 + 4  # 2 sizes x 2 repetitions
 
-    rows = csv_rows(medians_path)
-    assert rows[0] == ["feature", "size", "median_ms", "outcome"]
-    assert [r[1] for r in rows[1:]] == ["1", "10"]
+def test_bench_json_same_structure_on_rerun(tmp_path):
+    config = BenchConfig(BenchFeature.SEFF_PARAMETERS, sizes=(1, 5), repetitions=2)
+    first = bench_json(tmp_path, "a.json", run_bench(config))
+    second = bench_json(tmp_path, "b.json", run_bench(config))
+    assert key_structure(first) == key_structure(second)
+
+
+def test_bench_json_failed_point(tmp_path):
+    config = BenchConfig(BenchFeature.NODE_CHARACTERISTICS,
+                         sizes=(1,), repetitions=2, timeout_s=0.0)
+    [point] = bench_json(tmp_path, "failed.json", run_bench(config))["points"]
+    assert point["outcome"].startswith("failed: timeout")
+    assert point["median_ms"] is None
+    assert point["stage_median_ms"] == {}

@@ -1,10 +1,12 @@
 """The command line interface: exit codes, output shapes, determinism."""
 
+import json
 import subprocess
 import sys
 
 import pytest
 
+from flowcheck.benchgen import BenchFeature
 from flowcheck.cli import build_parser, main
 
 
@@ -130,28 +132,41 @@ def test_validate_deeply_nested_document_is_a_defect(tmp_path, capsys):
     assert lines[1:] == ["1 defect(s)"]
 
 
-def test_bench_writes_both_csv_files(tmp_path, capsys):
-    runs = tmp_path / "runs.csv"
+def test_bench_writes_one_json_file(tmp_path, capsys):
+    out_path = tmp_path / "bench.json"
     code, out, err = run_cli(
         ["bench", "--feature", "node-characteristics", "--sizes", "1,10",
-         "--reps", "2", "--out", runs], capsys)
+         "--reps", "2", "--out", out_path], capsys)
     assert code == 0
-    medians = tmp_path / "runs_medians.csv"
-    assert runs.exists() and medians.exists()
-    assert f"wrote {runs} and {medians}" in out
+    assert out == f"wrote {out_path}\n"
     assert "node-characteristics size=10" in err  # progress lines
-    header = runs.read_text().splitlines()[0]
-    assert header == "feature,size,run,wall_ms,outcome"
+    points = json.loads(out_path.read_text())["points"]
+    assert [(p["feature"], p["size"]) for p in points] == [
+        ("node-characteristics", 1), ("node-characteristics", 10)]
+    assert all(len(p["runs_ms"]) == 2 for p in points)
 
 
-def test_bench_explicit_median_out(tmp_path, capsys):
-    runs = tmp_path / "r.csv"
-    medians = tmp_path / "m.csv"
+def test_bench_without_feature_sweeps_all_four(tmp_path, capsys):
+    out_path = tmp_path / "all.json"
     code, _, _ = run_cli(
-        ["bench", "--feature", "seff-parameters", "--sizes", "1", "--reps", "1",
-         "--out", runs, "--median-out", medians], capsys)
+        ["bench", "--sizes", "1,2", "--reps", "1", "--out", out_path], capsys)
     assert code == 0
-    assert medians.exists()
+    points = json.loads(out_path.read_text())["points"]
+    assert [(p["feature"], p["size"]) for p in points] == [
+        (feature.value, size) for feature in BenchFeature for size in (1, 2)]
+    assert all(p["outcome"] == "completed" for p in points)
+
+
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_bench_rejects_non_positive_reps(tmp_path, reps, capsys):
+    out_path = tmp_path / "bench.json"
+    code, out, err = run_cli(
+        ["bench", "--feature", "seff-parameters", "--sizes", "1", "--reps", reps,
+         "--out", out_path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --reps needs a positive integer\n"
+    assert not out_path.exists()
 
 
 def test_bench_rejects_unknown_feature(capsys):
@@ -178,6 +193,18 @@ def test_build_parser_smoke():
     parser = build_parser()
     args = parser.parse_args(["analyze", "m.json", "--constraints", "c.txt"])
     assert args.constraints == "c.txt"
+
+
+@pytest.mark.parametrize("extra", [[], ["--dump-propagation"]])
+def test_analyze_exits_one_after_printing_total(
+        shop_no_encrypt_path, geo_constraints_path, extra):
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowcheck", "analyze", str(shop_no_encrypt_path),
+         "--constraints", str(geo_constraints_path), *extra],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout.endswith("TOTAL 2 violations\n")
+    assert proc.stderr == ""
 
 
 def test_module_entry_point(shop_path):
