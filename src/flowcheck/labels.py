@@ -2,36 +2,33 @@
 
 A :class:`DataDictionary` declares every label type and its values up
 front; all labels attached to nodes or data during an analysis must come
-from that closed vocabulary.  Internally each (type, value) pair is
-assigned a bit position in declaration order, so a set of labels is a
-single integer mask and the propagation hot path works on plain ints.
-:class:`LabelSet` wraps such a mask and decodes it back to
-:class:`Label` objects lazily.
+from that closed vocabulary.  The dictionary walks its declaration once:
+the same loop assigns each (type, value) pair a bit position in
+declaration order and records every well-formedness defect on
+``defects``.  A set of labels is then a single integer mask, so the
+propagation hot path works on plain ints.  :class:`LabelSet` wraps such
+a mask; :class:`Label` objects are made only when a caller iterates a
+set or the dictionary.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DictionaryError
 
 __all__ = [
-    "IDENTIFIER_RE",
     "is_identifier",
     "Label",
     "LabelType",
     "DataDictionary",
     "LabelSet",
-    "validate_dictionary",
 ]
 
-IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
 def is_identifier(name: object) -> bool:
-    return isinstance(name, str) and IDENTIFIER_RE.match(name) is not None
+    """True for ``[A-Za-z_][A-Za-z0-9_]*``: an ASCII Python identifier."""
+    return isinstance(name, str) and name.isascii() and name.isidentifier()
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,16 +57,25 @@ class LabelType:
 class DataDictionary:
     """The closed vocabulary of label types and values for one analysis.
 
+    Construction is the only walk over ``label_types``.  It lays out the
+    bits (the first declaration of a type name wins, a repeated value
+    keeps its first bit, so each type's bits are contiguous) and fills
+    ``defects`` with one message per violation of well-formedness:
+    unique type names, at least one value per type, unique values within
+    a type, and every name a plain identifier.  Bits are kept as
+    ``(type, value)`` keys, not as :class:`Label` objects.
+
     Equality is structural (same types with the same values in the same
-    order).  The dictionary also owns the bit layout used by mask-based
-    label sets and a small cache for lowered assignment programs, so a
-    freshly loaded model starts with cold caches.
+    order).  The dictionary also owns a small cache for lowered
+    assignment programs, so a freshly loaded model starts with cold
+    caches.
     """
 
     __slots__ = (
         "label_types",
+        "defects",
         "_bit_of",
-        "_label_at",
+        "_keys",
         "_values_of",
         "_type_masks",
         "_universe",
@@ -79,30 +85,45 @@ class DataDictionary:
 
     def __init__(self, label_types: Iterable[LabelType]):
         self.label_types = tuple(label_types)
-        bit_of: dict[tuple[str, str], int] = {}
-        label_at: list[Label] = []
+        defects: list[str] = []
+        bit_of: dict[tuple[str, str], int] = {}  # insertion order is bit order
         values_of: dict[str, tuple[str, ...]] = {}
         type_masks: dict[str, int] = {}
         for lt in self.label_types:
-            if lt.name in values_of:
-                # duplicate type name; validate_dictionary reports it
+            name = lt.name
+            # an invalid name is reported at every declaration, and its
+            # values are not checked
+            checked = is_identifier(name)
+            if not checked:
+                defects.append(f"label type name {name!r} is not a valid identifier")
+            if name in values_of:
+                if checked:
+                    defects.append(f"duplicate label type name '{name}'")
                 continue
-            mask = 0
-            values_of[lt.name] = lt.values
+            values_of[name] = lt.values
+            if checked and not lt.values:
+                defects.append(f"label type '{name}' declares no values")
+            first = len(bit_of)
             for value in lt.values:
-                key = (lt.name, value)
-                if key in bit_of:
+                key = (name, value)
+                repeated = key in bit_of
+                if not repeated:
+                    bit_of[key] = len(bit_of)
+                if not checked:
                     continue
-                bit = len(label_at)
-                bit_of[key] = bit
-                label_at.append(Label(lt.name, value))
-                mask |= 1 << bit
-            type_masks[lt.name] = mask
+                if not is_identifier(value):
+                    defects.append(
+                        f"label type '{name}': value {value!r} is not a valid identifier"
+                    )
+                elif repeated:
+                    defects.append(f"label type '{name}': duplicate value '{value}'")
+            type_masks[name] = ((1 << (len(bit_of) - first)) - 1) << first
+        self.defects = tuple(defects)
         self._bit_of = bit_of
-        self._label_at = tuple(label_at)
+        self._keys = tuple(bit_of)
         self._values_of = values_of
         self._type_masks = type_masks
-        self._universe = (1 << len(label_at)) - 1
+        self._universe = (1 << len(bit_of)) - 1
         self._hash = hash(self.label_types)
         self.lower_cache: dict = {}
 
@@ -120,25 +141,21 @@ class DataDictionary:
         except KeyError:
             raise DictionaryError(f"unknown label type '{type_name}'") from None
 
-    def label(self, type_name: str, value: str) -> Label:
-        bit = self._bit_of.get((type_name, value))
-        if bit is None:
-            if type_name not in self._values_of:
-                raise DictionaryError(f"unknown label type '{type_name}'")
-            raise DictionaryError(f"unknown value '{value}' for label type '{type_name}'")
-        return self._label_at[bit]
-
     def bit(self, type_name: str, value: str) -> int:
         """Bit position of a (type, value) pair; raises for unknown pairs."""
-        bit = self._bit_of.get((type_name, value))
-        if bit is None:
-            self.label(type_name, value)  # raises with the precise message
-        return bit
+        try:
+            return self._bit_of[type_name, value]
+        except KeyError:
+            if type_name not in self._values_of:
+                raise DictionaryError(f"unknown label type '{type_name}'") from None
+            raise DictionaryError(
+                f"unknown value '{value}' for label type '{type_name}'"
+            ) from None
 
     @property
     def size(self) -> int:
         """Number of distinct (type, value) pairs."""
-        return len(self._label_at)
+        return len(self._keys)
 
     @property
     def universe_mask(self) -> int:
@@ -151,18 +168,7 @@ class DataDictionary:
             raise DictionaryError(f"unknown label type '{type_name}'") from None
 
     def iter_labels(self) -> Iterator[Label]:
-        return iter(self._label_at)
-
-    # -- label sets ---------------------------------------------------------
-
-    def label_set(self, labels: Iterable[Label] = ()) -> LabelSet:
-        mask = 0
-        for label in labels:
-            mask |= 1 << self.bit(label.type, label.value)
-        return LabelSet(self, mask)
-
-    def empty_set(self) -> LabelSet:
-        return LabelSet(self, 0)
+        return (Label(t, v) for t, v in self._keys)
 
     def set_from_mask(self, mask: int) -> LabelSet:
         return LabelSet(self, mask)
@@ -184,9 +190,8 @@ class DataDictionary:
 class LabelSet:
     """An immutable set of labels bound to one :class:`DataDictionary`.
 
-    Backed by a bit mask; decoding to :class:`Label` objects happens on
-    first iteration and is cached.  Operations across two different
-    dictionaries are rejected rather than silently mixed.
+    Backed by a bit mask; :class:`Label` objects are made on first
+    iteration and cached.
     """
 
     __slots__ = ("_dictionary", "_mask", "_decoded")
@@ -204,40 +209,23 @@ class LabelSet:
     def mask(self) -> int:
         return self._mask
 
-    def _check_same(self, other: "LabelSet") -> None:
-        if self._dictionary is not other._dictionary and self._dictionary != other._dictionary:
-            raise DictionaryError("label sets belong to different data dictionaries")
-
-    def union(self, other: "LabelSet") -> "LabelSet":
-        self._check_same(other)
-        return LabelSet(self._dictionary, self._mask | other._mask)
-
-    def intersection(self, other: "LabelSet") -> "LabelSet":
-        self._check_same(other)
-        return LabelSet(self._dictionary, self._mask & other._mask)
-
-    def contains(self, label: Label) -> bool:
-        """Membership test; the label must exist in the dictionary."""
-        return bool(self._mask >> self._dictionary.bit(label.type, label.value) & 1)
-
     def has(self, type_name: str, value: str) -> bool:
         return bool(self._mask >> self._dictionary.bit(type_name, value) & 1)
 
     def __contains__(self, label: Label) -> bool:
-        return self.contains(label)
+        """Membership test; the label must exist in the dictionary."""
+        return self.has(label.type, label.value)
+
+    def _set_keys(self) -> list[tuple[str, str]]:
+        """The (type, value) keys of the set bits, in bit order."""
+        keys = self._dictionary._keys
+        # one pass over the binary digits, lowest bit first
+        digits = reversed(bin(self._mask))
+        return [keys[bit] for bit, digit in enumerate(digits) if digit == "1"]
 
     def _decode(self) -> tuple[Label, ...]:
         if self._decoded is None:
-            label_at = self._dictionary._label_at
-            mask = self._mask
-            out = []
-            bit = 0
-            while mask:
-                if mask & 1:
-                    out.append(label_at[bit])
-                mask >>= 1
-                bit += 1
-            self._decoded = tuple(out)
+            self._decoded = tuple(Label(t, v) for t, v in self._set_keys())
         return self._decoded
 
     def __iter__(self) -> Iterator[Label]:
@@ -251,7 +239,7 @@ class LabelSet:
 
     def names(self) -> list[str]:
         """``Type.Value`` strings sorted by type then value."""
-        return sorted(str(label) for label in self._decode())
+        return sorted(f"{t}.{v}" for t, v in self._set_keys())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelSet):
@@ -264,34 +252,3 @@ class LabelSet:
     def __repr__(self) -> str:
         inner = ", ".join(self.names())
         return "{" + inner + "}"
-
-
-def validate_dictionary(dictionary: DataDictionary) -> list[str]:
-    """Check well-formedness and return one message per defect found.
-
-    Valid means: unique type names, at least one value per type, unique
-    values within a type, and every name a plain identifier.
-    """
-    defects: list[str] = []
-    seen_types: set[str] = set()
-    for lt in dictionary.label_types:
-        if not is_identifier(lt.name):
-            defects.append(f"label type name {lt.name!r} is not a valid identifier")
-            continue
-        if lt.name in seen_types:
-            defects.append(f"duplicate label type name '{lt.name}'")
-            continue
-        seen_types.add(lt.name)
-        if not lt.values:
-            defects.append(f"label type '{lt.name}' declares no values")
-        seen_values: set[str] = set()
-        for value in lt.values:
-            if not is_identifier(value):
-                defects.append(
-                    f"label type '{lt.name}': value {value!r} is not a valid identifier"
-                )
-            elif value in seen_values:
-                defects.append(f"label type '{lt.name}': duplicate value '{value}'")
-            else:
-                seen_values.add(value)
-    return defects

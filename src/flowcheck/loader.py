@@ -9,7 +9,9 @@ Loading walks the document once.  The builder collects *structural*
 defects (wrong JSON shapes or types, unparseable assignment texts,
 unknown labels) and checks each entry against its siblings as it reads
 it (duplicate ids, names, assignments, variable scope, Return placement,
-seff coverage); :func:`~flowcheck.model.validate_model` then makes the
+seff coverage).  The dictionary's own defects come from
+:attr:`~flowcheck.labels.DataDictionary.defects`, found while it lays
+out its bits, and :func:`~flowcheck.model.validate_model` then makes the
 cross-reference checks.  Semantic defects are reported, local ones
 first, only when there is no structural defect, and a single
 :class:`ModelLoadError` carries all of them.  Behaviour is restricted to
@@ -23,8 +25,8 @@ import json
 from pathlib import Path
 
 from . import terms
-from .errors import ModelLoadError, TermSyntaxError
-from .labels import DataDictionary, LabelSet, LabelType, is_identifier, validate_dictionary
+from .errors import DictionaryError, ModelLoadError, TermSyntaxError
+from .labels import DataDictionary, LabelSet, LabelType, is_identifier
 from .model import (
     RETURN_VARIABLE,
     ArchitectureModel,
@@ -144,7 +146,7 @@ class _Builder:
             data = {}
         dictionary_data = self._member(data, "dictionary", dict, {})
         self.dictionary = self._dictionary(dictionary_data)
-        self.semantic.extend(validate_dictionary(self.dictionary))
+        self.semantic.extend(self.dictionary.defects)
         components = self._components(self._member(data, "components", list, []))
         assembly = self._assembly(self._member(data, "assembly", dict, {}))
         deployment = self._deployment(self._member(data, "deployment", dict, {}))
@@ -198,30 +200,37 @@ class _Builder:
             name = self._str(entry, "name", "dictionary label type")
             values = entry.get("values", [])
             if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-                self.defect(f"label type '{name}': 'values' must be a list of strings")
+                owner = "dictionary label type" if name is None else f"label type '{name}'"
+                self.defect(f"{owner}: 'values' must be a list of strings")
                 values = []
             if name is not None:
                 types.append(LabelType(name, values))
         return DataDictionary(types)
 
-    def _labels(self, raw, where) -> LabelSet:
+    def _labels(self, obj, key, where) -> LabelSet:
+        raw = obj.get(key)
         if raw is None:
             raw = []
         if not isinstance(raw, list):
-            self.defect(f"{where}: 'labels' must be a list of 'Type.Value' strings")
+            self.defect(f"{where}: '{key}' must be a list of 'Type.Value' strings")
             raw = []
-        dictionary = self.dictionary
-        mask = 0
+        bit_of = self.dictionary.bit
+        bits = []
         for item in raw:
             if not isinstance(item, str) or item.count(".") != 1:
                 self.defect(f"{where}: label {item!r} must be a 'Type.Value' string")
                 continue
-            type_name, value = item.split(".")
-            if not dictionary.has_label(type_name, value):
+            type_name, _, value = item.partition(".")
+            try:
+                bits.append(bit_of(type_name, value))
+            except DictionaryError:
                 self.defect(f"{where}: label '{item}' is not in the dictionary")
-                continue
-            mask |= 1 << dictionary.bit(type_name, value)
-        return dictionary.set_from_mask(mask)
+        # OR-ing bits into a growing int copies it each time; a byte
+        # buffer sets each bit in place and converts once
+        buf = bytearray((max(bits) >> 3) + 1 if bits else 0)
+        for bit in bits:
+            buf[bit >> 3] |= 1 << (bit & 7)
+        return self.dictionary.set_from_mask(int.from_bytes(buf, "little"))
 
     @staticmethod
     def _at(where, action_id):
@@ -285,7 +294,7 @@ class _Builder:
                 self.semantic.append(f"duplicate component id '{cid}'")
             seen.add(cid)
             name = entry.get("name", cid)
-            labels = self._labels(entry.get("labels"), where)
+            labels = self._labels(entry, "labels", where)
             signatures = []
             for sig in self._list(entry, "signatures", where):
                 if not isinstance(sig, dict):
@@ -478,7 +487,7 @@ class _Builder:
                 self.semantic.append(f"duplicate container id '{cid}'")
             seen.add(cid)
             containers.append(
-                Container(cid, entry.get("name", cid), self._labels(entry.get("labels"), f"container '{cid}'"))
+                Container(cid, entry.get("name", cid), self._labels(entry, "labels", f"container '{cid}'"))
             )
         allocations = []
         raw_alloc = raw.get("allocations", {})
@@ -503,7 +512,7 @@ class _Builder:
             if sid is None:
                 continue
             where = f"scenario '{sid}'"
-            user_labels = self._labels(entry.get("userLabels"), where)
+            user_labels = self._labels(entry, "userLabels", where)
             actions = self._actions(self._list(entry, "actions", where), where, seff=False)
             if sid in seen:
                 self.semantic.append(f"duplicate usage scenario id '{sid}'")

@@ -1,6 +1,7 @@
 """Benchmark model generation, the measurement harness, and JSON output."""
 
 import json
+import pathlib
 import statistics
 
 import pytest
@@ -168,3 +169,19 @@ def test_bench_json_failed_point(tmp_path):
     assert point["outcome"].startswith("failed: timeout")
     assert point["median_ms"] is None
     assert point["stage_median_ms"] == {}
+
+
+COMMITTED_BENCHES = sorted(pathlib.Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("path", COMMITTED_BENCHES, ids=lambda p: p.name)
+def test_committed_bench_json(path):
+    for point in json.loads(path.read_text(encoding="utf-8"))["points"]:
+        where = f"{point['feature']} {point['size']}"
+        assert point["outcome"] == "completed", where
+        assert list(point["stage_median_ms"]) == STAGES, where
+        assert all(list(stages) == STAGES for stages in point["stage_runs_ms"]), where
+        if point["size"] < 10_000:
+            continue  # the first microseconds after gc.collect() weigh too much here
+        for wall, stages in zip(point["runs_ms"], point["stage_runs_ms"]):
+            assert sum(stages.values()) == pytest.approx(wall, rel=0.05), where

@@ -1,16 +1,16 @@
 """Label types, dictionaries, bit layout, and label sets."""
 
-import pytest
-from hypothesis import given, strategies as st
+import re
+from functools import reduce
+from operator import or_
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import flowcheck.labels
 from flowcheck.errors import DictionaryError
-from flowcheck.labels import (
-    DataDictionary,
-    Label,
-    LabelType,
-    is_identifier,
-    validate_dictionary,
-)
+from flowcheck.labels import DataDictionary, Label, LabelType, is_identifier
+from flowcheck.loader import load_model, model_from_data
 
 
 @pytest.fixture
@@ -72,26 +72,13 @@ def test_iter_labels_in_bit_order(dict_ab):
 
 
 def test_label_set_basics(dict_ab):
-    s = dict_ab.label_set([Label("Loc", "EU"), Label("Enc", "On")])
+    s = dict_ab.set_from_mask(1 << dict_ab.bit("Loc", "EU") | 1 << dict_ab.bit("Enc", "On"))
     assert len(s) == 2
+    assert list(s) == [Label("Enc", "On"), Label("Loc", "EU")]
     assert s.has("Loc", "EU")
     assert Label("Enc", "On") in s
     assert not s.has("Loc", "US")
     assert s.names() == ["Enc.On", "Loc.EU"]
-
-
-def test_label_set_union_intersection(dict_ab):
-    a = dict_ab.label_set([Label("Loc", "EU")])
-    b = dict_ab.label_set([Label("Loc", "US"), Label("Loc", "EU")])
-    assert (a.union(b)).names() == ["Loc.EU", "Loc.US"]
-    assert (a.intersection(b)).names() == ["Loc.EU"]
-    assert len(dict_ab.empty_set()) == 0
-
-
-def test_label_set_rejects_foreign_dictionary(dict_ab):
-    other = DataDictionary((LabelType("Enc", ("On",)),))
-    with pytest.raises(DictionaryError, match="different data dictionaries"):
-        dict_ab.empty_set().union(other.empty_set())
 
 
 def test_set_from_mask_round_trip(dict_ab):
@@ -115,18 +102,48 @@ def test_is_identifier():
     assert not is_identifier("")
 
 
+@settings(derandomize=True, database=None)
+@given(st.one_of(st.text(), st.text(alphabet="aZ_09 .\né", max_size=4), st.integers()))
+def test_is_identifier_is_the_ascii_pattern(name):
+    pattern = r"[A-Za-z_][A-Za-z0-9_]*"
+    assert is_identifier(name) == (isinstance(name, str) and bool(re.fullmatch(pattern, name)))
+
+
 def test_validate_dictionary_defects():
-    assert validate_dictionary(DataDictionary(())) == []
-    msgs = validate_dictionary(DataDictionary((
+    assert DataDictionary(()).defects == ()
+    d = DataDictionary((
         LabelType("bad name", ("X",)),
         LabelType("T", ()),
         LabelType("U", ("a", "a")),
         LabelType("U", ("b",)),
-    )))
-    assert "label type name 'bad name' is not a valid identifier" in msgs
-    assert "label type 'T' declares no values" in msgs
-    assert "label type 'U': duplicate value 'a'" in msgs
-    assert "duplicate label type name 'U'" in msgs
+    ))
+    assert d.defects == (
+        "label type name 'bad name' is not a valid identifier",
+        "label type 'T' declares no values",
+        "label type 'U': duplicate value 'a'",
+        "duplicate label type name 'U'",
+    )
+
+
+@pytest.mark.parametrize("types, defects", [
+    # an invalid name is reported at each declaration; its values go unchecked
+    ((LabelType("bad name", ("1x",)), LabelType("bad name", ("2y",))),
+     ("label type name 'bad name' is not a valid identifier",
+      "label type name 'bad name' is not a valid identifier")),
+    # a repeated invalid value is invalid each time, never a duplicate
+    ((LabelType("V", ("1x", "1x", "ok", "ok")),),
+     ("label type 'V': value '1x' is not a valid identifier",
+      "label type 'V': value '1x' is not a valid identifier",
+      "label type 'V': duplicate value 'ok'")),
+    # a repeated type's own values are not checked
+    ((LabelType("W", ("a",)), LabelType("W", ("1bad", "1bad", "a", "a"))),
+     ("duplicate label type name 'W'",)),
+    # an invalid name with no values is only an invalid name
+    ((LabelType("9t", ()),),
+     ("label type name '9t' is not a valid identifier",)),
+], ids=["invalid-name-twice", "invalid-value-twice", "valid-name-twice", "invalid-name-empty"])
+def test_dictionary_defect_edge_cases(types, defects):
+    assert DataDictionary(types).defects == defects
 
 
 names = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
@@ -147,3 +164,60 @@ def test_mask_decode_round_trip(layout):
     assert d.set_from_mask(d.universe_mask).names() == sorted(
         str(l) for l in d.iter_labels()
     )
+
+
+def _or_bits(bits):
+    return reduce(or_, (1 << bit for bit in bits), 0)
+
+
+@settings(derandomize=True, database=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(["A", "B", "C", "9x"]),
+              st.lists(st.sampled_from([f"v{i}" for i in range(24)] + ["1v"]), max_size=30)),
+    max_size=6,
+))
+@example([("A", [f"v{i}" for i in range(24)] * 2), ("9x", ["1v", "v0", "1v"]),
+          ("B", [f"v{i}" for i in range(40)]), ("A", ["v0"]),
+          ("C", [f"v{i}" for i in range(24)] + ["1v"])])  # C holds bits 66-90
+def test_masks_equal_or_of_bits(layout):
+    # repeated type names and repeated values included
+    d = DataDictionary(tuple(LabelType(n, vs) for n, vs in layout))
+    names = {n for n, _ in layout}
+    for name in names:
+        assert d.type_mask(name) == _or_bits(d.bit(name, v) for v in d.values_of(name))
+    assert d.universe_mask == _or_bits(d.bit(n, v) for n in names for v in d.values_of(n))
+
+
+_WIDE = {"labelTypes": [{"name": f"T{i}", "values": [f"v{j}" for j in range(30)]}
+                        for i in range(5)]}  # 150 bits
+_WIDE_LABELS = [f"T{i}.v{j}" for i in range(5) for j in range(30)]
+
+
+@settings(derandomize=True, database=None)
+@given(st.lists(st.sampled_from(_WIDE_LABELS), max_size=40))
+@example(["T0.v0", "T0.v9", "T0.v9", "T2.v5", "T4.v29", "T2.v5"])  # bits 0, 9, 65, 149
+def test_loader_mask_equals_or_of_bits(labels):
+    model = model_from_data({
+        "dictionary": _WIDE,
+        "components": [{"id": "c", "labels": labels}],
+    })
+    d = model.dictionary
+    bits = [d.bit(*label.split(".")) for label in labels]
+    assert model.components[0].labels.mask == _or_bits(bits)
+
+
+def test_loading_makes_no_label(shop_path, monkeypatch):
+    made = []
+
+    def counting_label(*args):
+        made.append(args)
+        return Label(*args)
+
+    monkeypatch.setattr(flowcheck.labels, "Label", counting_label)
+    model = load_model(shop_path)
+    assert made == []
+    labels = model.deployment.containers[0].labels
+    assert labels
+    # iterating a set makes them on demand
+    assert sorted(str(label) for label in labels) == labels.names()
+    assert len(made) == len(labels)

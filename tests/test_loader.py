@@ -134,6 +134,27 @@ def test_unsupported_action_type(model_data):
     assert any("unsupported action type 'loop'" in d for d in defects_of(model_data))
 
 
+@pytest.mark.parametrize("path, defects", [
+    (("components", 0, "labels"),
+     ["component 'comp.a': 'labels' must be a list of 'Type.Value' strings"]),
+    (("deployment", "containers", 0, "labels"),
+     ["container 'host': 'labels' must be a list of 'Type.Value' strings"]),
+    (("usageScenarios", 0, "userLabels"),
+     ["scenario 'scn': 'userLabels' must be a list of 'Type.Value' strings"]),
+    (("dictionary", "labelTypes", 1, "values"),
+     ["dictionary label type: missing 'name'",
+      "dictionary label type: 'values' must be a list of strings"]),
+], ids=["component", "container", "scenario", "nameless-type"])
+def test_non_list_labels_name_their_owner_and_key(model_data, path, defects):
+    if path[0] == "dictionary":
+        model_data["dictionary"]["labelTypes"].append({})  # a type with no name
+    node = model_data
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = 5
+    assert defects_of(model_data) == defects
+
+
 def test_defects_are_collected_not_first_only(model_data):
     # two independent faults in the same phase both get reported
     model_data["components"][0]["labels"] = ["Shape.Round"]

@@ -4,7 +4,7 @@ import pytest
 
 from flowcheck.errors import DictionaryError, PropagationError
 from flowcheck.extraction import find_all_sequences
-from flowcheck.labels import DataDictionary, Label, LabelSet, LabelType
+from flowcheck.labels import DataDictionary, LabelType
 from flowcheck.loader import load_model, model_from_data
 from flowcheck.model import assignment_from_text
 from flowcheck.oracle import oracle_propagate
@@ -162,8 +162,10 @@ def dict_tu():
 
 
 def var(dictionary, name, *labels):
-    return DataFlowVariable(
-        name, dictionary.label_set([Label(t, v) for t, v in labels]))
+    mask = 0
+    for t, v in labels:
+        mask |= 1 << dictionary.bit(t, v)
+    return DataFlowVariable(name, dictionary.set_from_mask(mask))
 
 
 def run_one(dictionary, texts, variables):
@@ -227,7 +229,7 @@ def test_negation_and_references(dict_tu):
 
 def test_foreign_dictionary_rejected(dict_tu):
     other = DataDictionary((LabelType("T", ("A",)),))
-    stranger = DataFlowVariable("x", other.empty_set())
+    stranger = DataFlowVariable("x", other.set_from_mask(0))
     with pytest.raises(DictionaryError,
                        match="variable 'x' belongs to a different data dictionary"):
         evaluate_assignments(dict_tu, [], [stranger])
