@@ -58,7 +58,8 @@ class Assignment:
     """One parsed ``target := term`` label assignment.
 
     ``target_type`` / ``target_value`` are ``None`` for wildcard
-    segments; ``rhs`` is the term AST from :mod:`flowcheck.terms`.
+    segments; ``rhs`` is the term AST from :mod:`flowcheck.terms`, where
+    one ``"and"`` or ``"or"`` node holds every operand of a chain.
 
     Equality is identity: :func:`assignment_from_text` interns instances
     by source text, and identity hashing keeps cache lookups flat instead

@@ -57,29 +57,49 @@ def _substitute(node, type_name, value):
         return node
     if tag == "const":
         return node
-    if tag == "not":
-        return ("not", _substitute(node[1], type_name, value))
-    return (tag, _substitute(node[1], type_name, value), _substitute(node[2], type_name, value))
+    out = [tag]
+    for operand in node[1:]:
+        out.append(_substitute(operand, type_name, value))
+    return tuple(out)
 
 
-def _truth(node, frame: dict) -> bool:
+def _truth(node, holds) -> bool:
+    """Evaluate a term; ``holds(var, type, value)`` decides each reference."""
     tag = node[0]
     if tag == "const":
         return node[1]
     if tag == "ref":
-        _, var, type_name, value = node
-        pairs = frame.get(var)
-        return pairs is not None and (type_name, value) in pairs
+        return holds(node[1], node[2], node[3])
     if tag == "not":
-        return not _truth(node[1], frame)
-    if tag == "and":
-        return _truth(node[1], frame) and _truth(node[2], frame)
-    return _truth(node[1], frame) or _truth(node[2], frame)
+        return not _truth(node[1], holds)
+    # the first operand that is false decides "and", the first true one "or"
+    decisive = tag == "or"
+    for operand in node[1:]:
+        if _truth(operand, holds) == decisive:
+            return decisive
+    return not decisive
+
+
+def _render(node) -> str:
+    tag = node[0]
+    if tag == "const":
+        return "TRUE" if node[1] else "FALSE"
+    if tag == "ref":
+        _, var, type_name, value = node
+        return f"{var}.{type_name or '*'}.{value or '*'}"
+    if tag == "not":
+        return "!" + _render(node[1])
+    op = " & " if tag == "and" else " | "
+    return "(" + op.join(_render(operand) for operand in node[1:]) + ")"
 
 
 def _apply_assignments(assignments, frame: dict, dictionary: DataDictionary) -> None:
     # every term reads the state from before this action
     pre = {name: set(pairs) for name, pairs in frame.items()}
+
+    def holds(var, type_name, value):
+        return (type_name, value) in pre.get(var, ())
+
     for assignment in assignments:
         arity = assignment.wildcard_arity()
         if arity == 0:
@@ -99,7 +119,7 @@ def _apply_assignments(assignments, frame: dict, dictionary: DataDictionary) -> 
             ]
         bucket = frame.setdefault(assignment.target_var, set())
         for target_pair, rhs in expansion:
-            if _truth(rhs, pre):
+            if _truth(rhs, holds):
                 bucket.add(target_pair)
             else:
                 bucket.discard(target_pair)
@@ -215,32 +235,20 @@ def oracle_query(
     data_ast = parser.parse_term()
     parser.expect_end()
 
-    def eval_with(ast, lookup) -> bool:
-        tag = ast[0]
-        if tag == "const":
-            return ast[1]
-        if tag == "ref":
-            return lookup(ast[2], ast[3])
-        if tag == "not":
-            return not eval_with(ast[1], lookup)
-        if tag == "and":
-            return eval_with(ast[1], lookup) and eval_with(ast[2], lookup)
-        return eval_with(ast[1], lookup) or eval_with(ast[2], lookup)
-
     data_refs = any(True for _ in terms.iter_refs(data_ast))
     matches = []
     for index in range(len(sequence.elements)):
         node_pairs, frame = _state_at(model, sequence, index)
-        if not eval_with(node_ast, lambda t, v: (t, v) in node_pairs):
+        if not _truth(node_ast, lambda var, t, v: (t, v) in node_pairs):
             continue
         if not data_refs:
-            if eval_with(data_ast, lambda t, v: False):
+            if _truth(data_ast, lambda var, t, v: False):
                 matches.append((index, ()))
             continue
         names = sorted(
             name
             for name, pairs in frame.items()
-            if eval_with(data_ast, lambda t, v: (t, v) in pairs)
+            if _truth(data_ast, lambda var, t, v: (t, v) in pairs)
         )
         if names:
             matches.append((index, tuple(names)))
@@ -273,18 +281,6 @@ def random_small_model(seed: int) -> ArchitectureModel:
         count = rng.randint(0, min(limit, len(pairs)))
         return sorted(f"{t}.{v}" for t, v in rng.sample(pairs, count))
 
-    def render(node) -> str:
-        tag = node[0]
-        if tag == "const":
-            return "TRUE" if node[1] else "FALSE"
-        if tag == "ref":
-            _, var, type_name, value = node
-            return f"{var}.{type_name or '*'}.{value or '*'}"
-        if tag == "not":
-            return "!" + render(node[1])
-        op = "&" if tag == "and" else "|"
-        return f"({render(node[1])} {op} {render(node[2])})"
-
     def random_term(scope: list, arity, depth=0):
         roll = rng.random()
         if depth >= 2 or roll < 0.4:
@@ -311,7 +307,7 @@ def random_small_model(seed: int) -> ArchitectureModel:
             head = f"{target}.{rng.choice(type_names)}.*"
         else:
             head = f"{target}.*.*"
-        return f"{head} := {render(random_term(scope, arity))}"
+        return f"{head} := {_render(random_term(scope, arity))}"
 
     def bring_into_scope(scope: list, name: str) -> None:
         if name not in scope:
@@ -467,20 +463,9 @@ def random_constraints(model: ArchitectureModel, seed: int, count: int = 3) -> l
             tag = "and" if rng.random() < 0.5 else "or"
             return (tag, term(prefix, depth + 1), term(prefix, depth + 1))
 
-        def render(node) -> str:
-            tag = node[0]
-            if tag == "const":
-                return "TRUE" if node[1] else "FALSE"
-            if tag == "ref":
-                return f"{node[1]}.{node[2]}.{node[3]}"
-            if tag == "not":
-                return "!" + render(node[1])
-            op = "&" if tag == "and" else "|"
-            return f"({render(node[1])} {op} {render(node[2])})"
-
         node_term = term("node")
         data_term = term("data") if rng.random() < 0.8 else ("const", True)
         texts.append(
-            f"VIOLATION c{index} WHERE {render(node_term)} AND DATA {render(data_term)}"
+            f"VIOLATION c{index} WHERE {_render(node_term)} AND DATA {_render(data_term)}"
         )
     return texts

@@ -25,6 +25,7 @@ per target label by :func:`flowcheck.terms.compile_truth`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import kernel, terms
@@ -70,7 +71,8 @@ def _mask_fn(node, universe):
     """Compile a term into a closure mapping the pre-state to a mask.
 
     A reference yields the variable's whole mask, so this serves targets
-    whose value positions line up bitwise with the references'.
+    whose value positions line up bitwise with the references'.  Every
+    mask lies within ``universe``, so an ``&`` chain starts from it.
     """
     tag = node[0]
     if tag == "ref":
@@ -79,15 +81,20 @@ def _mask_fn(node, universe):
     if tag == "const":
         mask = universe if node[1] else 0
         return lambda pre: mask
+    fns = []
+    for operand in node[1:]:
+        fns.append(_mask_fn(operand, universe))
     if tag == "not":
-        sub = _mask_fn(node[1], universe)
         # complement within the dictionary universe so it stays bounded
-        return lambda pre: universe & ~sub(pre)
-    left = _mask_fn(node[1], universe)
-    right = _mask_fn(node[2], universe)
-    if tag == "and":
-        return lambda pre: left(pre) & right(pre)
-    return lambda pre: left(pre) | right(pre)
+        return lambda pre: universe & ~fns[0](pre)
+    combine, start = (operator.and_, universe) if tag == "and" else (operator.or_, 0)
+
+    def chain(pre):
+        mask = start
+        for fn in fns:
+            mask = combine(mask, fn(pre))
+        return mask
+    return chain
 
 
 def _truth_ref(dictionary, value):

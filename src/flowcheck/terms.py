@@ -1,12 +1,12 @@
 """Tokenizer and parser for assignment and constraint terms.
 
-Grammar (```&`` binds tighter than ``|``, ``!`` tighter than both):
+Grammar (``&`` binds tighter than ``|``, ``!`` tighter than both):
 
     assignment ::= ref ':=' term
     term       ::= or
     or         ::= and ('|' and)*
     and        ::= unary ('&' unary)*
-    unary      ::= '!' unary | atom
+    unary      ::= '!'* atom
     atom       ::= 'TRUE' | 'FALSE' | ref | '(' term ')'
     ref        ::= IDENT '.' (IDENT | '*') '.' (IDENT | '*')
 
@@ -20,8 +20,20 @@ The AST is plain tuples, first element a tag string:
     ("const", bool)
     ("ref", var, type_or_None, value_or_None)   # None marks a wildcard
     ("not", term)
-    ("and", left, right)
-    ("or", left, right)
+    ("and", term, term, ...)                    # two or more operands
+    ("or", term, term, ...)
+
+A chain is one node whatever its length: ``a & b & c`` parses to
+``("and", a, b, c)``, and ``|`` chains likewise.  A parenthesised group
+stays its own node, so ``(a & b) & c`` is ``("and", ("and", a, b), c)``.
+A run of ``!`` is read in a loop and an even run cancels out: ``!!x``
+parses to ``x`` and ``!!!x`` to ``("not", x)``.
+
+Parentheses nest at most :data:`MAX_NESTING` levels, and a deeper ``(``
+raises :class:`TermSyntaxError`.  Only nesting makes a term deep, and
+the parser and each AST walker take at most three Python frames per
+level, so 256 levels stay within the default recursion limit of 1 000
+with room for the caller's frames.
 
 :func:`compile_truth` compiles boolean terms for both label assignments
 and constraints; they differ only in what a reference compiles to.
@@ -42,40 +54,28 @@ __all__ = [
     "wildcard_arity",
     "TermParser",
     "RESERVED_WORDS",
+    "MAX_NESTING",
 ]
 
 RESERVED_WORDS = frozenset({"TRUE", "FALSE"})
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<assign>:=)
-    | (?P<sym>[.*&|!()])
-    """,
-    re.VERBOSE,
-)
+MAX_NESTING = 256
+
+# one token per match after optional whitespace; group 2 is a character
+# no token starts with
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|:=|[.*&|!()])|(\S))")
 
 # token kinds: "ident", "assign", one of ".*&|!()"; "end" terminates
-_END = ("end", "", -1)
+_KINDS = {":=": "assign", **{symbol: symbol for symbol in ".*&|!()"}}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise TermSyntaxError(f"unexpected character {text[pos]!r}", text, pos)
-        if m.lastgroup == "ident":
-            tokens.append(("ident", m.group(), pos))
-        elif m.lastgroup == "assign":
-            tokens.append(("assign", ":=", pos))
-        elif m.lastgroup == "sym":
-            tokens.append((m.group(), m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 2:
+            raise TermSyntaxError(f"unexpected character {m[2]!r}", text, m.start(2))
+        tokens.append((_KINDS.get(m[1], "ident"), m[1], m.start(1)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -90,81 +90,73 @@ class TermParser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0  # open parentheses
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
 
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
-        if token[0] != "end":
-            self.index += 1
-        return token
-
     def error(self, message: str, token=None) -> TermSyntaxError:
         token = token or self.peek()
-        position = token[2] if token[2] >= 0 else len(self.text)
-        return TermSyntaxError(message, self.text, position)
+        return TermSyntaxError(message, self.text, token[2])
 
     def expect(self, kind: str, what: str) -> tuple[str, str, int]:
         token = self.peek()
         if token[0] != kind:
             raise self.error(f"expected {what}, found {token[1]!r}" if token[1] else f"expected {what}")
-        return self.advance()
+        self.index += 1
+        return token
 
     def expect_word(self, word: str) -> None:
         token = self.peek()
         if token[0] != "ident" or token[1] != word:
             raise self.error(f"expected '{word}'")
-        self.advance()
-
-    def at_end(self) -> bool:
-        return self.peek()[0] == "end"
+        self.index += 1
 
     def expect_end(self) -> None:
-        if not self.at_end():
+        if self.peek()[0] != "end":
             raise self.error("unexpected trailing input")
 
-    # -- grammar ------------------------------------------------------------
+    # -- grammar: three frames per nesting level (_or, _and, _unary) -------
 
     def parse_term(self) -> tuple:
         return self._or()
 
     def _or(self) -> tuple:
-        node = self._and()
+        operands = [self._and()]
         while self.peek()[0] == "|":
-            self.advance()
-            node = ("or", node, self._and())
-        return node
+            self.index += 1
+            operands.append(self._and())
+        return operands[0] if len(operands) == 1 else ("or", *operands)
 
     def _and(self) -> tuple:
-        node = self._unary()
+        operands = [self._unary()]
         while self.peek()[0] == "&":
-            self.advance()
-            node = ("and", node, self._unary())
-        return node
+            self.index += 1
+            operands.append(self._unary())
+        return operands[0] if len(operands) == 1 else ("and", *operands)
 
     def _unary(self) -> tuple:
-        if self.peek()[0] == "!":
-            self.advance()
-            return ("not", self._unary())
-        return self._atom()
-
-    def _atom(self) -> tuple:
+        start = self.index
+        while self.peek()[0] == "!":
+            self.index += 1
+        negated = (self.index - start) % 2 == 1
         token = self.peek()
         if token[0] == "(":
-            self.advance()
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nest deeper than {MAX_NESTING} levels")
+            self.depth += 1
+            self.index += 1
             node = self._or()
             self.expect(")", "')'")
-            return node
-        if token[0] == "ident":
-            if token[1] == "TRUE":
-                self.advance()
-                return ("const", True)
-            if token[1] == "FALSE":
-                self.advance()
-                return ("const", False)
-            return self.parse_ref()
-        raise self.error("expected a term")
+            self.depth -= 1
+        elif token[0] == "ident" and token[1] in RESERVED_WORDS:
+            self.index += 1
+            node = ("const", token[1] == "TRUE")
+        elif token[0] == "ident":
+            node = self.parse_ref()
+        else:
+            raise self.error("expected a term")
+        return ("not", node) if negated else node
 
     def parse_ref(self) -> tuple:
         var_token = self.expect("ident", "a variable name")
@@ -182,12 +174,12 @@ class TermParser:
     def _segment(self, what: str) -> str | None:
         token = self.peek()
         if token[0] == "*":
-            self.advance()
+            self.index += 1
             return None
         if token[0] == "ident":
             if token[1] in RESERVED_WORDS:
                 raise self.error(f"'{token[1]}' is reserved", token)
-            self.advance()
+            self.index += 1
             return token[1]
         raise self.error(f"expected {what}")
 
@@ -215,14 +207,13 @@ def parse_assignment(text: str) -> tuple[tuple[str, str | None, str | None], tup
 
 def iter_refs(node: tuple) -> Iterator[tuple]:
     """Yield every ("ref", ...) node of a term, left to right."""
-    tag = node[0]
-    if tag == "ref":
-        yield node
-    elif tag == "not":
-        yield from iter_refs(node[1])
-    elif tag in ("and", "or"):
-        yield from iter_refs(node[1])
-        yield from iter_refs(node[2])
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node[0] == "ref":
+            yield node
+        elif node[0] != "const":
+            stack.extend(reversed(node[1:]))
 
 
 def compile_truth(node: tuple, ref: Callable[[tuple], object]):
@@ -231,7 +222,7 @@ def compile_truth(node: tuple, ref: Callable[[tuple], object]):
     ``ref`` turns each reference node into a ``bool`` or a test; it is
     called for every reference, left to right, before any folding, so it
     also checks references in branches that folding removes.  The result
-    is a ``bool`` exactly when the term's value is a constant.
+    is a ``bool`` exactly when folding the constants decides the term.
     """
     tag = node[0]
     if tag == "ref":
@@ -243,18 +234,28 @@ def compile_truth(node: tuple, ref: Callable[[tuple], object]):
         if isinstance(sub, bool):
             return not sub
         return lambda arg: not sub(arg)
-    left = compile_truth(node[1], ref)
-    right = compile_truth(node[2], ref)
+    # "and" is decided by its first false operand, "or" by its first true
+    # one; a constant that does not decide the node is dropped
     conjunction = tag == "and"
-    # a constant that is neutral for the operator leaves the other side,
-    # one that absorbs it decides the term
-    if isinstance(left, bool):
-        return right if left == conjunction else not conjunction
-    if isinstance(right, bool):
-        return left if right == conjunction else not conjunction
-    if conjunction:
-        return lambda arg: left(arg) and right(arg)
-    return lambda arg: left(arg) or right(arg)
+    decided = False
+    tests = []
+    for operand in node[1:]:
+        test = compile_truth(operand, ref)
+        if not isinstance(test, bool):
+            tests.append(test)
+        elif test != conjunction:
+            decided = True
+    if decided:
+        return not conjunction
+    if len(tests) <= 1:
+        return tests[0] if tests else conjunction
+
+    def chain(arg):
+        for test in tests:
+            if (not test(arg)) is conjunction:
+                return not conjunction
+        return conjunction
+    return chain
 
 
 def wildcard_arity(type_name: str | None, value: str | None) -> int:

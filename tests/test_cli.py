@@ -8,6 +8,10 @@ import pytest
 
 from flowcheck.benchgen import BenchFeature
 from flowcheck.cli import build_parser, main
+from flowcheck.extraction import find_all_sequences
+from flowcheck.loader import load_model
+from flowcheck.oracle import oracle_query
+from flowcheck.terms import MAX_NESTING
 
 
 def run_cli(args, capsys):
@@ -132,6 +136,19 @@ def test_validate_deeply_nested_document_is_a_defect(tmp_path, capsys):
     assert lines[1:] == ["1 defect(s)"]
 
 
+def test_validate_too_deeply_nested_term_is_a_defect(model_data, tmp_path, capsys):
+    deep = "(" * (MAX_NESTING + 1) + "TRUE" + ")" * (MAX_NESTING + 1)
+    model_data["usageScenarios"][0]["actions"][0]["assignments"] = [f"v.Color.Red := {deep}"]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(model_data))
+    code, out, err = run_cli(["validate", path], capsys)
+    assert (code, err) == (2, "")
+    assert "internal" not in out
+    column = len("v.Color.Red := ") + MAX_NESTING + 1
+    assert f"column {column}: parentheses nest deeper than 256 levels" in out
+    assert out.rstrip().endswith("defect(s)")
+
+
 def test_bench_writes_one_json_file(tmp_path, capsys):
     out_path = tmp_path / "bench.json"
     code, out, err = run_cli(
@@ -175,18 +192,38 @@ def test_bench_rejects_unknown_feature(capsys):
     assert info.value.code == 2
 
 
-def test_analyze_crash_exits_two(shop_no_encrypt_path, tmp_path, capsys):
-    # a 1 000-operand | chain overflows the recursive term evaluation; the
-    # crash must not read as exit 1, "violations found"
-    chain = " | ".join(["data.DataSensitivity.Personal"] * 1000)
-    constraints = tmp_path / "deep.constraints"
-    constraints.write_text(f"VIOLATION deep WHERE TRUE AND DATA {chain}\n")
-    code, out, err = run_cli(
-        ["analyze", shop_no_encrypt_path, "--constraints", constraints], capsys)
+def test_analyze_crash_exits_two(shop_no_encrypt_path, monkeypatch, capsys):
+    # an unexpected failure inside a stage must not read as exit 1,
+    # "violations found"; run_pipeline looks its stages up as module globals
+    def boom(model, sequences):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("flowcheck.analysis.evaluate_all", boom)
+    code, out, err = run_cli(["analyze", shop_no_encrypt_path], capsys)
     assert code == 2
     assert out == ""
-    [line] = err.splitlines()
-    assert line.startswith("error: internal: RecursionError: ")
+    assert err.splitlines() == ["error: internal: RuntimeError: boom"]
+
+
+def test_analyze_long_chain_reports_the_oracle_violations(
+        shop_no_encrypt_path, tmp_path, capsys):
+    # a 1 000-operand | chain once overflowed the recursive term compiler
+    chain = " | ".join(["data.DataSensitivity.Personal"] * 1000)
+    text = f"VIOLATION deep WHERE TRUE AND DATA {chain}"
+    constraints = tmp_path / "deep.constraints"
+    constraints.write_text(text + "\n")
+    model = load_model(shop_no_encrypt_path)
+    want = [
+        f"CONSTRAINT deep SEQ {index} ELEM {element} "
+        f"NODE {sequence.elements[element].element_id} VARS {','.join(names)}"
+        for index, sequence in enumerate(find_all_sequences(model))
+        for element, names in oracle_query(model, sequence, text)
+    ]
+    assert want
+    code, out, err = run_cli(
+        ["analyze", shop_no_encrypt_path, "--constraints", constraints], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == want + [f"TOTAL {len(want)} violations"]
 
 
 def test_build_parser_smoke():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from flowcheck import loader
 from flowcheck.constraints import parse_constraint, query
 from flowcheck.extraction import find_all_sequences
 from flowcheck.loader import model_to_json
@@ -64,3 +65,76 @@ def test_differential_agreement(seed):
                    for v in query(engine, constraint)]
             want = oracle_query(model, seq, text)
             assert got == want, f"seed {seed}: {text}"
+
+
+# Deep terms: long chains, nesting up to the bound and long runs of "!"
+# are loaded, propagated and queried with the default recursion limit,
+# and agree with the oracle.  Each shape wraps a term ``r`` of a random
+# model in copies of a reference ``x`` of the same wildcard arity.
+DEEP_SHAPES = {
+    "or-chain": lambda x, r: " | ".join([x] * 9_999 + [r]),
+    "and-chain": lambda x, r: " & ".join([x] * 9_999 + [r]),
+    # r nests at most three levels, beside and not inside the 256
+    "nested-parentheses": lambda x, r: f"{r} | " + f"({x} & " * 255 + f"({x})" + ")" * 255,
+    "nested-not-and": lambda x, r: f"!({x} & " * 256 + x + ")" * 256 + f" & {r}",
+    "not-run": lambda x, r: "!" * 5_001 + r,
+}
+DEEP_SEEDS = range(3)  # between them every target wildcard arity
+
+
+def _deepen(document, shape) -> int:
+    """Rewrite each assignment ``x := r`` of a model document in place.
+
+    The target ``x`` is the shape's reference; returns how many were
+    rewritten.
+    """
+    count = 0
+    if isinstance(document, list):
+        for item in document:
+            count += _deepen(item, shape)
+    elif isinstance(document, dict):
+        for key, value in document.items():
+            if key in ("assignments", "resultAssignments"):
+                heads = [text.split(" := ", 1) for text in value]
+                document[key] = [f"{x} := {shape(x, f'({r})')}" for x, r in heads]
+                count += len(value)
+            else:
+                count += _deepen(value, shape)
+    return count
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deep_assignments_agree_with_oracle(shape, monkeypatch):
+    model_from_data = loader.model_from_data
+    rewritten = []
+
+    def deepened(data, *args, **kwargs):
+        rewritten.append(_deepen(data, DEEP_SHAPES[shape]))
+        return model_from_data(data, *args, **kwargs)
+
+    # random_small_model builds its document and loads it through here
+    monkeypatch.setattr(loader, "model_from_data", deepened)
+    for seed in DEEP_SEEDS:
+        model = random_small_model(seed)
+        assert rewritten.pop() > 0
+        for seq in find_all_sequences(model):
+            assert propagate(model, seq) == oracle_propagate(model, seq), f"seed {seed}"
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deep_constraints_agree_with_oracle(shape):
+    deepen = DEEP_SHAPES[shape]
+    for seed in DEEP_SEEDS:
+        model = random_small_model(seed)
+        label_type = model.dictionary.label_types[0]
+        pair = f"{label_type.name}.{label_type.values[0]}"
+        [text] = random_constraints(model, seed, count=1)
+        head, data_term = text.split(" AND DATA ")
+        head, node_term = head.split(" WHERE ")
+        text = (f"{head} WHERE {deepen(f'node.{pair}', f'({node_term})')} "
+                f"AND DATA {deepen(f'data.{pair}', f'({data_term})')}")
+        constraint = parse_constraint(text, model.dictionary)
+        for seq in find_all_sequences(model):
+            got = [(v.element_index, v.variable_names)
+                   for v in query(propagate(model, seq), constraint)]
+            assert got == oracle_query(model, seq, text), f"seed {seed}"

@@ -8,6 +8,7 @@ from flowcheck.constraints import parse_constraint
 from flowcheck.errors import ConstraintError, TermSyntaxError
 from flowcheck.labels import DataDictionary, LabelType
 from flowcheck.terms import (
+    MAX_NESTING,
     compile_truth,
     iter_refs,
     parse_assignment,
@@ -44,6 +45,44 @@ def test_parentheses_override():
         ("or", ("ref", "a", "T", "V"), ("ref", "b", "T", "V")),
         ("ref", "c", "T", "V"),
     )
+
+
+A, B, C, D = (("ref", var, "T", "V") for var in "abcd")
+
+
+def test_chains_are_one_node():
+    assert parse_term("a.T.V & b.T.V & c.T.V") == ("and", A, B, C)
+    assert parse_term("a.T.V | b.T.V | c.T.V & d.T.V") == ("or", A, B, ("and", C, D))
+    # a parenthesised group stays its own node
+    assert parse_term("(a.T.V & b.T.V) & c.T.V") == ("and", ("and", A, B), C)
+
+
+def test_long_chains():
+    for op, tag in ((" | ", "or"), (" & ", "and")):
+        node = parse_term(op.join(["a.T.V"] * 10_000))
+        assert node == (tag, *[A] * 10_000)
+        assert sum(1 for _ in iter_refs(node)) == 10_000
+
+
+def test_runs_of_not_cancel_in_pairs():
+    assert parse_term("!!a.T.V") == A
+    assert parse_term("!!!a.T.V") == ("not", A)
+    assert parse_term("!" * 5_001 + "a.T.V") == ("not", A)
+    assert parse_term("!!(a.T.V & !!!!b.T.V)") == ("and", A, B)
+
+
+def test_nesting_bound():
+    assert MAX_NESTING == 256
+    deepest = "(" * MAX_NESTING + "a.T.V" + ")" * MAX_NESTING
+    assert parse_term(deepest) == A
+    assert parse_assignment(f"x.T.V := {deepest}") == (("x", "T", "V"), A)
+    too_deep = "(" * (MAX_NESTING + 1) + "a.T.V" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(TermSyntaxError) as info:
+        parse_term(too_deep)
+    assert info.value.position == MAX_NESTING
+    assert info.value.reason == "parentheses nest deeper than 256 levels"
+    # the bound counts open parentheses, not the ones seen so far
+    assert parse_term("(a.T.V) & " * 1_000 + "a.T.V") == ("and", *[A] * 1_001)
 
 
 def test_wildcards():
@@ -119,9 +158,8 @@ def render(node):
         return f"{node[1]}.{node[2]}.{node[3]}"
     if k == "not":
         return f"!({render(node[1])})"
-    if k == "and":
-        return f"({render(node[1])} & {render(node[2])})"
-    return f"({render(node[1])} | {render(node[2])})"
+    op = " & " if k == "and" else " | "
+    return "(" + op.join(render(operand) for operand in node[1:]) + ")"
 
 
 refs = st.tuples(
@@ -130,11 +168,15 @@ refs = st.tuples(
     st.sampled_from(["T", "U"]),
     st.sampled_from(["A", "B"]),
 )
+
+
+def chains(tag, sub):
+    return st.lists(sub, min_size=2, max_size=4).map(lambda operands: (tag, *operands))
+
+
 terms = st.recursive(
     refs | st.tuples(st.just("const"), st.booleans()),
-    lambda sub: st.tuples(st.just("not"), sub)
-    | st.tuples(st.just("and"), sub, sub)
-    | st.tuples(st.just("or"), sub, sub),
+    lambda sub: st.tuples(st.just("not"), sub) | chains("and", sub) | chains("or", sub),
     max_leaves=12,
 )
 
@@ -156,8 +198,8 @@ def evaluate(node, frame):
     if k == "not":
         return not evaluate(node[1], frame)
     if k == "and":
-        return evaluate(node[1], frame) and evaluate(node[2], frame)
-    return evaluate(node[1], frame) or evaluate(node[2], frame)
+        return all(evaluate(operand, frame) for operand in node[1:])
+    return any(evaluate(operand, frame) for operand in node[1:])
 
 
 def frame_ref(node):
@@ -204,11 +246,15 @@ def test_compile_truth_folds_constants():
     assert compile_truth(parse_term("!(y.T.A | TRUE)"), ref) is False
     assert compile_truth(parse_term("zz.T.A | !x.T.B & FALSE"), ref) is False
     assert compile_truth(parse_term("!zz.T.A"), ref) is True
+    assert compile_truth(parse_term("x.T.A | TRUE | y.T.A"), ref) is True
     # references in folded-away branches were still compiled, left to right
-    assert seen == ["x", "y", "zz", "x", "zz"]
+    assert seen == ["x", "y", "zz", "x", "zz", "x", "y"]
     test = compile_truth(parse_term("TRUE & x.T.A"), ref)
     assert test({"x": {("T", "A")}}) is True
     assert test({}) is False
+    test = compile_truth(parse_term("TRUE & x.T.A & zz.T.A | y.T.B & !zz.T.A"), ref)
+    assert test({"y": {("T", "B")}}) is True
+    assert test({"x": {("T", "A")}}) is False
 
 
 # Term texts over the grammar's alphabet: whatever the input, the parsers
