@@ -12,7 +12,10 @@ Each timed repetition executes the full pipeline through
 ``analysis.run_pipeline``: parse the in-memory JSON serialization,
 resolve and validate, parse a constraint that flags every element ("all
 violations"), extract sequences, propagate and query.  Each repetition
-keeps its wall time and the time of each stage.  One data point starts
+keeps its wall time and the time of each stage.  ``run_pipeline``
+pauses the cyclic garbage collector from load to query, as it does for
+``flowcheck analyze``, so a collector pass lands in no timed region and
+bench and ``analyze`` time the same program.  One data point starts
 from cold caches; a crash, timeout or memory exhaustion is recorded as a
 failed outcome instead of killing the harness.
 """
@@ -191,28 +194,18 @@ def _bench_point(config: BenchConfig, size: int) -> BenchResult:
     try:
         text = model_to_json(generate_bench_model(config.feature, size))
         deadline = time.monotonic() + config.timeout_s
-        # collector pauses land on random repetitions and would skew the
-        # medians between sizes, so collection is forced between timed
-        # regions and paused inside them
-        gc_was_enabled = gc.isenabled()
-        try:
-            for _ in range(config.repetitions):
-                if time.monotonic() > deadline:
-                    outcome = f"failed: timeout after {config.timeout_s:.0f} s"
-                    break
-                gc.collect()
-                gc.disable()
-                start = time.perf_counter()
-                result = run_pipeline(lambda: load_model_text(text), _all_violations)
-                runs.append((time.perf_counter() - start) * 1000.0)
-                stage_runs.append(result[-1].stage_ms)
-                # freed outside the timed region, before the next run
-                del result
-                if gc_was_enabled:
-                    gc.enable()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        # run_pipeline pauses the collector inside the timed region, as in
+        # every analysis; collection is forced between repetitions instead
+        for _ in range(config.repetitions):
+            if time.monotonic() > deadline:
+                outcome = f"failed: timeout after {config.timeout_s:.0f} s"
+                break
+            gc.collect()
+            start = time.perf_counter()
+            result = run_pipeline(lambda: load_model_text(text), _all_violations)
+            runs.append((time.perf_counter() - start) * 1000.0)
+            stage_runs.append(result[-1].stage_ms)
+            del result
     except MemoryError:
         outcome = "failed: out of memory"
     except Exception as exc:  # a failed point must not kill the harness

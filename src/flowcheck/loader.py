@@ -94,8 +94,14 @@ def model_from_data(data, base_dir=None) -> ArchitectureModel:
     return model
 
 
+def _quoted(text: str) -> str:
+    """An assignment text as a defect line quotes it: at most 200 characters."""
+    return text if len(text) <= 200 else text[:200] + "..."
+
+
 def _assignment_defects(a: Assignment, dictionary: DataDictionary, return_target: bool):
-    """Owner-independent defect suffixes for one parsed assignment."""
+    """Owner-independent defect suffixes for one parsed assignment, each
+    distinct suffix once, in first-seen order."""
     out = []
     if return_target:
         if a.target_var != RETURN_VARIABLE:
@@ -122,7 +128,7 @@ def _assignment_defects(a: Assignment, dictionary: DataDictionary, return_target
             out.append(f"unknown label type '{type_name}'")
         elif value is not None and not dictionary.has_label(type_name, value):
             out.append(f"unknown value '{value}' for label type '{type_name}'")
-    return tuple(out)
+    return tuple(dict.fromkeys(out))
 
 
 class _Builder:
@@ -251,7 +257,7 @@ class _Builder:
             try:
                 out.append(assignment_from_text(text))
             except TermSyntaxError as exc:
-                self.defect(f"{self._at(where, action_id)}: assignment '{text}': {exc}")
+                self.defect(f"{self._at(where, action_id)}: assignment '{_quoted(text)}': {exc}")
         return tuple(out)
 
     def _bindings(self, raw, where) -> tuple:
@@ -389,7 +395,7 @@ class _Builder:
                 if suffixes is None:
                     suffixes = cache[a] = _assignment_defects(a, self.dictionary, is_return)
                 for suffix in suffixes:
-                    semantic.append(f"{where}, action '{aid}': assignment '{a.text}': {suffix}")
+                    semantic.append(f"{where}, action '{aid}': assignment '{_quoted(a.text)}': {suffix}")
                 if not is_return:
                     scope.add(a.target_var)
 

@@ -35,6 +35,16 @@ the parser and each AST walker take at most three Python frames per
 level, so 256 levels stay within the default recursion limit of 1 000
 with room for the caller's frames.
 
+Tokens are ``ident``, ``assign`` (``:=``), the symbols ``. * & | ! ( )``
+and ``end``, plus ``ref``: a whole reference ``var.Type.Value``, with
+optional whitespace around the dots, is one token, so the parser reads
+it in one step.  A reference token never starts with a reserved word,
+so ``TRUE.T.V`` lexes as the constant ``TRUE`` followed by the rest.
+Where a single identifier belongs (a constraint name or keyword), a
+reference token is split into its five pieces, which are exactly the
+tokens the text would give without the ``ref`` kind.  Only a malformed
+reference is walked piece by piece, to report where it breaks.
+
 :func:`compile_truth` compiles boolean terms for both label assignments
 and constraints; they differ only in what a reference compiles to.
 """
@@ -61,20 +71,35 @@ RESERVED_WORDS = frozenset({"TRUE", "FALSE"})
 
 MAX_NESTING = 256
 
-# one token per match after optional whitespace; group 2 is a character
-# no token starts with
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|:=|[.*&|!()])|(\S))")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_SEGMENT = rf"({_IDENT}|\*)"
+_NOT_RESERVED = rf"(?!(?:{'|'.join(sorted(RESERVED_WORDS))})(?![A-Za-z0-9_]))"
 
-# token kinds: "ident", "assign", one of ".*&|!()"; "end" terminates
+# one token per match after optional whitespace.  Groups 1-5 are a whole
+# reference (variable, dot, type, dot, value), tried first; group 6 is
+# any other token, group 7 a character no token starts with.
+_TOKEN_RE = re.compile(
+    r"\s*(?:"
+    rf"{_NOT_RESERVED}({_IDENT})\s*(\.)\s*{_SEGMENT}\s*(\.)\s*{_SEGMENT}"
+    rf"|({_IDENT}|:=|[.*&|!()])"
+    r"|(\S))"
+)
+
+# token kinds: "ref", "ident", "assign", one of ".*&|!()"; "end" terminates
 _KINDS = {":=": "assign", **{symbol: symbol for symbol in ".*&|!()"}}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        if m.lastindex == 2:
-            raise TermSyntaxError(f"unexpected character {m[2]!r}", text, m.start(2))
-        tokens.append((_KINDS.get(m[1], "ident"), m[1], m.start(1)))
+        last = m.lastindex
+        if last == 5:
+            # a reference token carries its match, for the pieces
+            tokens.append(("ref", m[1], m.start(1), m))
+        elif last == 6:
+            tokens.append((_KINDS.get(m[6], "ident"), m[6], m.start(6)))
+        else:
+            raise TermSyntaxError(f"unexpected character {m[7]!r}", text, m.start(7))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -92,14 +117,25 @@ class TermParser:
         self.index = 0
         self.depth = 0  # open parentheses
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> tuple:
         return self.tokens[self.index]
 
     def error(self, message: str, token=None) -> TermSyntaxError:
         token = token or self.peek()
         return TermSyntaxError(message, self.text, token[2])
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+    def _split_ref(self) -> None:
+        """Replace a reference token at the cursor by its five pieces."""
+        token = self.peek()
+        if token[0] == "ref":
+            m = token[3]
+            self.tokens[self.index:self.index + 1] = [
+                (_KINDS.get(m[group], "ident"), m[group], m.start(group)) for group in range(1, 6)
+            ]
+
+    def expect(self, kind: str, what: str) -> tuple:
+        if kind == "ident":
+            self._split_ref()
         token = self.peek()
         if token[0] != kind:
             raise self.error(f"expected {what}, found {token[1]!r}" if token[1] else f"expected {what}")
@@ -107,6 +143,7 @@ class TermParser:
         return token
 
     def expect_word(self, word: str) -> None:
+        self._split_ref()
         token = self.peek()
         if token[0] != "ident" or token[1] != word:
             raise self.error(f"expected '{word}'")
@@ -152,13 +189,28 @@ class TermParser:
         elif token[0] == "ident" and token[1] in RESERVED_WORDS:
             self.index += 1
             node = ("const", token[1] == "TRUE")
-        elif token[0] == "ident":
+        elif token[0] == "ref" or token[0] == "ident":
             node = self.parse_ref()
         else:
             raise self.error("expected a term")
         return ("not", node) if negated else node
 
     def parse_ref(self) -> tuple:
+        token = self.peek()
+        if token[0] == "ref":
+            self.index += 1
+            m = token[3]
+            var, type_name, value = m.group(1, 3, 5)
+            if type_name in RESERVED_WORDS:
+                raise TermSyntaxError(f"'{type_name}' is reserved", self.text, m.start(3))
+            if value in RESERVED_WORDS:
+                raise TermSyntaxError(f"'{value}' is reserved", self.text, m.start(5))
+            type_name = None if type_name == "*" else type_name
+            value = None if value == "*" else value
+            if type_name is None and value is not None:
+                raise self.error("a wildcard type requires a wildcard value", token)
+            return ("ref", var, type_name, value)
+        # not a reference token: walk the pieces to report where it breaks
         var_token = self.expect("ident", "a variable name")
         var = var_token[1]
         if var in RESERVED_WORDS:

@@ -1,11 +1,15 @@
 """The high-level facade tying loading, extraction, and queries together."""
 
+import gc
+
 import pytest
 
 import flowcheck
-from flowcheck.analysis import DataFlowAnalysis
-from flowcheck.constraints import parse_constraint
+from flowcheck.analysis import DataFlowAnalysis, run_pipeline
+from flowcheck.constraints import load_constraints, parse_constraint
 from flowcheck.errors import ModelLoadError
+from flowcheck.loader import load_model, load_model_text, model_to_json
+from flowcheck.oracle import random_constraints, random_small_model
 
 GEO = ("VIOLATION geo WHERE node.ServerLocation.nonEU "
        "AND DATA data.DataSensitivity.Personal & !data.Encryption.Encrypted")
@@ -75,3 +79,74 @@ def test_package_level_exports(shop_path):
     c = flowcheck.constraints.parse_constraint(GEO, model.dictionary)
     assert flowcheck.query_many(propagated, [c]) == {"geo": []}
     assert flowcheck.format_report({"geo": []}) == "TOTAL 0 violations"
+
+
+# run_pipeline pauses the cyclic garbage collector from load to query and
+# puts it back as it found it, also when a stage raises.
+@pytest.fixture
+def collector_state():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _no_constraints(model):
+    return []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pipeline_restores_collector_state(collector_state, shop_path, enabled):
+    gc.enable() if enabled else gc.disable()
+    seen = []
+
+    def load():
+        seen.append(gc.isenabled())
+        return load_model(shop_path)
+
+    run_pipeline(load, _no_constraints)
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def _raise_runtime_error(model):
+    raise RuntimeError("stage failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pipeline_restores_collector_state_on_errors(collector_state, tmp_path, shop_path,
+                                                         enabled):
+    gc.enable() if enabled else gc.disable()
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"usageScenarios": 1}')
+    with pytest.raises(ModelLoadError):
+        run_pipeline(lambda: load_model(bad), _no_constraints)
+    assert gc.isenabled() is enabled
+    with pytest.raises(RuntimeError):
+        run_pipeline(lambda: load_model(shop_path), _raise_runtime_error)
+    assert gc.isenabled() is enabled
+
+
+def _pipelines(models_dir):
+    constraints_file = models_dir / "geo.constraints"
+    for name in ("online_shop.json", "online_shop_no_encrypt.json"):
+        yield (lambda path=models_dir / name: load_model(path),
+               lambda model: load_constraints(constraints_file, model.dictionary))
+    for seed in range(50):
+        model = random_small_model(seed)
+        # drawn here: the generator's closures form cycles of their own
+        texts = random_constraints(model, seed)
+        yield (lambda text=model_to_json(model): load_model_text(text),
+               lambda model, texts=texts: [parse_constraint(t, model.dictionary) for t in texts])
+
+
+def test_paused_run_leaves_no_cyclic_garbage(collector_state, models_dir):
+    # the premise of the pause: nothing the pipeline builds needs the
+    # collector to be freed
+    gc.disable()
+    for load, constraints_for in _pipelines(models_dir):
+        gc.collect()
+        run_pipeline(load, constraints_for)
+        assert gc.collect() == 0

@@ -164,6 +164,18 @@ def test_defects_are_collected_not_first_only(model_data):
     assert any("Size.Big" in d for d in msgs)
 
 
+def test_assignment_defect_lines_are_bounded(model_data):
+    # each distinct fault once per assignment, and a long text quoted by
+    # its first 200 characters
+    chain = "out.Color.Blue := " + " | ".join(["p.Shape.X"] * 2_000)
+    where = "component 'comp.a', seff 'svc', action 's0': assignment"
+    model_data["components"][0]["seffs"]["svc"][0]["assignments"] = [chain]
+    assert defects_of(model_data) == [f"{where} '{chain[:200]}...': unknown label type 'Shape'"]
+    model_data["components"][0]["seffs"]["svc"][0]["assignments"] = [chain + " &"]
+    assert defects_of(model_data) == [
+        f"{where} '{chain[:200]}...': column {len(chain) + 3}: expected a term"]
+
+
 @pytest.mark.parametrize("value", [5, None, "svc"])
 @pytest.mark.parametrize("path, where", [
     (("components", 0, "signatures"), "component 'comp.a'"),

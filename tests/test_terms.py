@@ -105,6 +105,35 @@ def test_reserved_variable_names():
         parse_assignment("TRUE.T.V := TRUE")
 
 
+
+# A whole reference is one token; where a single identifier belongs it is
+# split into its pieces.  Reasons and positions are those of the
+# piece-by-piece parser.
+def _constraint(text):
+    return parse_constraint(text, COLORS)
+
+
+@pytest.mark.parametrize("parse, text, reason, position", [
+    (_constraint, "VIOLATION a.b.c WHERE TRUE AND DATA TRUE", "expected 'WHERE'", 11),
+    (_constraint, "VIOLATION n WHERE TRUE AND.T.V DATA TRUE", "expected 'DATA'", 26),
+    (parse_term, "TRUE.T.V", "unexpected trailing input", 4),
+    (parse_assignment, "TRUE.T.V := TRUE", "'TRUE' is reserved", 0),
+    (parse_term, "a.TRUE.V", "'TRUE' is reserved", 2),
+    (parse_term, "a.T.FALSE", "'FALSE' is reserved", 4),
+    (parse_term, "a.*.V", "a wildcard type requires a wildcard value", 0),
+    (parse_term, "a.T.", "expected a label value or '*'", 4),
+    (parse_term, "x.y.z.w", "unexpected trailing input", 5),
+])
+def test_reference_token_edge_cases(parse, text, reason, position):
+    with pytest.raises(TermSyntaxError) as info:
+        parse(text)
+    assert (info.value.reason, info.value.position) == (reason, position)
+
+
+def test_reference_allows_whitespace_around_dots():
+    assert parse_term("a . T . V") == ("ref", "a", "T", "V")
+
+
 def test_error_carries_column():
     with pytest.raises(TermSyntaxError) as info:
         parse_term("a.T.V & ?")
