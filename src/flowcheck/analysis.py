@@ -18,13 +18,16 @@ as needed.
     )
 
 ``run_pipeline`` is the same pipeline as one timed call, shared by
-``flowcheck analyze`` and ``flowcheck bench``.
+``flowcheck analyze`` and ``flowcheck bench``.  ``collector_paused`` is
+the pause of the cyclic garbage collector that it and the command line
+run in.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+from contextlib import contextmanager
 
 from .constraints import Constraint, Violation, query, query_many
 from .extraction import ActionSequence, find_all_sequences
@@ -32,7 +35,7 @@ from .loader import load_model
 from .model import ArchitectureModel
 from .propagation import PropagatedSequence, evaluate_all
 
-__all__ = ["DataFlowAnalysis", "Timings", "run_pipeline"]
+__all__ = ["DataFlowAnalysis", "Timings", "collector_paused", "run_pipeline"]
 
 
 class DataFlowAnalysis:
@@ -108,6 +111,26 @@ class Timings:
         return (self._last - self.started) * 1000.0
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector, then put it back as it was.
+
+    Almost everything an analysis allocates lives until it ends, so each
+    collection would only rescan the growing model; and what it builds
+    holds no reference cycles, so reference counting frees all of it and
+    the pause leaves nothing behind.  The pause has to last until those
+    objects are freed: a collection that runs while they are still alive
+    scans every one of them once more.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def run_pipeline(load, constraints_for):
     """Load, extract, propagate and query, timing each stage.
 
@@ -116,17 +139,10 @@ def run_pipeline(load, constraints_for):
     constraints, violations, timings)``; ``timings`` holds the stages
     ``load``, ``constraints``, ``extract``, ``propagate`` and ``query``.
     The stage functions are looked up as module globals on every call,
-    so a wrapper installed over them later is seen.
-
-    The cyclic garbage collector is paused from load to query and then
-    put back as it was.  Almost everything the pipeline allocates lives
-    until it returns, so each collection would only rescan the growing
-    model; and what it builds holds no reference cycles, so reference
-    counting frees all of it and the pause leaves nothing behind.
+    so a wrapper installed over them later is seen.  The stages run in
+    :func:`collector_paused`.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         timings = Timings()
         model = load()
         timings.lap("load")
@@ -138,7 +154,4 @@ def run_pipeline(load, constraints_for):
         timings.lap("propagate")
         violations = query_many(propagated, constraints)
         timings.lap("query")
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return model, sequences, propagated, constraints, violations, timings

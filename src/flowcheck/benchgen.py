@@ -29,7 +29,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .analysis import run_pipeline
+from .analysis import collector_paused, run_pipeline
 from .constraints import parse_constraint
 from .loader import load_model_text, model_from_data, model_to_json
 from .model import ArchitectureModel, clear_parse_cache
@@ -194,18 +194,20 @@ def _bench_point(config: BenchConfig, size: int) -> BenchResult:
     try:
         text = model_to_json(generate_bench_model(config.feature, size))
         deadline = time.monotonic() + config.timeout_s
-        # run_pipeline pauses the collector inside the timed region, as in
-        # every analysis; collection is forced between repetitions instead
-        for _ in range(config.repetitions):
-            if time.monotonic() > deadline:
-                outcome = f"failed: timeout after {config.timeout_s:.0f} s"
-                break
-            gc.collect()
-            start = time.perf_counter()
-            result = run_pipeline(lambda: load_model_text(text), _all_violations)
-            runs.append((time.perf_counter() - start) * 1000.0)
-            stage_runs.append(result[-1].stage_ms)
-            del result
+        # the collector stays paused until a repetition's results are
+        # freed, as in every analysis; collection is forced between
+        # repetitions instead
+        with collector_paused():
+            for _ in range(config.repetitions):
+                if time.monotonic() > deadline:
+                    outcome = f"failed: timeout after {config.timeout_s:.0f} s"
+                    break
+                gc.collect()
+                start = time.perf_counter()
+                result = run_pipeline(lambda: load_model_text(text), _all_violations)
+                runs.append((time.perf_counter() - start) * 1000.0)
+                stage_runs.append(result[-1].stage_ms)
+                del result
     except MemoryError:
         outcome = "failed: out of memory"
     except Exception as exc:  # a failed point must not kill the harness

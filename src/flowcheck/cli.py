@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import DataFlowAnalysis, run_pipeline
+from .analysis import DataFlowAnalysis, collector_paused, run_pipeline
 from .benchgen import BenchConfig, BenchFeature, run_bench, write_bench_json
 from .constraints import format_report, load_constraints
 from .errors import FlowcheckError, ModelLoadError
@@ -191,8 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one pause for the whole command, so that no collection scans the
+    # model, the sequences and the snapshots while the report is written
     try:
-        return args.func(args)
+        with collector_paused():
+            return args.func(args)
     except FlowcheckError as exc:
         return _fail(f"error: {exc}")
     except Exception as exc:  # a crash must not read as "violations found"

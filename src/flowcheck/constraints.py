@@ -17,7 +17,7 @@ allowed in constraints.
 Evaluation works purely on propagated results; checking any number of
 constraints never re-runs propagation.  A query walks each sequence once
 per textual constraint and re-tests only the variables each element
-writes, following :data:`flowcheck.propagation.FRAME_EFFECTS`; within
+writes, following :data:`flowcheck.kernel.FRAME_EFFECTS`; within
 one query the node and data terms each run once per distinct mask.
 """
 
@@ -28,9 +28,8 @@ from typing import NamedTuple
 
 from . import terms
 from .errors import ConstraintError, DictionaryError, TermSyntaxError
-from .kernel import APPLY, POP_BIND
+from .kernel import APPLY, FRAME_EFFECTS, POP_BIND
 from .labels import DataDictionary
-from .propagation import FRAME_EFFECTS
 
 __all__ = [
     "Constraint",
@@ -266,7 +265,7 @@ def _data_matches(propagated, node_ok, data_ok):
 
     The walk keeps the set of variables in the top frame that satisfy
     the term, plus the saved sets of the caller frames, and follows
-    :data:`flowcheck.propagation.FRAME_EFFECTS`: PUSH and CALL rebuild
+    :data:`flowcheck.kernel.FRAME_EFFECTS`: PUSH and CALL rebuild
     the set from the new frame, APPLY re-tests only its assignment
     targets, and POP_BIND restores the caller's set, then re-tests the
     result variable and the result-assignment targets.  This is exact

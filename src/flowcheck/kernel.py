@@ -1,43 +1,40 @@
-"""Propagation kernel: the op encoding and its interpreter.
+"""Propagation kernel: walks a sequence's elements over bitmask frames.
 
-A sequence is lowered to a flat list of element ops; each op is a plain
-tuple with an int opcode first, so the kernel dispatches without
-touching model objects.  Masks are plain ints of arbitrary width,
-frames are dicts mapping variable names to masks.
+Masks are plain ints of arbitrary width, frames are dicts mapping
+variable names to masks.  What an element does to the frame stack
+follows :data:`FRAME_EFFECTS`; the assignments it runs come from a
+``lower`` function that maps an assignment tuple to its ops.
 
-Element ops:
+Each assignment is one op ``(target, keep, value)``, applied as::
 
-    (PUSH,)                                   push an empty frame
-    (APPLY, assign_ops)                       run assignments in the top frame
-    (CALL, bindings)                          push a frame holding only the
-                                              bound parameters; ``bindings``
-                                              is ((param, caller_var), ...)
-    (POP_BIND, result_var, ops_or_None)       pop the callee frame, bind its
-                                              RETURN mask to ``result_var`` in
-                                              the caller, then run the result
-                                              assignment ops there
+    frame[target] = (frame.get(target, 0) & keep) | value
 
-Assignment ops (``target`` is a variable name):
+``value`` is an int or a closure that maps the pre-state to a mask
+inside ``~keep``.  ``keep == 0`` replaces the whole variable, and then
+the closure's int is stored as returned, so that a full replacement by
+another variable's mask shares that int instead of copying it.
 
-    (A_ADD, target, mask)                     or the mask in
-    (A_CLEAR, target, mask)                   remove the mask
-    (A_MASK_FULL, target, fn)                 replace the whole variable
-    (A_MASK_REGION, target, fn, region)       replace only the region bits
-    (A_EVAL, target, ((bit, test), ...))      set each bit where test holds
-
-``fn`` maps the pre-state to a mask and ``test`` maps it to a truth
-value; both are closures compiled by :mod:`flowcheck.propagation`.
-
-All assignment ops of one element read the frame state from before the
-element, while writes land in declaration order, so later assignments
-win on conflicting targets.  APPLY reads the previous element's
-snapshot, which already is a copy of that state; result assignment ops
-run after the return changed the frame, so they read a copy of it.
+All ops of one element read the frame state from before the element,
+while writes land in declaration order, so later assignments win on
+conflicting targets.  An assignment element reads the previous
+element's snapshot, which already is a copy of that state; result
+assignments run after the return changed the frame, so they read a
+copy of it.
 """
 
 from __future__ import annotations
 
 from .errors import PropagationError
+from .extraction import (
+    CallingSeffNode,
+    CallingUserNode,
+    ReturningSeffNode,
+    ReturningUserNode,
+    SeffReturnNode,
+    SeffVariableNode,
+    UserStart,
+    UserVariableNode,
+)
 from .model import RETURN_VARIABLE
 
 PUSH = 0
@@ -45,70 +42,64 @@ APPLY = 1
 CALL = 2
 POP_BIND = 3
 
-A_ADD = 0
-A_CLEAR = 1
-A_MASK_FULL = 2
-A_MASK_REGION = 3
-A_EVAL = 4
+# What each element kind does to the frame stack.  The kernel walks by
+# this table, and the constraint query follows it to re-test only the
+# variables an element writes, so the two cannot drift apart.  PUSH and
+# CALL open a new top frame (CALL holds only the ``bindings``), APPLY
+# writes the targets of ``assignments`` in it, and POP_BIND returns to
+# the caller's frame and writes ``result_variable`` and the targets of
+# ``result_assignments``.
+FRAME_EFFECTS = {
+    UserStart: PUSH,
+    UserVariableNode: APPLY,
+    SeffVariableNode: APPLY,
+    SeffReturnNode: APPLY,
+    CallingUserNode: CALL,
+    CallingSeffNode: CALL,
+    ReturningUserNode: POP_BIND,
+    ReturningSeffNode: POP_BIND,
+}
 
 
-def apply_assignments(frame: dict, pre: dict, assign_ops) -> None:
-    """Run assignment ops in ``frame``, in place, reading from ``pre``.
-
-    ``pre`` holds the frame state from before the ops started; writes
-    land in order, so the last assignment wins per target label.
-    """
-    for op in assign_ops:
-        code = op[0]
-        if code == A_ADD:
-            target = op[1]
-            frame[target] = frame.get(target, 0) | op[2]
-        elif code == A_MASK_FULL:
-            frame[op[1]] = op[2](pre)
-        elif code == A_MASK_REGION:
-            target = op[1]
-            region = op[3]
-            frame[target] = (frame.get(target, 0) & ~region) | (op[2](pre) & region)
-        elif code == A_CLEAR:
-            target = op[1]
-            frame[target] = frame.get(target, 0) & ~op[2]
-        else:  # A_EVAL
-            add = 0
-            clear = 0
-            for bit, test in op[2]:
-                if test(pre):
-                    add |= bit
-                else:
-                    clear |= bit
-            target = op[1]
-            frame[target] = (frame.get(target, 0) & ~clear) | add
+def apply_assignments(frame: dict, pre: dict, ops) -> None:
+    """Run assignment ops in ``frame``, in place, reading from ``pre``."""
+    for target, keep, value in ops:
+        if type(value) is not int:
+            value = value(pre)
+        if keep:
+            frame[target] = (frame.get(target, 0) & keep) | value
+        else:
+            frame[target] = value
 
 
-def run_program(frame: dict, assign_ops) -> None:
+def run_program(frame: dict, ops) -> None:
     """Run assignment ops in ``frame``, in place, reading a copy of it."""
-    apply_assignments(frame, frame.copy(), assign_ops)
+    apply_assignments(frame, frame.copy(), ops)
 
 
-def run_sequence(ops) -> list[dict]:
-    """Execute element ops and return one frame snapshot per element."""
+def run_sequence(elements, lower) -> list[dict]:
+    """Walk the elements and return one frame snapshot per element.
+
+    ``lower(assignments)`` returns the ops of an assignment tuple.
+    """
     stack: list[dict] = []
     snapshots: list[dict] = []
-    for op in ops:
-        code = op[0]
-        if code == APPLY:
+    for element in elements:
+        effect = FRAME_EFFECTS.get(type(element))
+        if effect == APPLY:
             if not stack:
                 raise PropagationError("no active frame")
             # the previous snapshot is a copy of the top frame as it stands,
             # so it serves as the pre-state without another copy
-            apply_assignments(stack[-1], snapshots[-1], op[1])
-        elif code == PUSH:
+            apply_assignments(stack[-1], snapshots[-1], lower(element.assignments))
+        elif effect == PUSH:
             stack.append({})
-        elif code == CALL:
+        elif effect == CALL:
             if not stack:
                 raise PropagationError("no active frame")
             caller = stack[-1]
             frame = {}
-            for param, var in op[1]:
+            for param, var in element.bindings:
                 try:
                     frame[param] = caller[var]
                 except KeyError:
@@ -116,17 +107,18 @@ def run_sequence(ops) -> list[dict]:
                         f"call binds parameter '{param}' to missing variable '{var}'"
                     ) from None
             stack.append(frame)
-        elif code == POP_BIND:
+        elif effect == POP_BIND:
             if len(stack) < 2:
                 raise PropagationError("sequence pops more frames than it pushed")
             returned = stack.pop()
             frame = stack[-1]
-            result_var = op[1]
-            if result_var is not None:
-                frame[result_var] = returned.get(RETURN_VARIABLE, 0)
-            if op[2] is not None:
-                run_program(frame, op[2])
+            if element.result_variable is not None:
+                frame[element.result_variable] = returned.get(RETURN_VARIABLE, 0)
+            if element.result_assignments:
+                run_program(frame, lower(element.result_assignments))
         else:
-            raise PropagationError(f"unknown element op {code}")
+            raise PropagationError(
+                f"unknown sequence element kind {type(element).__name__}"
+            )
         snapshots.append(stack[-1].copy())
     return snapshots

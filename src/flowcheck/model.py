@@ -332,6 +332,14 @@ def validate_model(model: ArchitectureModel) -> list[str]:
                     f"{where}: binding names unknown parameter '{param}' "
                     f"of signature '{signature.id}'"
                 )
+        # the callee frame holds only bound parameters, so an unbound one
+        # would fail the first call that passes it on
+        bound = {param for param, _ in call.bindings}
+        for param in signature.parameters:
+            if param not in bound:
+                defects.append(
+                    f"{where}: parameter '{param}' of signature '{signature.id}' is not bound"
+                )
         if call.result_variable is not None:
             seff = index.seffs.get((component.id, signature.id))
             if not (seff and seff.actions and isinstance(seff.actions[-1], ReturnAction)):

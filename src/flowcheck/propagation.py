@@ -14,10 +14,12 @@ whole label set, a ``v.Type.*`` target replaces exactly that type's
 labels and leaves the rest untouched.  A reference to a variable that is
 not in scope simply evaluates to false.
 
-Sequences are lowered to small opcode programs (see
-:mod:`flowcheck.kernel`) and executed by the kernel; per-element results
-snapshot the visible frame, so later queries never re-run the
-propagation.  Assignment terms compile to closures over the frame state
+The kernel (:mod:`flowcheck.kernel`) walks a sequence's elements and
+snapshots the visible frame at each, so later queries never re-run the
+propagation.  Each assignment lowers here, once per distinct assignment
+tuple, to one kernel op that keeps the target's bits outside the
+assigned region and ors in the new ones.  Its value is an int when the
+term folds to a constant, and otherwise a closure over the frame state
 before the element: a right-hand side whose value positions line up
 with the target's becomes one mask-valued closure, any other is compiled
 per target label by :func:`flowcheck.terms.compile_truth`.
@@ -27,21 +29,17 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 from . import kernel, terms
-from .errors import DictionaryError, PropagationError
+from .errors import DictionaryError
 from .extraction import (
     ActionSequence,
-    CallingSeffNode,
     CallingUserNode,
-    ReturningSeffNode,
     ReturningUserNode,
-    SeffReturnNode,
-    SeffVariableNode,
     UserStart,
     UserVariableNode,
 )
-from .kernel import APPLY, CALL, POP_BIND, PUSH
 from .labels import DataDictionary, LabelSet
 from .model import ArchitectureModel, index_of
 
@@ -64,7 +62,7 @@ def propagation_runs() -> int:
 
 
 # ---------------------------------------------------------------------------
-# lowering: assignments -> kernel programs
+# lowering: assignments -> kernel ops
 
 
 def _mask_fn(node, universe):
@@ -116,48 +114,51 @@ def _build_program(dictionary, assignments):
     ops = []
     for a in assignments:
         arity = a.wildcard_arity()
-        target = a.target_var
         if arity == 2:
             # v.*.* covers every dictionary label: full replacement
-            ops.append((kernel.A_MASK_FULL, target, _mask_fn(a.rhs, dictionary.universe_mask)))
-        elif arity == 1:
+            ops.append((a.target_var, 0, _mask_fn(a.rhs, dictionary.universe_mask)))
+            continue
+        if arity == 1:
             region = dictionary.type_mask(a.target_type)
-            aligned = all(ref[2] == a.target_type for ref in terms.iter_refs(a.rhs))
-            if aligned:
+            if all(ref[2] == a.target_type for ref in terms.iter_refs(a.rhs)):
                 # same type on both sides: value positions line up bitwise
                 fn = _mask_fn(a.rhs, dictionary.universe_mask)
-                ops.append((kernel.A_MASK_REGION, target, fn, region))
-            else:
-                pairs = []
-                add = 0
-                clear = 0
-                for value in dictionary.values_of(a.target_type):
-                    bit = 1 << dictionary.bit(a.target_type, value)
-                    test = terms.compile_truth(a.rhs, _truth_ref(dictionary, value))
-                    if test is True:
-                        add |= bit
-                    elif test is False:
-                        clear |= bit
-                    else:
-                        pairs.append((bit, test))
-                # the three pieces touch disjoint bits of one target
-                if pairs:
-                    ops.append((kernel.A_EVAL, target, tuple(pairs)))
-                if add:
-                    ops.append((kernel.A_ADD, target, add))
-                if clear or not (pairs or add):
-                    # also materialises the variable when nothing else does
-                    ops.append((kernel.A_CLEAR, target, clear))
+                ops.append((a.target_var, ~region, _region_fn(fn, region)))
+                continue
+            bits = [
+                (1 << dictionary.bit(a.target_type, value), _truth_ref(dictionary, value))
+                for value in dictionary.values_of(a.target_type)
+            ]
         else:
-            bit = 1 << dictionary.bit(a.target_type, a.target_value)
-            test = terms.compile_truth(a.rhs, _truth_ref(dictionary, None))
+            region = 1 << dictionary.bit(a.target_type, a.target_value)
+            bits = [(region, _truth_ref(dictionary, None))]
+        # each target bit is set where its test holds: fold the constant
+        # tests into ``add`` and keep the others for the pre-state
+        add = 0
+        pairs = []
+        for bit, ref in bits:
+            test = terms.compile_truth(a.rhs, ref)
             if test is True:
-                ops.append((kernel.A_ADD, target, bit))
-            elif test is False:
-                ops.append((kernel.A_CLEAR, target, bit))
-            else:
-                ops.append((kernel.A_EVAL, target, ((bit, test),)))
+                add |= bit
+            elif test is not False:
+                pairs.append((bit, test))
+        ops.append((a.target_var, ~region, _bits_fn(add, pairs) if pairs else add))
     return tuple(ops)
+
+
+def _region_fn(fn, region):
+    return lambda pre: fn(pre) & region
+
+
+def _bits_fn(add, pairs):
+    def value(pre):
+        mask = add
+        for bit, test in pairs:
+            if test(pre):
+                mask |= bit
+        return mask
+
+    return value
 
 
 def _lower_program(dictionary: DataDictionary, assignments: tuple):
@@ -169,54 +170,8 @@ def _lower_program(dictionary: DataDictionary, assignments: tuple):
     return program
 
 
-# What each element kind does to the frame stack.  _lower_sequence lowers
-# by this table, and the constraint query follows it to re-test only the
-# variables an element writes, so the kernel and the query cannot drift
-# apart.  PUSH and CALL open a new top frame, APPLY writes the targets of
-# ``assignments`` in it, and POP_BIND returns to the caller's frame and
-# writes ``result_variable`` and the targets of ``result_assignments``.
-FRAME_EFFECTS = {
-    UserStart: PUSH,
-    UserVariableNode: APPLY,
-    SeffVariableNode: APPLY,
-    SeffReturnNode: APPLY,
-    CallingUserNode: CALL,
-    CallingSeffNode: CALL,
-    ReturningUserNode: POP_BIND,
-    ReturningSeffNode: POP_BIND,
-}
-
+# a seff's calling bracket still runs on the caller's node
 _USER_SIDE = frozenset({UserStart, UserVariableNode, CallingUserNode, ReturningUserNode})
-
-
-def _lower_sequence(model: ArchitectureModel, sequence: ActionSequence):
-    dictionary = model.dictionary
-    index = index_of(model)
-    user_mask = index.scenario(sequence.scenario_id).user_labels.mask
-    ops = []
-    masks = []
-    for element in sequence.elements:
-        kind = type(element)
-        try:
-            code = FRAME_EFFECTS[kind]
-        except KeyError:
-            raise PropagationError(f"unknown sequence element kind {kind.__name__}") from None
-        if code == APPLY:
-            ops.append((APPLY, _lower_program(dictionary, element.assignments)))
-        elif code == CALL:
-            ops.append((CALL, element.bindings))
-        elif code == POP_BIND:
-            program = (
-                _lower_program(dictionary, element.result_assignments)
-                if element.result_assignments
-                else None
-            )
-            ops.append((POP_BIND, element.result_variable, program))
-        else:
-            ops.append((PUSH,))
-        # a seff's calling bracket still runs on the caller's node
-        masks.append(user_mask if kind in _USER_SIDE else index.node_mask(element.instance_id))
-    return ops, masks
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +336,18 @@ def propagate(model: ArchitectureModel, sequence: ActionSequence) -> PropagatedS
     Each call counts as one propagation run.
     """
     global _run_count
-    ops, masks = _lower_sequence(model, sequence)
-    snapshots = kernel.run_sequence(ops)
+    dictionary = model.dictionary
+    # the walk comes first, so an element of unknown kind is reported as
+    # such before its node is looked up
+    snapshots = kernel.run_sequence(sequence.elements, partial(_lower_program, dictionary))
+    index = index_of(model)
+    user_mask = index.scenario(sequence.scenario_id).user_labels.mask
+    masks = [
+        user_mask if type(element) in _USER_SIDE else index.node_mask(element.instance_id)
+        for element in sequence.elements
+    ]
     _run_count += 1
-    return PropagatedSequence(sequence, masks, snapshots, model.dictionary)
+    return PropagatedSequence(sequence, masks, snapshots, dictionary)
 
 
 def evaluate_all(model: ArchitectureModel, sequences) -> list[PropagatedSequence]:

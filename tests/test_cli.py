@@ -1,11 +1,13 @@
 """The command line interface: exit codes, output shapes, determinism."""
 
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
+from flowcheck import cli
 from flowcheck.benchgen import BenchFeature
 from flowcheck.cli import build_parser, main
 from flowcheck.extraction import find_all_sequences
@@ -112,6 +114,29 @@ def test_sequences_output(shop_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_analyze_writes_report_with_collector_paused(
+        monkeypatch, shop_path, geo_constraints_path, capsys, enabled):
+    # a collection while the report is written would scan everything the
+    # pipeline built; main pauses it for the whole command
+    seen = []
+
+    def format_report(*args):
+        seen.append(gc.isenabled())
+        return real_format_report(*args)
+
+    real_format_report = cli.format_report
+    monkeypatch.setattr(cli, "format_report", format_report)
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        code, _, _ = run_cli(["analyze", shop_path, "--constraints", geo_constraints_path], capsys)
+        assert (code, seen) == (0, [False])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
 def test_validate_ok(shop_path, capsys):
     assert run_cli(["validate", shop_path], capsys) == (0, "OK\n", "")
 
@@ -147,6 +172,43 @@ def test_validate_too_deeply_nested_term_is_a_defect(model_data, tmp_path, capsy
     column = len("v.Color.Red := ") + MAX_NESTING + 1
     assert f"column {column}: parentheses nest deeper than 256 levels" in out
     assert out.rstrip().endswith("defect(s)")
+
+
+def test_validate_reports_unbound_parameter(tmp_path, capsys):
+    # s1's seff passes q on, but the scenario binds only p: the analysis
+    # would fail on the missing variable, so validate must refuse it too
+    document = {
+        "dictionary": {"labelTypes": [{"name": "Color", "values": ["Red"]}]},
+        "components": [
+            {"id": "comp.a",
+             "signatures": [{"id": "s1", "parameters": ["p", "q"]}],
+             "seffs": {"s1": [{"type": "call", "id": "a0", "role": "dep",
+                               "signature": "s2", "bindings": {"x": "q"}}]}},
+            {"id": "comp.b",
+             "signatures": [{"id": "s2", "parameters": ["x"]}],
+             "seffs": {"s2": [{"type": "variable", "id": "b0",
+                               "assignments": ["y.Color.Red := x.Color.Red"]}]}},
+        ],
+        "assembly": {
+            "instances": [{"id": "inst.a", "component": "comp.a"},
+                          {"id": "inst.b", "component": "comp.b"}],
+            "connectors": [{"instance": "inst.a", "role": "dep", "target": "inst.b"}],
+        },
+        "deployment": {"containers": [{"id": "host"}],
+                       "allocations": {"inst.a": "host", "inst.b": "host"}},
+        "usageScenarios": [{"id": "scn", "actions": [
+            {"type": "variable", "id": "u0", "assignments": ["v.Color.Red := TRUE"]},
+            {"type": "call", "id": "u1", "instance": "inst.a", "signature": "s1",
+             "bindings": {"p": "v"}},
+        ]}],
+    }
+    path = tmp_path / "unbound.json"
+    path.write_text(json.dumps(document))
+    defect = "scenario 'scn', action 'u1': parameter 'q' of signature 's1' is not bound"
+    assert run_cli(["validate", path], capsys) == (2, f"{defect}\n1 defect(s)\n", "")
+    code, out, err = run_cli(["analyze", path], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [defect, f"error: cannot load model '{path}'"]
 
 
 def test_bench_writes_one_json_file(tmp_path, capsys):

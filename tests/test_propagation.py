@@ -1,13 +1,22 @@
 """Label propagation along sequences, frozen against hand-checked traces."""
 
+from typing import NamedTuple
+
 import pytest
 
 from flowcheck.errors import DictionaryError, PropagationError
-from flowcheck.extraction import find_all_sequences
+from flowcheck.extraction import (
+    ActionSequence,
+    CallingUserNode,
+    ReturningUserNode,
+    UserStart,
+    UserVariableNode,
+    find_all_sequences,
+)
 from flowcheck.labels import DataDictionary, LabelType
 from flowcheck.loader import load_model, model_from_data
 from flowcheck.model import assignment_from_text
-from flowcheck.oracle import oracle_propagate
+from flowcheck.oracle import _apply_assignments, oracle_propagate
 from flowcheck.propagation import (
     DataFlowVariable,
     PropagatedSequence,
@@ -227,6 +236,37 @@ def test_negation_and_references(dict_tu):
     assert state["x"] == []
 
 
+# One case per way an assignment lowers.  The target x starts with labels
+# of its own type T and of the other type U; T.B and T.C have no
+# counterpart in U, so y.U.* folds to False for them (and !y.U.* to True).
+SHAPES_DICTIONARY = DataDictionary((
+    LabelType("T", ("A", "B", "C")),
+    LabelType("U", ("A", "X")),
+))
+ASSIGNMENT_SHAPES = {
+    "constant-true": ["x.T.C := TRUE"],
+    "constant-false": ["x.T.B := FALSE"],
+    "concrete-tested": ["x.T.A := y.U.A & !x.T.B"],
+    "full-wildcard": ["x.*.* := y.*.*"],
+    "aligned-type-wildcard": ["x.T.* := y.T.* | x.T.*"],
+    "non-aligned-type-wildcard": ["x.T.* := y.U.*"],
+    "negated-non-aligned-type-wildcard": ["x.T.* := !y.U.*"],
+    "two-assignments-one-target": ["x.T.* := y.T.*", "x.T.A := !x.T.A"],
+}
+
+
+@pytest.mark.parametrize("texts", ASSIGNMENT_SHAPES.values(), ids=ASSIGNMENT_SHAPES.keys())
+def test_assignment_shape_matches_oracle(texts):
+    dictionary = SHAPES_DICTIONARY
+    start = {"x": {("T", "B"), ("U", "X")}, "y": {("T", "C"), ("U", "A")}}
+    assignments = [assignment_from_text(text) for text in texts]
+    expected = {name: set(pairs) for name, pairs in start.items()}
+    _apply_assignments(assignments, expected, dictionary)
+    variables = [var(dictionary, name, *pairs) for name, pairs in start.items()]
+    out = evaluate_assignments(dictionary, assignments, variables)
+    assert {v.name: {(l.type, l.value) for l in v.labels} for v in out} == expected
+
+
 def test_foreign_dictionary_rejected(dict_tu):
     other = DataDictionary((LabelType("T", ("A",)),))
     stranger = DataFlowVariable("x", other.set_from_mask(0))
@@ -277,30 +317,51 @@ def test_run_counter_counts_propagations(model_data):
 
 # -- kernel error paths ----------------------------------------------------
 
+def _no_ops(assignments):
+    return ()
+
+
 def test_kernel_push_snapshots_empty_frame():
-    assert kernel.run_sequence(((kernel.PUSH,),)) == [{}]
+    assert kernel.run_sequence((UserStart("s", "s"),), _no_ops) == [{}]
 
 
 def test_kernel_rejects_apply_without_frame():
-    apply = (1, ())
+    apply = UserVariableNode("a", "s", ())
     with pytest.raises(PropagationError, match="no active frame"):
-        kernel.run_sequence((apply,))
+        kernel.run_sequence((apply,), _no_ops)
 
 
 def test_kernel_rejects_unbalanced_pops():
-    ops = ((0,), (3, None, None))  # one PUSH cannot satisfy a POP_BIND
+    # one UserStart cannot satisfy a return
+    elements = (UserStart("s", "s"), ReturningUserNode("r", "s", None, ()))
     with pytest.raises(PropagationError, match="pops more frames than it pushed"):
-        kernel.run_sequence(ops)
+        kernel.run_sequence(elements, _no_ops)
+
+
+class _Stray(NamedTuple):
+    element_id: str
+
+    kind = "Stray"
 
 
 def test_kernel_rejects_unknown_op():
-    with pytest.raises(PropagationError, match="unknown element op 99"):
-        kernel.run_sequence(((99,),))
+    with pytest.raises(PropagationError, match="unknown sequence element kind _Stray"):
+        kernel.run_sequence((UserStart("s", "s"), _Stray("x")), _no_ops)
+
+
+def test_propagate_rejects_unknown_element_kind(model_data):
+    # the stray element has no instance id, so this also checks that the
+    # kernel sees it before anything reads the element's node
+    model = model_from_data(model_data)
+    scenario_id = model.scenarios[0].id
+    sequence = ActionSequence(scenario_id, (UserStart(scenario_id, scenario_id), _Stray("x")))
+    with pytest.raises(PropagationError, match="unknown sequence element kind _Stray"):
+        propagate(model, sequence)
 
 
 def test_kernel_rejects_missing_call_binding():
-    # CALL op binding parameter p to a variable that was never defined
-    ops = ((0,), (2, (("p", "ghost"),)))
+    # a call binding parameter p to a variable that was never defined
+    elements = (UserStart("s", "s"), CallingUserNode("c", "s", "i", "sig", (("p", "ghost"),)))
     with pytest.raises(PropagationError,
                        match="call binds parameter 'p' to missing variable 'ghost'"):
-        kernel.run_sequence(ops)
+        kernel.run_sequence(elements, _no_ops)
