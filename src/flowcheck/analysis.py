@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import gc
 import time
-from contextlib import contextmanager
 
 from .constraints import Constraint, Violation, query, query_many
 from .extraction import ActionSequence, find_all_sequences
@@ -111,8 +110,7 @@ class Timings:
         return (self._last - self.started) * 1000.0
 
 
-@contextmanager
-def collector_paused():
+class collector_paused:
     """Pause the cyclic garbage collector, then put it back as it was.
 
     Almost everything an analysis allocates lives until it ends, so each
@@ -120,14 +118,16 @@ def collector_paused():
     holds no reference cycles, so reference counting frees all of it and
     the pause leaves nothing behind.  The pause has to last until those
     objects are freed: a collection that runs while they are still alive
-    scans every one of them once more.
+    scans every one of them once more.  The exit turns the collector back
+    on as its last step, so no allocation of its own starts that scan.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
+
+    def __enter__(self):
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self._was_enabled:
             gc.enable()
 
 
@@ -154,4 +154,5 @@ def run_pipeline(load, constraints_for):
         timings.lap("propagate")
         violations = query_many(propagated, constraints)
         timings.lap("query")
-    return model, sequences, propagated, constraints, violations, timings
+        # built inside the pause, so nothing allocates once the collector is on
+        return model, sequences, propagated, constraints, violations, timings

@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # one pause for the whole command, so that no collection scans the
-    # model, the sequences and the snapshots while the report is written
+    # model, the sequences and the deltas while the report is written
     try:
         with collector_paused():
             return args.func(args)

@@ -15,10 +15,11 @@ also matches elements that carry no variables at all.  Wildcards are not
 allowed in constraints.
 
 Evaluation works purely on propagated results; checking any number of
-constraints never re-runs propagation.  A query walks each sequence once
-per textual constraint and re-tests only the variables each element
-writes, following :data:`flowcheck.kernel.FRAME_EFFECTS`; within
-one query the node and data terms each run once per distinct mask.
+constraints never re-runs propagation.  A query walks each sequence's
+deltas (see :func:`flowcheck.kernel.run_sequence`) once per textual
+constraint, so it re-tests only the variables each assignment element
+writes and needs no frame; within one query the node and data terms
+each run once per distinct mask.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 from . import terms
 from .errors import ConstraintError, DictionaryError, TermSyntaxError
-from .kernel import APPLY, FRAME_EFFECTS, POP_BIND
+from .kernel import APPLY, FRAME_EFFECTS
 from .labels import DataDictionary
 
 __all__ = [
@@ -264,42 +265,24 @@ def _data_matches(propagated, node_ok, data_ok):
     with references, re-testing only what each element writes.
 
     The walk keeps the set of variables in the top frame that satisfy
-    the term, plus the saved sets of the caller frames, and follows
-    :data:`flowcheck.kernel.FRAME_EFFECTS`: PUSH and CALL rebuild
-    the set from the new frame, APPLY re-tests only its assignment
-    targets, and POP_BIND restores the caller's set, then re-tests the
-    result variable and the result-assignment targets.  This is exact
-    because ``propagated.frames`` is the propagation of
-    ``propagated.sequence``, so a variable an element does not write
-    keeps its mask.
+    the term and reads ``propagated.deltas``: an APPLY delta re-tests
+    the variables it writes, and any other delta is the whole new top
+    frame, so the set is rebuilt from it.
     """
     node_masks = propagated.node_masks
     satisfying: set[str] = set()
     names = ()  # sorted ``satisfying``; None while stale
-    callers = []
-    for element_index, (element, frame) in enumerate(
-        zip(propagated.sequence.elements, propagated.frames)
+    for element_index, (element, delta) in enumerate(
+        zip(propagated.sequence.elements, propagated.deltas)
     ):
-        code = FRAME_EFFECTS[type(element)]
-        if code == APPLY:
-            written = element.assignments
-        elif code == POP_BIND:
-            satisfying, names = callers.pop()
-            var = element.result_variable
-            if var is not None and data_ok[frame[var]] != (var in satisfying):
-                satisfying ^= {var}
-                names = None
-            written = element.result_assignments
-        else:  # PUSH or CALL: a new top frame
-            callers.append((satisfying, names))
-            satisfying = {var for var, mask in frame.items() if data_ok[mask]}
+        if FRAME_EFFECTS[type(element)] == APPLY:
+            for var, mask in delta:
+                if data_ok[mask] != (var in satisfying):
+                    satisfying ^= {var}
+                    names = None
+        else:
+            satisfying = {var for var, mask in delta if data_ok[mask]}
             names = None
-            written = ()
-        for a in written:
-            var = a.target_var
-            if data_ok[frame[var]] != (var in satisfying):
-                satisfying ^= {var}
-                names = None
         if satisfying and node_ok[node_masks[element_index]]:
             if names is None:
                 names = tuple(sorted(satisfying))

@@ -16,10 +16,11 @@ another variable's mask shares that int instead of copying it.
 
 All ops of one element read the frame state from before the element,
 while writes land in declaration order, so later assignments win on
-conflicting targets.  An assignment element reads the previous
-element's snapshot, which already is a copy of that state; result
-assignments run after the return changed the frame, so they read a
-copy of it.
+conflicting targets.  :func:`run_sequence` returns one delta per
+element, a list of ``(variable, mask)`` pairs: an APPLY delta holds the
+variables the element writes, any other the whole new top frame.  So a
+POP_BIND delta holds the whole caller frame; its own writes are its
+result variable and its result-assignment targets.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ CALL = 2
 POP_BIND = 3
 
 # What each element kind does to the frame stack.  The kernel walks by
-# this table, and the constraint query follows it to re-test only the
-# variables an element writes, so the two cannot drift apart.  PUSH and
-# CALL open a new top frame (CALL holds only the ``bindings``), APPLY
-# writes the targets of ``assignments`` in it, and POP_BIND returns to
-# the caller's frame and writes ``result_variable`` and the targets of
-# ``result_assignments``.
+# this table, and replay and the constraint query read it to tell an
+# APPLY delta from a whole new top frame.  PUSH and CALL open a new top
+# frame (CALL holds only the ``bindings``), APPLY writes the targets of
+# ``assignments`` in it, and POP_BIND returns to the caller's frame and
+# writes ``result_variable`` and the targets of ``result_assignments``.
 FRAME_EFFECTS = {
     UserStart: PUSH,
     UserVariableNode: APPLY,
@@ -61,38 +61,36 @@ FRAME_EFFECTS = {
 }
 
 
-def apply_assignments(frame: dict, pre: dict, ops) -> None:
-    """Run assignment ops in ``frame``, in place, reading from ``pre``."""
+def assign(frame: dict, ops) -> list:
+    """Run assignment ops in ``frame``, in place; return each distinct
+    target with its new mask."""
+    pre = frame.copy() if len(ops) > 1 else frame
     for target, keep, value in ops:
         if type(value) is not int:
             value = value(pre)
         if keep:
-            frame[target] = (frame.get(target, 0) & keep) | value
-        else:
-            frame[target] = value
+            value |= frame.get(target, 0) & keep
+        frame[target] = value
+    if len(ops) == 1:
+        return [(target, value)]
+    return list({op[0]: frame[op[0]] for op in ops}.items())
 
 
-def run_program(frame: dict, ops) -> None:
-    """Run assignment ops in ``frame``, in place, reading a copy of it."""
-    apply_assignments(frame, frame.copy(), ops)
-
-
-def run_sequence(elements, lower) -> list[dict]:
-    """Walk the elements and return one frame snapshot per element.
+def run_sequence(elements, lower) -> list[list]:
+    """Walk the elements and return one delta per element.
 
     ``lower(assignments)`` returns the ops of an assignment tuple.
     """
     stack: list[dict] = []
-    snapshots: list[dict] = []
+    deltas: list[list] = []
     for element in elements:
         effect = FRAME_EFFECTS.get(type(element))
         if effect == APPLY:
             if not stack:
                 raise PropagationError("no active frame")
-            # the previous snapshot is a copy of the top frame as it stands,
-            # so it serves as the pre-state without another copy
-            apply_assignments(stack[-1], snapshots[-1], lower(element.assignments))
-        elif effect == PUSH:
+            deltas.append(assign(stack[-1], lower(element.assignments)))
+            continue
+        if effect == PUSH:
             stack.append({})
         elif effect == CALL:
             if not stack:
@@ -115,10 +113,21 @@ def run_sequence(elements, lower) -> list[dict]:
             if element.result_variable is not None:
                 frame[element.result_variable] = returned.get(RETURN_VARIABLE, 0)
             if element.result_assignments:
-                run_program(frame, lower(element.result_assignments))
+                assign(frame, lower(element.result_assignments))
         else:
             raise PropagationError(
                 f"unknown sequence element kind {type(element).__name__}"
             )
-        snapshots.append(stack[-1].copy())
-    return snapshots
+        deltas.append(list(stack[-1].items()))
+    return deltas
+
+
+def replay(elements, deltas) -> list[dict]:
+    """Rebuild the top frame at each element from the deltas."""
+    frames: list[dict] = []
+    frame: dict = {}
+    for element, delta in zip(elements, deltas):
+        frame = frame.copy() if FRAME_EFFECTS.get(type(element)) == APPLY else {}
+        frame.update(delta)
+        frames.append(frame)
+    return frames

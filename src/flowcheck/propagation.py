@@ -15,9 +15,9 @@ labels and leaves the rest untouched.  A reference to a variable that is
 not in scope simply evaluates to false.
 
 The kernel (:mod:`flowcheck.kernel`) walks a sequence's elements and
-snapshots the visible frame at each, so later queries never re-run the
-propagation.  Each assignment lowers here, once per distinct assignment
-tuple, to one kernel op that keeps the target's bits outside the
+returns what each changes in the visible frame, so later queries never
+re-run the propagation.  Each assignment lowers here, once per distinct
+assignment tuple, to one kernel op that keeps the target's bits outside the
 assigned region and ors in the new ones.  Its value is an int when the
 term folds to a constant, and otherwise a closure over the frame state
 before the element: a right-hand side whose value positions line up
@@ -192,7 +192,7 @@ class DataFlowVariable:
 class ElementResult:
     """Propagation outcome at one element: node labels plus visible data.
 
-    Holds the raw frame snapshot; :class:`DataFlowVariable` objects are
+    Holds the visible frame; :class:`DataFlowVariable` objects are
     materialised lazily because most queries only touch a few elements.
     """
 
@@ -258,33 +258,40 @@ class PropagatedSequence:
     """An action sequence together with one result per element.
 
     The canonical state is two parallel arrays, ``node_masks`` and
-    ``frames``, aligned with ``sequence.elements``; bulk consumers read
-    those directly.  The :class:`ElementResult` views in ``results`` are
-    built on first access.  Frame dicts must be treated as read-only.
+    ``deltas`` (see :mod:`flowcheck.kernel`), aligned with
+    ``sequence.elements``; bulk consumers read those directly.  The
+    ``frames`` they replay to and the :class:`ElementResult` views in
+    ``results`` are built on first access, and must be treated as read-only.
     """
 
-    __slots__ = ("sequence", "node_masks", "frames", "_dictionary", "_results")
+    __slots__ = ("sequence", "node_masks", "deltas", "_dictionary", "_frames", "_results")
 
-    def __init__(self, sequence: ActionSequence, node_masks, frames, dictionary):
+    def __init__(self, sequence: ActionSequence, node_masks, deltas, dictionary):
         self.sequence = sequence
         self.node_masks = tuple(node_masks)
-        self.frames = tuple(frames)
+        self.deltas = tuple(deltas)
         self._dictionary = dictionary
+        self._frames = None
         self._results = None
 
     @classmethod
     def from_results(cls, sequence: ActionSequence, results) -> "PropagatedSequence":
-        """Build from pre-made :class:`ElementResult` objects."""
+        """Build from pre-made :class:`ElementResult` objects, each whole
+        frame serving as its element's delta."""
         results = tuple(results)
         dictionary = results[0]._dictionary if results else None
-        self = cls(
-            sequence,
-            [r._node_mask for r in results],
-            [r._frame for r in results],
-            dictionary,
-        )
+        frames = tuple(r._frame for r in results)
+        self = cls(sequence, [r._node_mask for r in results],
+                   [list(frame.items()) for frame in frames], dictionary)
+        self._frames = frames
         self._results = results
         return self
+
+    @property
+    def frames(self) -> tuple[dict, ...]:
+        if self._frames is None:
+            self._frames = tuple(kernel.replay(self.sequence.elements, self.deltas))
+        return self._frames
 
     @property
     def dictionary(self) -> DataDictionary:
@@ -339,7 +346,7 @@ def propagate(model: ArchitectureModel, sequence: ActionSequence) -> PropagatedS
     dictionary = model.dictionary
     # the walk comes first, so an element of unknown kind is reported as
     # such before its node is looked up
-    snapshots = kernel.run_sequence(sequence.elements, partial(_lower_program, dictionary))
+    deltas = kernel.run_sequence(sequence.elements, partial(_lower_program, dictionary))
     index = index_of(model)
     user_mask = index.scenario(sequence.scenario_id).user_labels.mask
     masks = [
@@ -347,7 +354,7 @@ def propagate(model: ArchitectureModel, sequence: ActionSequence) -> PropagatedS
         for element in sequence.elements
     ]
     _run_count += 1
-    return PropagatedSequence(sequence, masks, snapshots, dictionary)
+    return PropagatedSequence(sequence, masks, deltas, dictionary)
 
 
 def evaluate_all(model: ArchitectureModel, sequences) -> list[PropagatedSequence]:
@@ -371,7 +378,7 @@ def evaluate_assignments(
                 f"variable '{variable.name}' belongs to a different data dictionary"
             )
         frame[variable.name] = variable.labels.mask
-    kernel.run_program(frame, _lower_program(dictionary, tuple(assignments)))
+    kernel.assign(frame, _lower_program(dictionary, tuple(assignments)))
     return tuple(
         DataFlowVariable(name, LabelSet(dictionary, mask))
         for name, mask in sorted(frame.items())

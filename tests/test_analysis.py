@@ -6,6 +6,7 @@ import pytest
 
 import flowcheck
 from flowcheck.analysis import DataFlowAnalysis, run_pipeline
+from flowcheck.benchgen import BenchFeature, generate_bench_model
 from flowcheck.constraints import load_constraints, parse_constraint
 from flowcheck.errors import ModelLoadError
 from flowcheck.loader import load_model, load_model_text, model_to_json
@@ -150,3 +151,23 @@ def test_paused_run_leaves_no_cyclic_garbage(collector_state, models_dir):
         gc.collect()
         run_pipeline(load, constraints_for)
         assert gc.collect() == 0
+
+
+def test_run_pipeline_ends_without_a_collection(collector_state):
+    # with the collector on, the pause ends as the pipeline's last step, so
+    # no allocation on the way out starts a scan of everything it built
+    model = generate_bench_model(BenchFeature.VARIABLE_ACTIONS, 2000)
+    collections = []
+
+    def record(phase, info):
+        collections.append(phase)
+
+    remove = gc.callbacks.remove
+    gc.collect()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        run_pipeline(lambda: model, _no_constraints)
+    finally:
+        remove(record)
+    assert collections == []

@@ -3,7 +3,7 @@
 import pytest
 
 from flowcheck import loader
-from flowcheck.constraints import parse_constraint, query
+from flowcheck.constraints import parse_constraint, query, query_many
 from flowcheck.extraction import find_all_sequences
 from flowcheck.loader import model_to_json
 from flowcheck.oracle import (
@@ -66,6 +66,22 @@ def test_differential_agreement(seed):
             want = oracle_query(model, seq, text)
             assert got == want, f"seed {seed}: {text}"
 
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_whole_frame_deltas_query_alike(seed):
+    """The oracle's whole frames, read as deltas, query as the engine's do,
+    and no engine delta holds more than its element's frame."""
+    model = random_small_model(seed)
+    sequences = find_all_sequences(model)
+    engine = [propagate(model, seq) for seq in sequences]
+    naive = [oracle_propagate(model, seq) for seq in sequences]
+    constraints = [parse_constraint(text, model.dictionary)
+                   for text in random_constraints(model, seed)]
+    assert query_many(naive, constraints) == query_many(engine, constraints)
+    for propagated in engine:
+        for delta, frame in zip(propagated.deltas, propagated.frames):
+            assert len(delta) <= len(frame)
 
 # Deep terms: long chains, nesting up to the bound and long runs of "!"
 # are loaded, propagated and queried with the default recursion limit,

@@ -294,7 +294,7 @@ def test_propagated_sequence_equality(model_data):
     a = propagate(model, seq)
     b = propagate(model, seq)
     assert a == b
-    assert a != PropagatedSequence(seq, a.node_masks[:-1], a.frames[:-1],
+    assert a != PropagatedSequence(seq, a.node_masks[:-1], a.deltas[:-1],
                                    model.dictionary)
 
 
@@ -322,7 +322,7 @@ def _no_ops(assignments):
 
 
 def test_kernel_push_snapshots_empty_frame():
-    assert kernel.run_sequence((UserStart("s", "s"),), _no_ops) == [{}]
+    assert kernel.run_sequence((UserStart("s", "s"),), _no_ops) == [[]]
 
 
 def test_kernel_rejects_apply_without_frame():
