@@ -19,7 +19,8 @@ constraints never re-runs propagation.  A query walks each sequence's
 deltas (see :func:`flowcheck.kernel.run_sequence`) once per textual
 constraint, so it re-tests only the variables each assignment element
 writes and needs no frame; within one query the node and data terms
-each run once per distinct mask.
+each run once per distinct mask, and each memoised call context is
+matched once.
 """
 
 from __future__ import annotations
@@ -230,16 +231,16 @@ def _scan(sequence_index, propagated, rows) -> None:
     """Match all constraint rows against one propagated sequence.
 
     Each row is (name, node_ok, data_ok, data_has_refs, predicate,
-    bucket); ``node_ok`` and ``data_ok`` are the compiled tests wrapped
-    in :class:`_Verdicts`, which live for one query, so each test runs
-    once per distinct mask however many elements or variables carry it.
-    Both are ``None`` for a programmatic row, whose predicate sees every
-    element result.
+    bucket, seen); ``node_ok`` and ``data_ok`` are the compiled tests
+    wrapped in :class:`_Verdicts`, which live for one query like ``seen``
+    (see :func:`_data_matches`), so each test runs once per distinct mask
+    however many elements or variables carry it.  Both tests are ``None``
+    for a programmatic row, whose predicate sees every element result.
     """
     elements = propagated.sequence.elements
-    for name, node_ok, data_ok, data_has_refs, predicate, bucket in rows:
+    for name, node_ok, data_ok, data_has_refs, predicate, bucket, seen in rows:
         if data_has_refs:
-            matches = _data_matches(propagated, node_ok, data_ok)
+            matches = _data_matches(propagated, node_ok, data_ok, seen)
         elif node_ok is None:
             matches = (
                 (element_index, ())
@@ -260,9 +261,30 @@ def _scan(sequence_index, propagated, rows) -> None:
         )
 
 
-def _data_matches(propagated, node_ok, data_ok):
+def _data_matches(propagated, node_ok, data_ok, seen):
     """Yield (element index, sorted satisfying names) for a data term
-    with references, re-testing only what each element writes.
+    with references.
+
+    What lies inside a span of ``propagated.spans`` depends only on its
+    body deltas, so ``seen`` keeps the matches of each, relative to its
+    start, with the body deltas, whose id thus stays theirs for the query.
+    No walk crosses a span's edge: the brackets around it hold whole frames.
+    """
+    start = 0
+    for lo, stop, segment in propagated.spans:
+        yield from _walk(propagated, node_ok, data_ok, start, lo)
+        if id(segment) not in seen:
+            walk = _walk(propagated, node_ok, data_ok, lo, stop, propagated.deltas[lo - 1])
+            seen[id(segment)] = (segment, [(index - lo, names) for index, names in walk])
+        for offset, names in seen[id(segment)][1]:
+            yield lo + offset, names
+        start = stop
+    yield from _walk(propagated, node_ok, data_ok, start, len(propagated.deltas))
+
+
+def _walk(propagated, node_ok, data_ok, start, stop, frame=()):
+    """Match the elements ``start:stop``, re-testing only what each
+    element writes, from the whole top ``frame`` before them.
 
     The walk keeps the set of variables in the top frame that satisfy
     the term and reads ``propagated.deltas``: an APPLY delta re-tests
@@ -270,10 +292,10 @@ def _data_matches(propagated, node_ok, data_ok):
     frame, so the set is rebuilt from it.
     """
     node_masks = propagated.node_masks
-    satisfying: set[str] = set()
-    names = ()  # sorted ``satisfying``; None while stale
+    satisfying = {var for var, mask in frame if data_ok[mask]}
+    names = None  # sorted ``satisfying``; None while stale
     for element_index, (element, delta) in enumerate(
-        zip(propagated.sequence.elements, propagated.deltas)
+        zip(propagated.sequence.elements[start:stop], propagated.deltas[start:stop]), start
     ):
         if FRAME_EFFECTS[type(element)] == APPLY:
             for var, mask in delta:
@@ -297,11 +319,11 @@ def _rows_for(constraints, out: dict[str, list[Violation]]):
         bucket: list[Violation] = []
         out[c.name] = bucket
         if c._node_fn is None:
-            rows.append((c.name, None, None, False, c.predicate, bucket))
+            rows.append((c.name, None, None, False, c.predicate, bucket, None))
         else:
             node_ok = _Verdicts(c._node_fn)
             data_ok = _Verdicts(c._data_fn)
-            rows.append((c.name, node_ok, data_ok, c._data_has_refs, c.predicate, bucket))
+            rows.append((c.name, node_ok, data_ok, c._data_has_refs, c.predicate, bucket, {}))
     return rows
 
 

@@ -4,7 +4,11 @@ Every possible data flow through the architecture is represented as one
 ordered list of sequence elements.  A call is flattened into a calling
 bracket node, the callee's own elements, and a returning bracket node,
 so calling and returning nodes always pair up like balanced parentheses.
-Each scenario contributes one sequence; sequences share no elements.
+Each scenario contributes one sequence.  The callee elements of one
+(instance, signature) pair are built once per extraction, as a tuple
+called its body, and spliced into every sequence that calls it, so
+sequences share those element objects; each sequence records, in
+``calls``, which body follows each of its calling brackets.
 
 Sequence elements are tuple-backed records: they are constructed in
 bulk, one per expanded action, so construction cost matters on large
@@ -13,7 +17,7 @@ models, and being tuples makes them genuinely immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .errors import CallDepthError, ExtractionError, UnknownElementError
@@ -124,10 +128,17 @@ class SeffReturnNode(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class ActionSequence:
-    """One complete data flow: an ordered, immutable list of elements."""
+    """One complete data flow: an ordered, immutable list of elements.
+
+    ``calls`` maps the index of each calling bracket to the shared body
+    of elements that follows it, up to its returning bracket; it takes
+    no part in equality, hashing or ``repr``, and a hand-built sequence
+    may leave it empty.
+    """
 
     scenario_id: str
     elements: tuple
+    calls: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __iter__(self) -> Iterator:
         return iter(self.elements)
@@ -148,9 +159,11 @@ def find_all_sequences(
     calls with a :class:`CallDepthError`.
     """
     index = index_of(model)
+    bodies: dict = {}
     sequences = []
     for scenario in model.scenarios:
         elements: list = [UserStart(scenario.id, scenario.id)]
+        calls: dict = {}
         try:
             for action in scenario.actions:
                 if isinstance(action, SystemCall):
@@ -164,12 +177,8 @@ def find_all_sequences(
                         )
                     )
                     _expand_call(
-                        index,
-                        action.instance_id,
-                        action.signature_id,
-                        elements,
-                        (action.id,),
-                        max_call_depth,
+                        index, bodies, action.instance_id, action.signature_id,
+                        elements, calls, (action.id,), max_call_depth,
                     )
                     elements.append(
                         ReturningUserNode(
@@ -185,11 +194,30 @@ def find_all_sequences(
                     )
         except UnknownElementError as exc:
             raise ExtractionError(f"scenario '{scenario.id}': {exc}") from None
-        sequences.append(ActionSequence(scenario.id, tuple(elements)))
+        sequences.append(ActionSequence(scenario.id, tuple(elements), calls))
     return sequences
 
 
-def _expand_call(index, instance_id, signature_id, elements, chain, max_call_depth):
+def _expand_call(index, bodies, instance_id, signature_id, elements, calls, chain, max_call_depth):
+    """Append the callee's body after the calling bracket that ends
+    ``elements``, record it and its nested calls in ``calls``, and return
+    how deeply calls nest inside it.
+
+    ``bodies`` holds each built body with its nested calls and depth.  One
+    that does not fit under ``max_call_depth`` is expanded again, so the
+    :class:`CallDepthError` names the same chain as a fresh expansion.
+    """
+    held = bodies.get((instance_id, signature_id))
+    if held is None or len(chain) + held[2] > max_call_depth:
+        held = _build_body(index, bodies, instance_id, signature_id, chain, max_call_depth)
+    body, body_calls, depth = held
+    calls[len(elements) - 1] = body
+    calls.update((len(elements) + offset, nested) for offset, nested in body_calls)
+    elements.extend(body)
+    return depth
+
+
+def _build_body(index, bodies, instance_id, signature_id, chain, max_call_depth):
     if len(chain) > max_call_depth:
         raise CallDepthError(
             f"call depth exceeded ({max_call_depth} nested calls): "
@@ -197,7 +225,10 @@ def _expand_call(index, instance_id, signature_id, elements, chain, max_call_dep
             chain,
         )
     seff = index.seff_for(instance_id, signature_id)
-    append = elements.append
+    body: list = []
+    calls: dict = {}
+    depth = 0
+    append = body.append
     for action in seff.actions:
         if isinstance(action, VariableAction):  # the common case at scale
             append(SeffVariableNode(action.id, instance_id, action.assignments))
@@ -208,9 +239,11 @@ def _expand_call(index, instance_id, signature_id, elements, chain, max_call_dep
                     action.id, instance_id, callee, action.signature_id, action.bindings
                 )
             )
-            _expand_call(
-                index, callee, action.signature_id, elements, chain + (action.id,), max_call_depth
+            nested = _expand_call(
+                index, bodies, callee, action.signature_id, body, calls,
+                chain + (action.id,), max_call_depth,
             )
+            depth = max(depth, nested + 1)
             append(
                 ReturningSeffNode(
                     action.id, instance_id, action.result_variable, action.result_assignments
@@ -220,3 +253,5 @@ def _expand_call(index, instance_id, signature_id, elements, chain, max_call_dep
             append(SeffReturnNode(action.id, instance_id, action.assignments))
         else:  # anything else acts on variables
             append(SeffVariableNode(action.id, instance_id, action.assignments))
+    bodies[instance_id, signature_id] = held = (tuple(body), tuple(calls.items()), depth)
+    return held

@@ -21,9 +21,16 @@ element, a list of ``(variable, mask)`` pairs: an APPLY delta holds the
 variables the element writes, any other the whole new top frame.  So a
 POP_BIND delta holds the whole caller frame; its own writes are its
 result variable and its result-assignment targets.
+
+A callee frame holds only the bound parameters, so the deltas of a
+call's body and the frame it returns depend only on the body and the
+bound frame (Sharir & Pnueli 1981).  :func:`run_sequence` walks each
+such context once per memo and copies its summary into later calls.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .errors import PropagationError
 from .extraction import (
@@ -76,14 +83,20 @@ def assign(frame: dict, ops) -> list:
     return list({op[0]: frame[op[0]] for op in ops}.items())
 
 
-def run_sequence(elements, lower) -> list[list]:
+def run_sequence(elements, lower, calls=None, memo=None, spans=None) -> list[list]:
     """Walk the elements and return one delta per element.
 
-    ``lower(assignments)`` returns the ops of an assignment tuple.
+    ``lower(assignments)`` returns the ops of an assignment tuple.  With
+    ``calls`` (see :class:`flowcheck.extraction.ActionSequence`), ``memo``
+    keeps each call context's summary, and each outermost call's context
+    is appended to ``spans`` as ``(start, stop, body deltas)``, where the
+    body is ``elements[start:stop]``.
     """
     stack: list[dict] = []
     deltas: list[list] = []
-    for element in elements:
+    walking: dict = {}  # returning bracket index -> (memo key, body start)
+    steps = enumerate(elements)
+    for index, element in steps:
         effect = FRAME_EFFECTS.get(type(element))
         if effect == APPLY:
             if not stack:
@@ -105,10 +118,29 @@ def run_sequence(elements, lower) -> list[list]:
                         f"call binds parameter '{param}' to missing variable '{var}'"
                     ) from None
             stack.append(frame)
+            body = calls.get(index) if calls else None
+            if body is not None:
+                deltas.append(list(frame.items()))
+                key = (id(body), tuple(frame.items()))  # bound in binding order
+                summary = memo.get(key)
+                if summary is None:
+                    walking[index + 1 + len(body)] = (key, index + 1)
+                    continue
+                if not walking:
+                    spans.append((index + 1, index + 1 + len(body), summary[0]))
+                deltas += summary[0]
+                stack[-1] = summary[1]
+                next(islice(steps, len(body), len(body)), None)  # skip the body
+                continue
         elif effect == POP_BIND:
             if len(stack) < 2:
                 raise PropagationError("sequence pops more frames than it pushed")
             returned = stack.pop()
+            if index in walking:
+                key, start = walking.pop(index)
+                memo[key] = summary = (deltas[start:], returned)
+                if not walking:
+                    spans.append((start, index, summary[0]))
             frame = stack[-1]
             if element.result_variable is not None:
                 frame[element.result_variable] = returned.get(RETURN_VARIABLE, 0)

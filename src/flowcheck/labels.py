@@ -66,9 +66,9 @@ class DataDictionary:
     ``(type, value)`` keys, not as :class:`Label` objects.
 
     Equality is structural (same types with the same values in the same
-    order).  The dictionary also owns a small cache for lowered
-    assignment programs, so a freshly loaded model starts with cold
-    caches.
+    order).  The dictionary also owns small caches for lowered
+    assignment programs and the ``keep`` masks their ops share, so a
+    freshly loaded model starts with cold caches.
     """
 
     __slots__ = (
@@ -81,6 +81,7 @@ class DataDictionary:
         "_universe",
         "_hash",
         "lower_cache",
+        "keep_cache",
     )
 
     def __init__(self, label_types: Iterable[LabelType]):
@@ -126,6 +127,7 @@ class DataDictionary:
         self._universe = (1 << len(bit_of)) - 1
         self._hash = hash(self.label_types)
         self.lower_cache: dict = {}
+        self.keep_cache: dict = {}
 
     # -- vocabulary lookups -------------------------------------------------
 

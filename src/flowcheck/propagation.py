@@ -16,7 +16,8 @@ not in scope simply evaluates to false.
 
 The kernel (:mod:`flowcheck.kernel`) walks a sequence's elements and
 returns what each changes in the visible frame, so later queries never
-re-run the propagation.  Each assignment lowers here, once per distinct
+re-run the propagation; the sequences of one analysis share its call
+summaries.  Each assignment lowers here, once per distinct
 assignment tuple, to one kernel op that keeps the target's bits outside the
 assigned region and ors in the new ones.  Its value is an int when the
 term folds to a constant, and otherwise a closure over the frame state
@@ -120,18 +121,22 @@ def _build_program(dictionary, assignments):
             continue
         if arity == 1:
             region = dictionary.type_mask(a.target_type)
-            if all(ref[2] == a.target_type for ref in terms.iter_refs(a.rhs)):
-                # same type on both sides: value positions line up bitwise
-                fn = _mask_fn(a.rhs, dictionary.universe_mask)
-                ops.append((a.target_var, ~region, _region_fn(fn, region)))
-                continue
+        else:
+            region = 1 << dictionary.bit(a.target_type, a.target_value)
+        # one int per region, shared by every op that keeps the rest
+        keep = dictionary.keep_cache.setdefault(region, ~region)
+        if arity == 0:
+            bits = [(region, _truth_ref(dictionary, None))]
+        elif all(ref[2] == a.target_type for ref in terms.iter_refs(a.rhs)):
+            # same type on both sides: value positions line up bitwise
+            fn = _mask_fn(a.rhs, dictionary.universe_mask)
+            ops.append((a.target_var, keep, _region_fn(fn, region)))
+            continue
+        else:
             bits = [
                 (1 << dictionary.bit(a.target_type, value), _truth_ref(dictionary, value))
                 for value in dictionary.values_of(a.target_type)
             ]
-        else:
-            region = 1 << dictionary.bit(a.target_type, a.target_value)
-            bits = [(region, _truth_ref(dictionary, None))]
         # each target bit is set where its test holds: fold the constant
         # tests into ``add`` and keep the others for the pre-state
         add = 0
@@ -142,7 +147,7 @@ def _build_program(dictionary, assignments):
                 add |= bit
             elif test is not False:
                 pairs.append((bit, test))
-        ops.append((a.target_var, ~region, _bits_fn(add, pairs) if pairs else add))
+        ops.append((a.target_var, keep, _bits_fn(add, pairs) if pairs else add))
     return tuple(ops)
 
 
@@ -262,14 +267,18 @@ class PropagatedSequence:
     ``sequence.elements``; bulk consumers read those directly.  The
     ``frames`` they replay to and the :class:`ElementResult` views in
     ``results`` are built on first access, and must be treated as read-only.
+    ``spans`` lists the kernel's outermost memoised calls, ``(start, stop,
+    body deltas)``: sequences that share a span's body deltas share its
+    elements, node masks and deltas.
     """
 
-    __slots__ = ("sequence", "node_masks", "deltas", "_dictionary", "_frames", "_results")
+    __slots__ = ("sequence", "node_masks", "deltas", "spans", "_dictionary", "_frames", "_results")
 
-    def __init__(self, sequence: ActionSequence, node_masks, deltas, dictionary):
+    def __init__(self, sequence: ActionSequence, node_masks, deltas, dictionary, spans=()):
         self.sequence = sequence
         self.node_masks = tuple(node_masks)
         self.deltas = tuple(deltas)
+        self.spans = tuple(spans)
         self._dictionary = dictionary
         self._frames = None
         self._results = None
@@ -337,29 +346,48 @@ class PropagatedSequence:
 # public entry points
 
 
-def propagate(model: ArchitectureModel, sequence: ActionSequence) -> PropagatedSequence:
+def propagate(model: ArchitectureModel, sequence: ActionSequence, memo=None) -> PropagatedSequence:
     """Run label propagation over one sequence.
 
-    Each call counts as one propagation run.
+    ``memo`` holds the call summaries of :func:`flowcheck.kernel.run_sequence`
+    and each body's node masks; the sequences that share one must outlive
+    it.  Each call counts as one propagation run.
     """
     global _run_count
     dictionary = model.dictionary
+    memo = {} if memo is None else memo
+    spans: list = []
     # the walk comes first, so an element of unknown kind is reported as
     # such before its node is looked up
-    deltas = kernel.run_sequence(sequence.elements, partial(_lower_program, dictionary))
+    deltas = kernel.run_sequence(
+        sequence.elements, partial(_lower_program, dictionary), sequence.calls, memo, spans
+    )
     index = index_of(model)
     user_mask = index.scenario(sequence.scenario_id).user_labels.mask
-    masks = [
-        user_mask if type(element) in _USER_SIDE else index.node_mask(element.instance_id)
-        for element in sequence.elements
-    ]
+
+    def masks_of(elements):
+        return [
+            user_mask if type(element) in _USER_SIDE else index.node_mask(element.instance_id)
+            for element in elements
+        ]
+
+    masks: list = []
+    start = 0
+    for lo, stop, _ in spans:
+        body = sequence.calls[lo - 1]
+        if id(body) not in memo:  # a body holds no user-side element
+            memo[id(body)] = masks_of(body)
+        masks += masks_of(sequence.elements[start:lo]) + memo[id(body)]
+        start = stop
+    masks += masks_of(sequence.elements[start:])
     _run_count += 1
-    return PropagatedSequence(sequence, masks, deltas, dictionary)
+    return PropagatedSequence(sequence, masks, deltas, dictionary, spans)
 
 
 def evaluate_all(model: ArchitectureModel, sequences) -> list[PropagatedSequence]:
-    """Propagate every sequence; order follows the input."""
-    return [propagate(model, sequence) for sequence in sequences]
+    """Propagate every sequence, sharing one memo; order follows the input."""
+    memo: dict = {}
+    return [propagate(model, sequence, memo) for sequence in sequences]
 
 
 def evaluate_assignments(
