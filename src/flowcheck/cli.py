@@ -113,6 +113,8 @@ def _cmd_bench(args) -> int:
         return _fail("error: --sizes needs positive integers")
     if args.reps < 1:
         return _fail("error: --reps needs a positive integer")
+    if not 0 < args.timeout < float("inf"):
+        return _fail("error: --timeout needs a positive, finite number of seconds")
     features = [BenchFeature(args.feature)] if args.feature else list(BenchFeature)
 
     def progress(result):

@@ -4,11 +4,11 @@ Every possible data flow through the architecture is represented as one
 ordered list of sequence elements.  A call is flattened into a calling
 bracket node, the callee's own elements, and a returning bracket node,
 so calling and returning nodes always pair up like balanced parentheses.
-Each scenario contributes one sequence.  The callee elements of one
-(instance, signature) pair are built once per extraction, as a tuple
-called its body, and spliced into every sequence that calls it, so
-sequences share those element objects; each sequence records, in
-``calls``, which body follows each of its calling brackets.
+Each scenario contributes one sequence.  The callee elements of a user
+call to one (instance, signature) pair, nested calls expanded in place,
+are built once per extraction, as a tuple called its body, and spliced
+into every sequence that makes that call, so sequences share those
+element objects; ``calls`` records which body follows each user call.
 
 Sequence elements are tuple-backed records: they are constructed in
 bulk, one per expanded action, so construction cost matters on large
@@ -130,10 +130,10 @@ class SeffReturnNode(NamedTuple):
 class ActionSequence:
     """One complete data flow: an ordered, immutable list of elements.
 
-    ``calls`` maps the index of each calling bracket to the shared body
-    of elements that follows it, up to its returning bracket; it takes
-    no part in equality, hashing or ``repr``, and a hand-built sequence
-    may leave it empty.
+    ``calls`` maps the index of each user-side calling bracket to the
+    shared body that follows it, up to its returning bracket; nested
+    calls are not recorded.  It takes no part in equality, hashing or
+    ``repr``, and a hand-built sequence may leave it empty.
     """
 
     scenario_id: str
@@ -159,7 +159,7 @@ def find_all_sequences(
     calls with a :class:`CallDepthError`.
     """
     index = index_of(model)
-    bodies: dict = {}
+    bodies: dict = {}  # (instance, signature) -> body
     sequences = []
     for scenario in model.scenarios:
         elements: list = [UserStart(scenario.id, scenario.id)]
@@ -176,10 +176,23 @@ def find_all_sequences(
                             action.bindings,
                         )
                     )
-                    _expand_call(
-                        index, bodies, action.instance_id, action.signature_id,
-                        elements, calls, (action.id,), max_call_depth,
-                    )
+                    key = (action.instance_id, action.signature_id)
+                    body = bodies.get(key)
+                    if body is None:
+                        # built at call depth one, as every user call is,
+                        # so a body that fits once fits at every call
+                        expanded: list = []
+                        _expand_call(
+                            index,
+                            action.instance_id,
+                            action.signature_id,
+                            expanded,
+                            (action.id,),
+                            max_call_depth,
+                        )
+                        body = bodies[key] = tuple(expanded)
+                    calls[len(elements) - 1] = body
+                    elements.extend(body)
                     elements.append(
                         ReturningUserNode(
                             action.id,
@@ -198,26 +211,7 @@ def find_all_sequences(
     return sequences
 
 
-def _expand_call(index, bodies, instance_id, signature_id, elements, calls, chain, max_call_depth):
-    """Append the callee's body after the calling bracket that ends
-    ``elements``, record it and its nested calls in ``calls``, and return
-    how deeply calls nest inside it.
-
-    ``bodies`` holds each built body with its nested calls and depth.  One
-    that does not fit under ``max_call_depth`` is expanded again, so the
-    :class:`CallDepthError` names the same chain as a fresh expansion.
-    """
-    held = bodies.get((instance_id, signature_id))
-    if held is None or len(chain) + held[2] > max_call_depth:
-        held = _build_body(index, bodies, instance_id, signature_id, chain, max_call_depth)
-    body, body_calls, depth = held
-    calls[len(elements) - 1] = body
-    calls.update((len(elements) + offset, nested) for offset, nested in body_calls)
-    elements.extend(body)
-    return depth
-
-
-def _build_body(index, bodies, instance_id, signature_id, chain, max_call_depth):
+def _expand_call(index, instance_id, signature_id, elements, chain, max_call_depth):
     if len(chain) > max_call_depth:
         raise CallDepthError(
             f"call depth exceeded ({max_call_depth} nested calls): "
@@ -225,10 +219,7 @@ def _build_body(index, bodies, instance_id, signature_id, chain, max_call_depth)
             chain,
         )
     seff = index.seff_for(instance_id, signature_id)
-    body: list = []
-    calls: dict = {}
-    depth = 0
-    append = body.append
+    append = elements.append
     for action in seff.actions:
         if isinstance(action, VariableAction):  # the common case at scale
             append(SeffVariableNode(action.id, instance_id, action.assignments))
@@ -239,11 +230,9 @@ def _build_body(index, bodies, instance_id, signature_id, chain, max_call_depth)
                     action.id, instance_id, callee, action.signature_id, action.bindings
                 )
             )
-            nested = _expand_call(
-                index, bodies, callee, action.signature_id, body, calls,
-                chain + (action.id,), max_call_depth,
+            _expand_call(
+                index, callee, action.signature_id, elements, chain + (action.id,), max_call_depth
             )
-            depth = max(depth, nested + 1)
             append(
                 ReturningSeffNode(
                     action.id, instance_id, action.result_variable, action.result_assignments
@@ -253,5 +242,3 @@ def _build_body(index, bodies, instance_id, signature_id, chain, max_call_depth)
             append(SeffReturnNode(action.id, instance_id, action.assignments))
         else:  # anything else acts on variables
             append(SeffVariableNode(action.id, instance_id, action.assignments))
-    bodies[instance_id, signature_id] = held = (tuple(body), tuple(calls.items()), depth)
-    return held

@@ -25,7 +25,7 @@ result variable and its result-assignment targets.
 A callee frame holds only the bound parameters, so the deltas of a
 call's body and the frame it returns depend only on the body and the
 bound frame (Sharir & Pnueli 1981).  :func:`run_sequence` walks each
-such context once per memo and copies its summary into later calls.
+recorded context once per memo and copies its summary into later calls.
 """
 
 from __future__ import annotations
@@ -88,13 +88,14 @@ def run_sequence(elements, lower, calls=None, memo=None, spans=None) -> list[lis
 
     ``lower(assignments)`` returns the ops of an assignment tuple.  With
     ``calls`` (see :class:`flowcheck.extraction.ActionSequence`), ``memo``
-    keeps each call context's summary, and each outermost call's context
-    is appended to ``spans`` as ``(start, stop, body deltas)``, where the
-    body is ``elements[start:stop]``.
+    keeps the summary of each recorded call's context, which takes in
+    the calls nested in its body, and each recorded call is appended to
+    ``spans`` as ``(start, stop, body deltas)``, where the body is
+    ``elements[start:stop]``.  Recorded calls never nest.
     """
     stack: list[dict] = []
     deltas: list[list] = []
-    walking: dict = {}  # returning bracket index -> (memo key, body start)
+    walking = None  # (returning bracket index, memo key, body start)
     steps = enumerate(elements)
     for index, element in steps:
         effect = FRAME_EFFECTS.get(type(element))
@@ -120,27 +121,25 @@ def run_sequence(elements, lower, calls=None, memo=None, spans=None) -> list[lis
             stack.append(frame)
             body = calls.get(index) if calls else None
             if body is not None:
-                deltas.append(list(frame.items()))
                 key = (id(body), tuple(frame.items()))  # bound in binding order
                 summary = memo.get(key)
                 if summary is None:
-                    walking[index + 1 + len(body)] = (key, index + 1)
-                    continue
-                if not walking:
+                    walking = (index + 1 + len(body), key, index + 1)
+                else:
                     spans.append((index + 1, index + 1 + len(body), summary[0]))
-                deltas += summary[0]
-                stack[-1] = summary[1]
-                next(islice(steps, len(body), len(body)), None)  # skip the body
-                continue
+                    deltas.append(list(frame.items()))
+                    deltas += summary[0]
+                    stack[-1] = summary[1]
+                    next(islice(steps, len(body), len(body)), None)  # skip the body
+                    continue
         elif effect == POP_BIND:
             if len(stack) < 2:
                 raise PropagationError("sequence pops more frames than it pushed")
             returned = stack.pop()
-            if index in walking:
-                key, start = walking.pop(index)
+            if walking and walking[0] == index:
+                _, key, start = walking
                 memo[key] = summary = (deltas[start:], returned)
-                if not walking:
-                    spans.append((start, index, summary[0]))
+                spans.append((start, index, summary[0]))
             frame = stack[-1]
             if element.result_variable is not None:
                 frame[element.result_variable] = returned.get(RETURN_VARIABLE, 0)

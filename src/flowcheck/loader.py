@@ -597,27 +597,14 @@ def _action_data(action) -> dict:
             "id": action.id,
             "assignments": [a.text for a in action.assignments],
         }
-    if isinstance(action, ExternalCall):
-        data = {
-            "type": "call",
-            "id": action.id,
-            "role": action.role,
-            "signature": action.signature_id,
-            "bindings": dict(action.bindings),
-        }
-        if action.result_variable is not None:
-            data["result"] = action.result_variable
-        if action.result_assignments:
-            data["resultAssignments"] = [a.text for a in action.result_assignments]
-        return data
-    if isinstance(action, SystemCall):
-        data = {
-            "type": "call",
-            "id": action.id,
-            "instance": action.instance_id,
-            "signature": action.signature_id,
-            "bindings": dict(action.bindings),
-        }
+    if isinstance(action, (ExternalCall, SystemCall)):
+        data = {"type": "call", "id": action.id}
+        if isinstance(action, ExternalCall):
+            data["role"] = action.role
+        else:
+            data["instance"] = action.instance_id
+        data["signature"] = action.signature_id
+        data["bindings"] = dict(action.bindings)
         if action.result_variable is not None:
             data["result"] = action.result_variable
         if action.result_assignments:

@@ -267,8 +267,8 @@ class PropagatedSequence:
     ``sequence.elements``; bulk consumers read those directly.  The
     ``frames`` they replay to and the :class:`ElementResult` views in
     ``results`` are built on first access, and must be treated as read-only.
-    ``spans`` lists the kernel's outermost memoised calls, ``(start, stop,
-    body deltas)``: sequences that share a span's body deltas share its
+    ``spans`` lists the kernel's memoised user calls, ``(start, stop, body
+    deltas)``: sequences that share a span's body deltas share its
     elements, node masks and deltas.
     """
 

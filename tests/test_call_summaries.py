@@ -13,7 +13,7 @@ import pytest
 
 from flowcheck.constraints import parse_constraint, query_many
 from flowcheck.errors import CallDepthError
-from flowcheck.extraction import ActionSequence, find_all_sequences
+from flowcheck.extraction import ActionSequence, CallingUserNode, find_all_sequences
 from flowcheck.loader import load_model, model_from_data
 from flowcheck.oracle import oracle_propagate, oracle_query, random_constraints
 from flowcheck.propagation import evaluate_all, propagate
@@ -177,13 +177,29 @@ def test_shared_service_agrees_with_oracle(models_dir, geo_constraints_path):
     assert _reused_spans(engine) == 1  # refund repeats checkout's context
 
 
+def test_only_user_calls_are_recorded(models_dir):
+    """Calls nested in a body are walked inside its context, so ``calls``
+    and the spans hold the user-side calls only."""
+    models = [model_from_data(reused_context_model_data(seed)) for seed in range(100)]
+    models.append(load_model(models_dir / "shared_service.json"))
+    for model in models:
+        sequences = find_all_sequences(model)
+        for sequence, propagated in zip(sequences, evaluate_all(model, sequences)):
+            user_calls = [index for index, element in enumerate(sequence)
+                          if type(element) is CallingUserNode]
+            assert sorted(sequence.calls) == user_calls, sequence.scenario_id
+            assert [(lo, stop) for lo, stop, _ in propagated.spans] == [
+                (index + 1, index + 1 + len(sequence.calls[index])) for index in user_calls
+            ], sequence.scenario_id
+
+
 # ---------------------------------------------------------------------------
 # shared elements and the fallback without call records
 
 
 def test_sequences_share_callee_elements(models_dir):
     checkout, browse, refund = find_all_sequences(load_model(models_dir / "shared_service.json"))
-    assert checkout.calls.keys() == {2, 4}
+    assert checkout.calls.keys() == {2}
     body = checkout.calls[2]
     assert checkout.elements[3:3 + len(body)] == body
     for other in (browse, refund):

@@ -248,6 +248,18 @@ def test_bench_rejects_non_positive_reps(tmp_path, reps, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+def test_bench_rejects_non_positive_or_non_finite_timeout(tmp_path, timeout, capsys):
+    out_path = tmp_path / "bench.json"
+    code, out, err = run_cli(
+        ["bench", "--feature", "seff-parameters", "--sizes", "1", "--reps", "1",
+         "--timeout", timeout, "--out", out_path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --timeout needs a positive, finite number of seconds\n"
+    assert not out_path.exists()
+
+
 def test_bench_rejects_unknown_feature(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bench", "--feature", "nonsense", "--sizes", "1"])
