@@ -40,16 +40,15 @@ __all__ = ["DataFlowAnalysis", "Timings", "collector_paused", "run_pipeline"]
 class DataFlowAnalysis:
     """One model, analysed end to end."""
 
-    def __init__(self, model: ArchitectureModel, *, max_call_depth: int = 64):
+    def __init__(self, model: ArchitectureModel):
         self.model = model
-        self.max_call_depth = max_call_depth
 
     @classmethod
-    def from_file(cls, path, **kwargs) -> "DataFlowAnalysis":
-        return cls(load_model(path), **kwargs)
+    def from_file(cls, path) -> "DataFlowAnalysis":
+        return cls(load_model(path))
 
     def find_all_sequences(self) -> list[ActionSequence]:
-        return find_all_sequences(self.model, max_call_depth=self.max_call_depth)
+        return find_all_sequences(self.model)
 
     def evaluate_data_flows(self, sequences=None) -> list[PropagatedSequence]:
         """Propagate labels; extracts the sequences first when not given."""

@@ -14,7 +14,9 @@ identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from pathlib import Path
 
 from .analysis import DataFlowAnalysis, collector_paused, run_pipeline
 from .benchgen import BenchConfig, BenchFeature, run_bench, write_bench_json
@@ -115,6 +117,10 @@ def _cmd_bench(args) -> int:
         return _fail("error: --reps needs a positive integer")
     if not 0 < args.timeout < float("inf"):
         return _fail("error: --timeout needs a positive, finite number of seconds")
+    # checked before the first point, so that no measurement is thrown away
+    out = Path(args.out)
+    if out.is_dir() or not os.access(out if out.exists() else out.parent, os.W_OK):
+        return _fail(f"error: cannot write --out '{out}'")
     features = [BenchFeature(args.feature)] if args.feature else list(BenchFeature)
 
     def progress(result):

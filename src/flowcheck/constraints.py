@@ -16,15 +16,16 @@ allowed in constraints.
 
 Evaluation works purely on propagated results; checking any number of
 constraints never re-runs propagation.  A query walks each sequence's
-deltas (see :func:`flowcheck.kernel.run_sequence`) once per textual
-constraint, so it re-tests only the variables each assignment element
-writes and needs no frame; within one query the node and data terms
-each run once per distinct mask, and each memoised call context is
-matched once.
+deltas (see :func:`flowcheck.kernel.run_sequence`) part by part, once
+per textual constraint, so it re-tests only the variables each
+assignment element writes and needs no frame; within one query the node
+and data terms each run once per distinct mask, and each body's deltas,
+which stand for one call context, are matched once.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -237,66 +238,69 @@ def _scan(sequence_index, propagated, rows) -> None:
     however many elements or variables carry it.  Both tests are ``None``
     for a programmatic row, whose predicate sees every element result.
     """
-    elements = propagated.sequence.elements
     for name, node_ok, data_ok, data_has_refs, predicate, bucket, seen in rows:
         if data_has_refs:
             matches = _data_matches(propagated, node_ok, data_ok, seen)
         elif node_ok is None:
             matches = (
-                (element_index, ())
+                (element_index, result.element, ())
                 for element_index, result in enumerate(propagated.results)
                 if predicate(result.node_labels, result.variables)
             )
         elif data_ok[0]:
+            node_masks = chain.from_iterable(masks for masks, _ in propagated.parts)
             matches = (
-                (element_index, ())
-                for element_index, node_mask in enumerate(propagated.node_masks)
+                (element_index, element, ())
+                for element_index, (element, node_mask)
+                in enumerate(zip(propagated.sequence, node_masks))
                 if node_ok[node_mask]
             )
         else:
             continue
         bucket.extend(
-            Violation(name, sequence_index, element_index, elements[element_index].element_id, names)
-            for element_index, names in matches
+            Violation(name, sequence_index, element_index, element.element_id, names)
+            for element_index, element, names in matches
         )
 
 
 def _data_matches(propagated, node_ok, data_ok, seen):
-    """Yield (element index, sorted satisfying names) for a data term
-    with references.
+    """Yield (element index, element, sorted satisfying names) for a data
+    term with references.
 
-    What lies inside a span of ``propagated.spans`` depends only on its
-    body deltas, so ``seen`` keeps the matches of each, relative to its
-    start, with the body deltas, whose id thus stays theirs for the query.
-    No walk crosses a span's edge: the brackets around it hold whole frames.
+    What matches inside a body depends only on its deltas list, which the
+    kernel shares between the calls into one context, so ``seen`` keeps
+    the matches of each, relative to the body's start, with the list,
+    whose id thus stays its own for the query.  A body starts from the
+    whole frame of its calling bracket's delta, and the part after it
+    from its returning bracket's, so no walk reads another's state.
     """
     start = 0
-    for lo, stop, segment in propagated.spans:
-        yield from _walk(propagated, node_ok, data_ok, start, lo)
-        if id(segment) not in seen:
-            walk = _walk(propagated, node_ok, data_ok, lo, stop, propagated.deltas[lo - 1])
-            seen[id(segment)] = (segment, [(index - lo, names) for index, names in walk])
-        for offset, names in seen[id(segment)][1]:
-            yield lo + offset, names
-        start = stop
-    yield from _walk(propagated, node_ok, data_ok, start, len(propagated.deltas))
+    frame = ()  # the whole top frame before the part
+    for n, (elements, (masks, deltas)) in enumerate(
+        zip(propagated.sequence.parts, propagated.parts)
+    ):
+        if n % 2 == 0:
+            yield from _walk(elements, masks, deltas, node_ok, data_ok, frame, start)
+        else:
+            if id(deltas) not in seen:
+                seen[id(deltas)] = (deltas, list(_walk(elements, masks, deltas, node_ok, data_ok, frame)))
+            for offset, element, names in seen[id(deltas)][1]:
+                yield start + offset, element, names
+        start += len(elements)
+        frame = deltas[-1] if n % 2 == 0 and deltas else ()
 
 
-def _walk(propagated, node_ok, data_ok, start, stop, frame=()):
-    """Match the elements ``start:stop``, re-testing only what each
-    element writes, from the whole top ``frame`` before them.
+def _walk(elements, masks, deltas, node_ok, data_ok, frame=(), start=0):
+    """Match the elements of one part, numbered from ``start``, re-testing
+    only what each element writes, from the whole top ``frame`` before them.
 
     The walk keeps the set of variables in the top frame that satisfy
-    the term and reads ``propagated.deltas``: an APPLY delta re-tests
-    the variables it writes, and any other delta is the whole new top
-    frame, so the set is rebuilt from it.
+    the term: an APPLY delta re-tests the variables it writes, and any
+    other delta is the whole new top frame, so the set is rebuilt from it.
     """
-    node_masks = propagated.node_masks
     satisfying = {var for var, mask in frame if data_ok[mask]}
     names = None  # sorted ``satisfying``; None while stale
-    for element_index, (element, delta) in enumerate(
-        zip(propagated.sequence.elements[start:stop], propagated.deltas[start:stop]), start
-    ):
+    for element_index, (element, node_mask, delta) in enumerate(zip(elements, masks, deltas), start):
         if FRAME_EFFECTS[type(element)] == APPLY:
             for var, mask in delta:
                 if data_ok[mask] != (var in satisfying):
@@ -305,10 +309,10 @@ def _walk(propagated, node_ok, data_ok, start, stop, frame=()):
         else:
             satisfying = {var for var, mask in delta if data_ok[mask]}
             names = None
-        if satisfying and node_ok[node_masks[element_index]]:
+        if satisfying and node_ok[node_mask]:
             if names is None:
                 names = tuple(sorted(satisfying))
-            yield element_index, names
+            yield element_index, element, names
 
 
 def _rows_for(constraints, out: dict[str, list[Violation]]):

@@ -1,14 +1,14 @@
-"""Expand usage scenarios into flat, immutable action sequences.
+"""Expand usage scenarios into immutable action sequences.
 
 Every possible data flow through the architecture is represented as one
 ordered list of sequence elements.  A call is flattened into a calling
 bracket node, the callee's own elements, and a returning bracket node,
 so calling and returning nodes always pair up like balanced parentheses.
-Each scenario contributes one sequence.  The callee elements of a user
-call to one (instance, signature) pair, nested calls expanded in place,
-are built once per extraction, as a tuple called its body, and spliced
-into every sequence that makes that call, so sequences share those
-element objects; ``calls`` records which body follows each user call.
+Each scenario contributes one sequence, held as parts: runs of the
+scenario's own elements, each but the last ending with a user call's
+calling bracket, and between them the body of that call, nested calls
+expanded in place.  A body is built once per extraction for its
+(instance, signature) pair, and every sequence making the call holds it.
 
 Sequence elements are tuple-backed records: they are constructed in
 bulk, one per expanded action, so construction cost matters on large
@@ -17,16 +17,18 @@ models, and being tuples makes them genuinely immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
 from typing import Iterator, NamedTuple
 
 from .errors import CallDepthError, ExtractionError, UnknownElementError
 from .model import (
+    DEFAULT_MAX_CALL_DEPTH,
     ArchitectureModel,
     ExternalCall,
     ReturnAction,
     SystemCall,
     VariableAction,
+    call_depth_message,
     index_of,
 )
 
@@ -43,8 +45,6 @@ __all__ = [
     "find_all_sequences",
     "DEFAULT_MAX_CALL_DEPTH",
 ]
-
-DEFAULT_MAX_CALL_DEPTH = 64
 
 
 class UserStart(NamedTuple):
@@ -126,98 +126,87 @@ class SeffReturnNode(NamedTuple):
     kind = "SeffReturnNode"
 
 
-@dataclass(frozen=True, slots=True)
 class ActionSequence:
     """One complete data flow: an ordered, immutable list of elements.
 
-    ``calls`` maps the index of each user-side calling bracket to the
-    shared body that follows it, up to its returning bracket; nested
-    calls are not recorded.  It takes no part in equality, hashing or
-    ``repr``, and a hand-built sequence may leave it empty.
+    ``parts`` holds the elements in order; each odd part is the shared
+    body of the user call that ends the part before it.  A hand-built
+    sequence may be one part holding every element.  ``elements`` is
+    built on first access; equality, hashing and ``repr`` see it.
     """
 
-    scenario_id: str
-    elements: tuple
-    calls: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("scenario_id", "parts", "_elements")
+
+    def __init__(self, scenario_id: str, parts):
+        self.scenario_id = scenario_id
+        self.parts = tuple(parts)
+        self._elements = None
+
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            self._elements = tuple(itertools.chain.from_iterable(self.parts))
+        return self._elements
 
     def __iter__(self) -> Iterator:
-        return iter(self.elements)
+        return itertools.chain.from_iterable(self.parts)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return sum(map(len, self.parts))
 
     def __getitem__(self, index):
         return self.elements[index]
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ActionSequence) and (
+            self.scenario_id, self.elements) == (other.scenario_id, other.elements)
 
-def find_all_sequences(
-    model: ArchitectureModel, *, max_call_depth: int = DEFAULT_MAX_CALL_DEPTH
-) -> list[ActionSequence]:
+    def __hash__(self) -> int:
+        return hash((self.scenario_id, self.elements))
+
+    def __repr__(self) -> str:
+        return f"ActionSequence(scenario_id={self.scenario_id!r}, elements={self.elements!r})"
+
+
+def find_all_sequences(model: ArchitectureModel) -> list[ActionSequence]:
     """Extract one action sequence per usage scenario, in document order.
 
-    Cyclic call structures are cut off after ``max_call_depth`` nested
-    calls with a :class:`CallDepthError`.
+    Calls nested deeper than :data:`DEFAULT_MAX_CALL_DEPTH` raise a
+    :class:`CallDepthError`, in models the loader has not checked.
     """
     index = index_of(model)
     bodies: dict = {}  # (instance, signature) -> body
     sequences = []
     for scenario in model.scenarios:
-        elements: list = [UserStart(scenario.id, scenario.id)]
-        calls: dict = {}
+        parts: list = []
+        run: list = [UserStart(scenario.id, scenario.id)]
         try:
             for action in scenario.actions:
-                if isinstance(action, SystemCall):
-                    elements.append(
-                        CallingUserNode(
-                            action.id,
-                            scenario.id,
-                            action.instance_id,
-                            action.signature_id,
-                            action.bindings,
-                        )
-                    )
-                    key = (action.instance_id, action.signature_id)
-                    body = bodies.get(key)
-                    if body is None:
-                        # built at call depth one, as every user call is,
-                        # so a body that fits once fits at every call
-                        expanded: list = []
-                        _expand_call(
-                            index,
-                            action.instance_id,
-                            action.signature_id,
-                            expanded,
-                            (action.id,),
-                            max_call_depth,
-                        )
-                        body = bodies[key] = tuple(expanded)
-                    calls[len(elements) - 1] = body
-                    elements.extend(body)
-                    elements.append(
-                        ReturningUserNode(
-                            action.id,
-                            scenario.id,
-                            action.result_variable,
-                            action.result_assignments,
-                        )
-                    )
-                else:
-                    elements.append(
-                        UserVariableNode(action.id, scenario.id, action.assignments)
-                    )
+                if not isinstance(action, SystemCall):
+                    run.append(UserVariableNode(action.id, scenario.id, action.assignments))
+                    continue
+                run.append(CallingUserNode(action.id, scenario.id, action.instance_id,
+                                           action.signature_id, action.bindings))
+                key = (action.instance_id, action.signature_id)
+                if key not in bodies:
+                    # built at call depth one, as every user call is, so a
+                    # body that fits once fits at every call
+                    expanded: list = []
+                    _expand_call(index, *key, expanded, (action.id,))
+                    bodies[key] = tuple(expanded)
+                parts += (tuple(run), bodies[key])
+                run = [ReturningUserNode(action.id, scenario.id, action.result_variable,
+                                         action.result_assignments)]
         except UnknownElementError as exc:
             raise ExtractionError(f"scenario '{scenario.id}': {exc}") from None
-        sequences.append(ActionSequence(scenario.id, tuple(elements), calls))
+        parts.append(tuple(run))
+        sequences.append(ActionSequence(scenario.id, parts))
     return sequences
 
 
-def _expand_call(index, instance_id, signature_id, elements, chain, max_call_depth):
-    if len(chain) > max_call_depth:
-        raise CallDepthError(
-            f"call depth exceeded ({max_call_depth} nested calls): "
-            + " -> ".join(chain),
-            chain,
-        )
+def _expand_call(index, instance_id, signature_id, elements, chain):
+    if len(chain) > DEFAULT_MAX_CALL_DEPTH:
+        raise CallDepthError(call_depth_message(chain), chain)
     seff = index.seff_for(instance_id, signature_id)
     append = elements.append
     for action in seff.actions:
@@ -230,9 +219,7 @@ def _expand_call(index, instance_id, signature_id, elements, chain, max_call_dep
                     action.id, instance_id, callee, action.signature_id, action.bindings
                 )
             )
-            _expand_call(
-                index, callee, action.signature_id, elements, chain + (action.id,), max_call_depth
-            )
+            _expand_call(index, callee, action.signature_id, elements, chain + (action.id,))
             append(
                 ReturningSeffNode(
                     action.id, instance_id, action.result_variable, action.result_assignments

@@ -17,20 +17,18 @@ another variable's mask shares that int instead of copying it.
 All ops of one element read the frame state from before the element,
 while writes land in declaration order, so later assignments win on
 conflicting targets.  :func:`run_sequence` returns one delta per
-element, a list of ``(variable, mask)`` pairs: an APPLY delta holds the
-variables the element writes, any other the whole new top frame.  So a
-POP_BIND delta holds the whole caller frame; its own writes are its
-result variable and its result-assignment targets.
+element: an APPLY delta is a list of the ``(variable, mask)`` pairs the
+element writes, any other delta the whole new top frame as a tuple of
+pairs.  So a POP_BIND delta holds the whole caller frame; its own writes
+are its result variable and its result-assignment targets.
 
 A callee frame holds only the bound parameters, so the deltas of a
 call's body and the frame it returns depend only on the body and the
 bound frame (Sharir & Pnueli 1981).  :func:`run_sequence` walks each
-recorded context once per memo and copies its summary into later calls.
+such context once per memo, and later calls get its deltas list itself.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 from .errors import PropagationError
 from .extraction import (
@@ -83,26 +81,43 @@ def assign(frame: dict, ops) -> list:
     return list({op[0]: frame[op[0]] for op in ops}.items())
 
 
-def run_sequence(elements, lower, calls=None, memo=None, spans=None) -> list[list]:
-    """Walk the elements and return one delta per element.
+def run_sequence(parts, lower, memo=None) -> list[list]:
+    """Walk a sequence's parts (see :class:`flowcheck.extraction.ActionSequence`)
+    and return their deltas, one list per part.
 
-    ``lower(assignments)`` returns the ops of an assignment tuple.  With
-    ``calls`` (see :class:`flowcheck.extraction.ActionSequence`), ``memo``
-    keeps the summary of each recorded call's context, which takes in
-    the calls nested in its body, and each recorded call is appended to
-    ``spans`` as ``(start, stop, body deltas)``, where the body is
-    ``elements[start:stop]``.  Recorded calls never nest.
+    ``lower(assignments)`` returns the ops of an assignment tuple.  A
+    body's summary in ``memo`` is keyed by the body and the delta of the
+    calling bracket before it, which is the bound frame.
     """
+    memo = {} if memo is None else memo
     stack: list[dict] = []
-    deltas: list[list] = []
-    walking = None  # (returning bracket index, memo key, body start)
-    steps = enumerate(elements)
-    for index, element in steps:
+    out: list[list] = []
+    for n, part in enumerate(parts):
+        if n % 2 == 0:
+            out.append(_walk(part, lower, stack))
+            continue
+        previous = parts[n - 1]
+        if not previous or FRAME_EFFECTS.get(type(previous[-1])) != CALL:
+            raise PropagationError("a shared body must follow a calling bracket")
+        key = (id(part), out[-1][-1])
+        summary = memo.get(key)
+        if summary is None:
+            summary = memo[key] = (_walk(part, lower, stack), stack[-1])
+        else:
+            stack[-1] = summary[1]
+        out.append(summary[0])
+    return out
+
+
+def _walk(elements, lower, stack) -> list:
+    deltas: list = []
+    append = deltas.append
+    for element in elements:
         effect = FRAME_EFFECTS.get(type(element))
         if effect == APPLY:
             if not stack:
                 raise PropagationError("no active frame")
-            deltas.append(assign(stack[-1], lower(element.assignments)))
+            append(assign(stack[-1], lower(element.assignments)))
             continue
         if effect == PUSH:
             stack.append({})
@@ -119,27 +134,10 @@ def run_sequence(elements, lower, calls=None, memo=None, spans=None) -> list[lis
                         f"call binds parameter '{param}' to missing variable '{var}'"
                     ) from None
             stack.append(frame)
-            body = calls.get(index) if calls else None
-            if body is not None:
-                key = (id(body), tuple(frame.items()))  # bound in binding order
-                summary = memo.get(key)
-                if summary is None:
-                    walking = (index + 1 + len(body), key, index + 1)
-                else:
-                    spans.append((index + 1, index + 1 + len(body), summary[0]))
-                    deltas.append(list(frame.items()))
-                    deltas += summary[0]
-                    stack[-1] = summary[1]
-                    next(islice(steps, len(body), len(body)), None)  # skip the body
-                    continue
         elif effect == POP_BIND:
             if len(stack) < 2:
                 raise PropagationError("sequence pops more frames than it pushed")
             returned = stack.pop()
-            if walking and walking[0] == index:
-                _, key, start = walking
-                memo[key] = summary = (deltas[start:], returned)
-                spans.append((start, index, summary[0]))
             frame = stack[-1]
             if element.result_variable is not None:
                 frame[element.result_variable] = returned.get(RETURN_VARIABLE, 0)
@@ -149,7 +147,7 @@ def run_sequence(elements, lower, calls=None, memo=None, spans=None) -> list[lis
             raise PropagationError(
                 f"unknown sequence element kind {type(element).__name__}"
             )
-        deltas.append(list(stack[-1].items()))
+        append(tuple(stack[-1].items()))
     return deltas
 
 

@@ -12,7 +12,9 @@ Action records are the one part of the graph constructed in bulk
 rather than frozen dataclasses: construction is a C-level tuple fill.
 
 ``validate_model`` makes the cross-reference checks and returns one
-message per defect instead of stopping at the first.
+message per defect instead of stopping at the first.  Among them is the
+call depth: extraction expands calls at most ``DEFAULT_MAX_CALL_DEPTH``
+deep, so a model that would need more is refused when it is loaded.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .labels import DataDictionary, LabelSet
 
 __all__ = [
     "RETURN_VARIABLE",
+    "DEFAULT_MAX_CALL_DEPTH",
+    "call_depth_message",
     "Assignment",
     "assignment_from_text",
     "clear_parse_cache",
@@ -51,6 +55,15 @@ __all__ = [
 
 # Reserved variable carrying a callee's return data across the call boundary.
 RETURN_VARIABLE = "RETURN"
+
+# Nested calls that extraction expands; deeper chains are cut off.
+DEFAULT_MAX_CALL_DEPTH = 64
+
+
+def call_depth_message(chain) -> str:
+    """Why a call chain past the depth limit is refused; ``chain`` holds
+    the ids of the calls, the user call first."""
+    return f"call depth exceeded ({DEFAULT_MAX_CALL_DEPTH} nested calls): " + " -> ".join(chain)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -399,6 +412,8 @@ def validate_model(model: ArchitectureModel) -> list[str]:
         if container_id not in index.containers:
             defects.append(f"{where}: unknown container '{container_id}'")
 
+    depths: dict = {}
+    too_deep: set = set()
     for scenario in model.scenarios:
         for action in scenario.actions:
             if not isinstance(action, SystemCall):
@@ -415,5 +430,38 @@ def validate_model(model: ArchitectureModel) -> list[str]:
                     f"signature '{action.signature_id}'"
                 )
             check_call(where, action)
+            # one defect per (instance, signature) pair nested too deeply
+            pair = (instance.id, action.signature_id)
+            tail = None if pair in too_deep else _too_deep(index, depths, *pair, 1)
+            if tail is not None:
+                too_deep.add(pair)
+                defects.append(f"{where}: " + call_depth_message((action.id,) + tail))
 
     return defects
+
+
+def _too_deep(index: ModelIndex, memo: dict, instance_id, signature_id, depth):
+    """The ids of the calls below the pair that lead past the depth limit
+    first, or None when the pair's expansion fits at call depth ``depth``.
+
+    The walk follows the calls that resolve in extraction's order, so it
+    names the chain that extraction stops at.  ``memo`` keeps the answer
+    per pair and depth, and each step goes one call deeper, so the walk
+    ends on a cycle too and enters each pair at most once per depth.
+    """
+    if depth > DEFAULT_MAX_CALL_DEPTH:
+        return ()
+    key = (instance_id, signature_id, depth)
+    if key not in memo:
+        memo[key] = None
+        instance = index.instances.get(instance_id)
+        seff = instance and index.seffs.get((instance.component_id, signature_id))
+        for action in seff.actions if seff else ():
+            if not isinstance(action, ExternalCall):
+                continue
+            target = index.connectors.get((instance_id, action.role))
+            tail = target and _too_deep(index, memo, target, action.signature_id, depth + 1)
+            if tail is not None:
+                memo[key] = (action.id,) + tail
+                break
+    return memo[key]

@@ -14,10 +14,11 @@ whole label set, a ``v.Type.*`` target replaces exactly that type's
 labels and leaves the rest untouched.  A reference to a variable that is
 not in scope simply evaluates to false.
 
-The kernel (:mod:`flowcheck.kernel`) walks a sequence's elements and
-returns what each changes in the visible frame, so later queries never
-re-run the propagation; the sequences of one analysis share its call
-summaries.  Each assignment lowers here, once per distinct
+The kernel (:mod:`flowcheck.kernel`) walks a sequence's parts and
+returns what each element changes in the visible frame, so later
+queries never re-run the propagation; the sequences of one analysis
+share the deltas of each call context and the node masks of each body.
+Each assignment lowers here, once per distinct
 assignment tuple, to one kernel op that keeps the target's bits outside the
 assigned region and ors in the new ones.  Its value is an int when the
 term folds to a constant, and otherwise a closure over the frame state
@@ -31,6 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, islice
 
 from . import kernel, terms
 from .errors import DictionaryError
@@ -262,26 +264,20 @@ class ElementResult:
 class PropagatedSequence:
     """An action sequence together with one result per element.
 
-    The canonical state is two parallel arrays, ``node_masks`` and
-    ``deltas`` (see :mod:`flowcheck.kernel`), aligned with
-    ``sequence.elements``; bulk consumers read those directly.  The
-    ``frames`` they replay to and the :class:`ElementResult` views in
-    ``results`` are built on first access, and must be treated as read-only.
-    ``spans`` lists the kernel's memoised user calls, ``(start, stop, body
-    deltas)``: sequences that share a span's body deltas share its
-    elements, node masks and deltas.
+    The canonical state is ``parts``: the node masks and the deltas (see
+    :mod:`flowcheck.kernel`) of each part of ``sequence.parts``.  The flat
+    ``node_masks`` and ``deltas``, the ``frames`` they replay to and the
+    :class:`ElementResult` views in ``results`` are built on first
+    access, and must be treated as read-only.
     """
 
-    __slots__ = ("sequence", "node_masks", "deltas", "spans", "_dictionary", "_frames", "_results")
+    __slots__ = ("sequence", "parts", "_dictionary", "_node_masks", "_deltas", "_frames", "_results")
 
-    def __init__(self, sequence: ActionSequence, node_masks, deltas, dictionary, spans=()):
+    def __init__(self, sequence: ActionSequence, parts, dictionary):
         self.sequence = sequence
-        self.node_masks = tuple(node_masks)
-        self.deltas = tuple(deltas)
-        self.spans = tuple(spans)
+        self.parts = tuple(parts)
         self._dictionary = dictionary
-        self._frames = None
-        self._results = None
+        self._node_masks = self._deltas = self._frames = self._results = None
 
     @classmethod
     def from_results(cls, sequence: ActionSequence, results) -> "PropagatedSequence":
@@ -289,17 +285,34 @@ class PropagatedSequence:
         frame serving as its element's delta."""
         results = tuple(results)
         dictionary = results[0]._dictionary if results else None
-        frames = tuple(r._frame for r in results)
-        self = cls(sequence, [r._node_mask for r in results],
-                   [list(frame.items()) for frame in frames], dictionary)
-        self._frames = frames
+        each = iter(results)
+        chunks = (tuple(islice(each, len(part))) for part in sequence.parts)
+        self = cls(sequence, [([r._node_mask for r in chunk], [tuple(r._frame.items()) for r in chunk])
+                              for chunk in chunks], dictionary)
+        self._frames = tuple(r._frame for r in results)
         self._results = results
         return self
+
+    def _each(self, field: int):
+        """Iterate the node masks (``field`` 0) or the deltas (1) of every part."""
+        return chain.from_iterable(part[field] for part in self.parts)
+
+    @property
+    def node_masks(self) -> tuple:
+        if self._node_masks is None:
+            self._node_masks = tuple(self._each(0))
+        return self._node_masks
+
+    @property
+    def deltas(self) -> tuple:
+        if self._deltas is None:
+            self._deltas = tuple(self._each(1))
+        return self._deltas
 
     @property
     def frames(self) -> tuple[dict, ...]:
         if self._frames is None:
-            self._frames = tuple(kernel.replay(self.sequence.elements, self.deltas))
+            self._frames = tuple(kernel.replay(self.sequence, self._each(1)))
         return self._frames
 
     @property
@@ -309,13 +322,10 @@ class PropagatedSequence:
     @property
     def results(self) -> tuple[ElementResult, ...]:
         if self._results is None:
-            elements = self.sequence.elements
-            node_masks = self.node_masks
-            frames = self.frames
             dictionary = self._dictionary
             self._results = tuple(
-                ElementResult(elements[i], node_masks[i], frames[i], dictionary)
-                for i in range(len(elements))
+                ElementResult(element, node_mask, frame, dictionary)
+                for element, node_mask, frame in zip(self.sequence, self._each(0), self.frames)
             )
         return self._results
 
@@ -323,7 +333,7 @@ class PropagatedSequence:
         return iter(self.results)
 
     def __len__(self) -> int:
-        return len(self.node_masks)
+        return sum(len(masks) for masks, _ in self.parts)
 
     def __getitem__(self, index):
         return self.results[index]
@@ -339,7 +349,7 @@ class PropagatedSequence:
         )
 
     def __repr__(self) -> str:
-        return f"PropagatedSequence({self.sequence.scenario_id!r}, {len(self.node_masks)} elements)"
+        return f"PropagatedSequence({self.sequence.scenario_id!r}, {len(self)} elements)"
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +366,9 @@ def propagate(model: ArchitectureModel, sequence: ActionSequence, memo=None) -> 
     global _run_count
     dictionary = model.dictionary
     memo = {} if memo is None else memo
-    spans: list = []
     # the walk comes first, so an element of unknown kind is reported as
     # such before its node is looked up
-    deltas = kernel.run_sequence(
-        sequence.elements, partial(_lower_program, dictionary), sequence.calls, memo, spans
-    )
+    deltas = kernel.run_sequence(sequence.parts, partial(_lower_program, dictionary), memo)
     index = index_of(model)
     user_mask = index.scenario(sequence.scenario_id).user_labels.mask
 
@@ -371,17 +378,17 @@ def propagate(model: ArchitectureModel, sequence: ActionSequence, memo=None) -> 
             for element in elements
         ]
 
-    masks: list = []
-    start = 0
-    for lo, stop, _ in spans:
-        body = sequence.calls[lo - 1]
-        if id(body) not in memo:  # a body holds no user-side element
-            memo[id(body)] = masks_of(body)
-        masks += masks_of(sequence.elements[start:lo]) + memo[id(body)]
-        start = stop
-    masks += masks_of(sequence.elements[start:])
+    parts = []
+    for n, (elements, part_deltas) in enumerate(zip(sequence.parts, deltas)):
+        if n % 2:  # a body holds no user-side element
+            masks = memo.get(id(elements))
+            if masks is None:
+                masks = memo[id(elements)] = masks_of(elements)
+        else:
+            masks = masks_of(elements)
+        parts.append((masks, part_deltas))
     _run_count += 1
-    return PropagatedSequence(sequence, masks, deltas, dictionary, spans)
+    return PropagatedSequence(sequence, parts, dictionary)
 
 
 def evaluate_all(model: ArchitectureModel, sequences) -> list[PropagatedSequence]:

@@ -1,6 +1,7 @@
 """The high-level facade tying loading, extraction, and queries together."""
 
 import gc
+import json
 
 import pytest
 
@@ -11,6 +12,8 @@ from flowcheck.constraints import load_constraints, parse_constraint
 from flowcheck.errors import ModelLoadError
 from flowcheck.loader import load_model, load_model_text, model_to_json
 from flowcheck.oracle import random_constraints, random_small_model
+
+from conftest import call_chain_model_data
 
 GEO = ("VIOLATION geo WHERE node.ServerLocation.nonEU "
        "AND DATA data.DataSensitivity.Personal & !data.Encryption.Encrypted")
@@ -49,11 +52,11 @@ def test_query_data_flow_accepts_constraint_and_callable(shop_no_encrypt_path):
     assert all(v.constraint_name == "off_eu" for v in hits)
 
 
-def test_max_call_depth_forwarded(shop_path):
-    run = DataFlowAnalysis.from_file(shop_path, max_call_depth=1)
-    from flowcheck.errors import CallDepthError
-    with pytest.raises(CallDepthError):
-        run.find_all_sequences()
+def test_deep_call_chain_refused_at_load(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(call_chain_model_data(70)))
+    with pytest.raises(ModelLoadError, match=r"call depth exceeded \(64 nested calls\)"):
+        DataFlowAnalysis.from_file(path)
 
 
 def test_empty_document_is_a_valid_empty_model(tmp_path):

@@ -15,6 +15,8 @@ from flowcheck.loader import load_model
 from flowcheck.oracle import oracle_query
 from flowcheck.terms import MAX_NESTING
 
+from conftest import call_chain_model_data
+
 
 def run_cli(args, capsys):
     code = main([str(a) for a in args])
@@ -174,6 +176,42 @@ def test_validate_too_deeply_nested_term_is_a_defect(model_data, tmp_path, capsy
     assert out.rstrip().endswith("defect(s)")
 
 
+@pytest.mark.parametrize("levels", [64, 65, 70, "cycle", "second-call"])
+def test_validate_accepts_what_analyze_processes(levels, tmp_path, capsys):
+    """A call chain up to the depth limit loads and analyses; one past
+    it, or a reachable cycle, is a defect for both commands, also when
+    the call that goes too deep follows one that fits."""
+    if levels == "cycle":
+        document = call_chain_model_data(3)
+        document["components"][2]["seffs"]["c2.run"].insert(1, {
+            "type": "call", "id": "c2.call", "role": "next",
+            "signature": "c0.run", "bindings": {"p": "x"}})
+        document["assembly"]["connectors"].append(
+            {"instance": "i2", "role": "next", "target": "i0"})
+    elif levels == "second-call":
+        document = call_chain_model_data(65)
+        document["components"][0]["seffs"]["c0.run"].insert(1, {
+            "type": "call", "id": "c0.leaf", "role": "leaf",
+            "signature": "c64.run", "bindings": {"p": "x"}})
+        document["assembly"]["connectors"].append(
+            {"instance": "i0", "role": "leaf", "target": "i64"})
+    else:
+        document = call_chain_model_data(levels)
+    path = tmp_path / "calls.json"
+    path.write_text(json.dumps(document))
+    validated = run_cli(["validate", path], capsys)
+    analysed = run_cli(["analyze", path], capsys)
+    if levels == 64:
+        assert validated == (0, "OK\n", "")
+        assert analysed == (0, "TOTAL 0 violations\n", "")
+        return
+    assert validated[0] == analysed[0] == 2
+    defect = validated[1].splitlines()[0]
+    assert defect.startswith("scenario 'u0', action 'u0.call': call depth exceeded (64 nested calls): ")
+    assert validated[1].splitlines()[1:] == ["1 defect(s)"]
+    assert analysed[2] == f"{defect}\nerror: cannot load model '{path}'\n"
+
+
 def test_validate_reports_unbound_parameter(tmp_path, capsys):
     # s1's seff passes q on, but the scenario binds only p: the analysis
     # would fail on the missing variable, so validate must refuse it too
@@ -258,6 +296,27 @@ def test_bench_rejects_non_positive_or_non_finite_timeout(tmp_path, timeout, cap
     assert out == ""
     assert err == "error: --timeout needs a positive, finite number of seconds\n"
     assert not out_path.exists()
+
+
+def test_bench_refuses_out_in_a_missing_directory(tmp_path, monkeypatch, capsys):
+    out_path = tmp_path / "missing" / "bench.json"
+    monkeypatch.setattr(cli, "run_bench", None)  # no point may run
+    code, out, err = run_cli(
+        ["bench", "--feature", "seff-parameters", "--sizes", "1", "--reps", "1",
+         "--out", out_path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write --out '{out_path}'\n"
+
+
+def test_bench_refuses_a_directory_as_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_bench", None)  # no point may run
+    code, out, err = run_cli(
+        ["bench", "--feature", "seff-parameters", "--sizes", "1", "--reps", "1",
+         "--out", tmp_path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write --out '{tmp_path}'\n"
 
 
 def test_bench_rejects_unknown_feature(capsys):

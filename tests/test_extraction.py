@@ -2,7 +2,7 @@
 
 import pytest
 
-from flowcheck.errors import CallDepthError, ExtractionError
+from flowcheck.errors import CallDepthError, ExtractionError, ModelLoadError
 from flowcheck.extraction import (
     DEFAULT_MAX_CALL_DEPTH,
     ActionSequence,
@@ -19,7 +19,7 @@ from flowcheck.extraction import (
 from flowcheck.loader import load_model, model_from_data
 from flowcheck.oracle import random_small_model
 
-from conftest import minimal_model_data
+from conftest import minimal_model_data, unchecked_model
 
 
 def test_default_depth_limit():
@@ -149,17 +149,35 @@ def cyclic_model_data():
 
 
 def test_cyclic_calls_hit_depth_limit():
-    model = model_from_data(cyclic_model_data())
+    # the loader refuses the cycle, so build the model without its checks
+    model = unchecked_model(cyclic_model_data())
     with pytest.raises(CallDepthError) as info:
         find_all_sequences(model)
     assert "call depth exceeded" in str(info.value)
     assert info.value.call_chain  # names the offending chain
 
 
-def test_max_call_depth_is_configurable():
-    model = model_from_data(cyclic_model_data())
-    with pytest.raises(CallDepthError, match=r"\(3 nested calls\)"):
-        find_all_sequences(model, max_call_depth=3)
+def test_cyclic_chain_stops_at_the_limit():
+    with pytest.raises(CallDepthError, match=r"\(64 nested calls\)") as info:
+        find_all_sequences(unchecked_model(cyclic_model_data()))
+    chain = info.value.call_chain
+    assert len(chain) == DEFAULT_MAX_CALL_DEPTH + 1
+    assert chain[:4] == ("u0", "a0", "b0", "a0")
+
+
+def test_loader_refuses_a_reachable_cycle():
+    with pytest.raises(ModelLoadError) as info:
+        model_from_data(cyclic_model_data())
+    chain = " -> ".join(["u0"] + ["a0", "b0"] * 32)
+    assert info.value.defects == (
+        f"scenario 'scn', action 'u0': call depth exceeded (64 nested calls): {chain}",
+    )
+
+
+def test_loader_ignores_an_unreachable_cycle():
+    data = cyclic_model_data()
+    data["usageScenarios"][0]["actions"] = []
+    assert find_all_sequences(model_from_data(data))[0].parts == ((UserStart("scn", "scn"),),)
 
 
 def test_extraction_error_names_scenario(model_data):

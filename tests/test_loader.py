@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import minimal_model_data
 from flowcheck.errors import ModelLoadError
+from flowcheck.extraction import find_all_sequences
 from flowcheck.loader import (
     load_model,
     load_model_text,
@@ -15,6 +16,7 @@ from flowcheck.loader import (
     save_model,
     serialize_model,
 )
+from flowcheck.propagation import evaluate_all
 
 
 def defects_of(data):
@@ -216,6 +218,13 @@ _json_values = st.recursive(
 @given(st.lists(st.tuples(st.sampled_from(list(_paths(minimal_model_data()))), _json_values),
                 min_size=1, max_size=3))
 def test_mutated_document_loads_or_raises_model_load_error(edits):
+    try:
+        model_from_data(_mutated(edits))
+    except ModelLoadError:
+        pass
+
+
+def _mutated(edits):
     data = {"doc": minimal_model_data()}
     for path, value in edits:
         path = ("doc",) + path
@@ -226,10 +235,19 @@ def test_mutated_document_loads_or_raises_model_load_error(edits):
             node[path[-1]] = value
         except (KeyError, IndexError, TypeError):
             pass  # an earlier edit replaced this part of the document
+    return data["doc"]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(_paths(minimal_model_data()))), _json_values),
+                min_size=1, max_size=3))
+def test_mutated_document_that_loads_can_be_analysed(edits):
+    """Whatever the loader accepts, extraction and propagation process."""
     try:
-        model_from_data(data["doc"])
+        model = model_from_data(_mutated(edits))
     except ModelLoadError:
-        pass
+        return
+    evaluate_all(model, find_all_sequences(model))
 
 
 def test_model_load_error_str(model_data):

@@ -9,6 +9,7 @@ from flowcheck.extraction import (
     ActionSequence,
     CallingUserNode,
     ReturningUserNode,
+    SeffVariableNode,
     UserStart,
     UserVariableNode,
     find_all_sequences,
@@ -294,7 +295,7 @@ def test_propagated_sequence_equality(model_data):
     a = propagate(model, seq)
     b = propagate(model, seq)
     assert a == b
-    assert a != PropagatedSequence(seq, a.node_masks[:-1], a.deltas[:-1],
+    assert a != PropagatedSequence(seq, [(a.node_masks[:-1], a.deltas[:-1])],
                                    model.dictionary)
 
 
@@ -322,20 +323,20 @@ def _no_ops(assignments):
 
 
 def test_kernel_push_snapshots_empty_frame():
-    assert kernel.run_sequence((UserStart("s", "s"),), _no_ops) == [[]]
+    assert kernel.run_sequence([(UserStart("s", "s"),)], _no_ops) == [[()]]
 
 
 def test_kernel_rejects_apply_without_frame():
     apply = UserVariableNode("a", "s", ())
     with pytest.raises(PropagationError, match="no active frame"):
-        kernel.run_sequence((apply,), _no_ops)
+        kernel.run_sequence([(apply,)], _no_ops)
 
 
 def test_kernel_rejects_unbalanced_pops():
     # one UserStart cannot satisfy a return
     elements = (UserStart("s", "s"), ReturningUserNode("r", "s", None, ()))
     with pytest.raises(PropagationError, match="pops more frames than it pushed"):
-        kernel.run_sequence(elements, _no_ops)
+        kernel.run_sequence([elements], _no_ops)
 
 
 class _Stray(NamedTuple):
@@ -346,7 +347,7 @@ class _Stray(NamedTuple):
 
 def test_kernel_rejects_unknown_op():
     with pytest.raises(PropagationError, match="unknown sequence element kind _Stray"):
-        kernel.run_sequence((UserStart("s", "s"), _Stray("x")), _no_ops)
+        kernel.run_sequence([(UserStart("s", "s"), _Stray("x"))], _no_ops)
 
 
 def test_propagate_rejects_unknown_element_kind(model_data):
@@ -354,7 +355,7 @@ def test_propagate_rejects_unknown_element_kind(model_data):
     # kernel sees it before anything reads the element's node
     model = model_from_data(model_data)
     scenario_id = model.scenarios[0].id
-    sequence = ActionSequence(scenario_id, (UserStart(scenario_id, scenario_id), _Stray("x")))
+    sequence = ActionSequence(scenario_id, [(UserStart(scenario_id, scenario_id), _Stray("x"))])
     with pytest.raises(PropagationError, match="unknown sequence element kind _Stray"):
         propagate(model, sequence)
 
@@ -364,4 +365,10 @@ def test_kernel_rejects_missing_call_binding():
     elements = (UserStart("s", "s"), CallingUserNode("c", "s", "i", "sig", (("p", "ghost"),)))
     with pytest.raises(PropagationError,
                        match="call binds parameter 'p' to missing variable 'ghost'"):
-        kernel.run_sequence(elements, _no_ops)
+        kernel.run_sequence([elements], _no_ops)
+
+
+def test_kernel_rejects_a_body_after_no_call():
+    parts = [(UserStart("s", "s"),), (SeffVariableNode("a", "i", ()),), ()]
+    with pytest.raises(PropagationError, match="a shared body must follow a calling bracket"):
+        kernel.run_sequence(parts, _no_ops)
