@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import DataFlowAnalysis, collector_paused, run_pipeline
+from .analysis import DataFlowAnalysis, Timings, collector_paused, run_pipeline
 from .benchgen import BenchConfig, BenchFeature, run_bench, write_bench_json
 from .constraints import format_report, load_constraints
 from .errors import FlowcheckError, ModelLoadError
@@ -63,9 +63,10 @@ def _cmd_analyze(args) -> int:
 
     # model and sequences are held until return, so that freeing them is
     # not timed as part of the report stage
+    timings = Timings()
     try:
-        model, sequences, propagated, constraints, violations, timings = run_pipeline(
-            lambda: load_model(args.model), constraints_for
+        model, sequences, propagated, constraints, violations, _ = run_pipeline(
+            lambda: load_model(args.model, timings), constraints_for, timings
         )
     except ModelLoadError as exc:
         return _cannot_load(args.model, exc)
@@ -76,8 +77,10 @@ def _cmd_analyze(args) -> int:
         print(dump)
     print(report)
     if args.timing:
+        split = ", ".join(f"{part} {ms:.1f}" for part, ms in timings.load_split_ms.items())
         for stage, ms in timings.stage_ms.items():
-            print(f"{stage} {ms:.1f} ms", file=sys.stderr)
+            print(f"{stage} {ms:.1f} ms" + (f" ({split})" if stage == "load" else ""),
+                  file=sys.stderr)
         print(f"elapsed {timings.total_ms:.1f} ms", file=sys.stderr)
     return 1 if any(violations.values()) else 0
 

@@ -137,6 +137,10 @@ class DataDictionary:
     def has_label(self, type_name: str, value: str) -> bool:
         return (type_name, value) in self._bit_of
 
+    def known_pairs(self) -> tuple:
+        """The (type, value) pairs a reference may name, by wildcard arity."""
+        return self._bit_of, {(t, None) for t in self._values_of}, {(None, None)}
+
     def values_of(self, type_name: str) -> tuple[str, ...]:
         try:
             return self._values_of[type_name]

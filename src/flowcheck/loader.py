@@ -64,31 +64,39 @@ __all__ = [
 _JSON_ERRORS = (ValueError, RecursionError)
 
 
-def load_model(path) -> ArchitectureModel:
-    """Load, construct and validate a model from a JSON file."""
+def load_model(path, timings=None) -> ArchitectureModel:
+    """Load, construct and validate a model from a JSON file; ``timings``
+    (:class:`~flowcheck.analysis.Timings`) gets json, build and validate."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelLoadError([f"cannot read model file '{path}': {exc}"]) from None
-    return load_model_text(text, base_dir=path.parent, source=str(path))
+    return load_model_text(text, base_dir=path.parent, source=str(path), timings=timings)
 
 
-def load_model_text(text: str, base_dir=None, source: str = "<text>") -> ArchitectureModel:
+def load_model_text(text: str, base_dir=None, source: str = "<text>",
+                    timings=None) -> ArchitectureModel:
     try:
         data = json.loads(text)
     except _JSON_ERRORS as exc:
         raise ModelLoadError([f"{source}: malformed JSON: {exc}"]) from None
-    return model_from_data(data, base_dir=base_dir)
+    if timings:
+        timings.split("json")
+    return model_from_data(data, base_dir=base_dir, timings=timings)
 
 
-def model_from_data(data, base_dir=None) -> ArchitectureModel:
+def model_from_data(data, base_dir=None, timings=None) -> ArchitectureModel:
     """Construct and validate a model from an already-parsed document."""
     builder = _Builder(base_dir)
     model = builder.build(data)
+    if timings:
+        timings.split("build")
     # structural defects make follow-up semantic noise likely; semantic
     # defects are reported only for a structurally sound document
     defects = builder.defects or builder.semantic + validate_model(model)
+    if timings:
+        timings.split("validate")
     if defects:
         raise ModelLoadError(defects)
     return model
@@ -99,34 +107,33 @@ def _quoted(text: str) -> str:
     return text if len(text) <= 200 else text[:200] + "..."
 
 
-def _assignment_defects(a: Assignment, dictionary: DataDictionary, return_target: bool):
+def _assignment_defects(a: Assignment, known, return_target: bool):
     """Owner-independent defect suffixes for one parsed assignment, each
-    distinct suffix once, in first-seen order."""
+    distinct suffix once, in first-seen order.  ``known`` holds the pairs
+    of :meth:`~flowcheck.labels.DataDictionary.known_pairs`; only an
+    assignment that names another pair has its defects worded."""
+    arity = (a.target_type is None) + (a.target_value is None)
+    pairs = known[arity]
+    if (a.target_var == RETURN_VARIABLE) == return_target and (a.target_type, a.target_value) in pairs:
+        for _, _, type_name, value in a.refs:
+            if (type_name, value) not in pairs:
+                break
+        else:
+            return ()
+    target = ("ref", a.target_var, a.target_type, a.target_value)
     out = []
     if return_target:
         if a.target_var != RETURN_VARIABLE:
             out.append(f"return assignments must target {RETURN_VARIABLE}")
     elif a.target_var == RETURN_VARIABLE:
         out.append(f"variable name {RETURN_VARIABLE} is reserved")
-    arity = a.wildcard_arity()
-    if a.target_type is not None and not dictionary.has_type(a.target_type):
-        out.append(f"unknown label type '{a.target_type}'")
-    elif a.target_value is not None and not dictionary.has_label(
-        a.target_type, a.target_value
-    ):
-        out.append(
-            f"unknown value '{a.target_value}' for label type '{a.target_type}'"
-        )
-    for ref in terms.iter_refs(a.rhs):
-        _, var, type_name, value = ref
+    for _, var, type_name, value in (target, *a.refs):  # the target has the arity
         ref_arity = terms.wildcard_arity(type_name, value)
         if ref_arity != arity:
-            out.append(
-                f"reference '{var}' has wildcard arity {ref_arity}, target has {arity}"
-            )
-        if type_name is not None and not dictionary.has_type(type_name):
+            out.append(f"reference '{var}' has wildcard arity {ref_arity}, target has {arity}")
+        if type_name is not None and (type_name, None) not in known[1]:
             out.append(f"unknown label type '{type_name}'")
-        elif value is not None and not dictionary.has_label(type_name, value):
+        elif value is not None and (type_name, value) not in known[0]:
             out.append(f"unknown value '{value}' for label type '{type_name}'")
     return tuple(dict.fromkeys(out))
 
@@ -152,6 +159,7 @@ class _Builder:
             data = {}
         dictionary_data = self._member(data, "dictionary", dict, {})
         self.dictionary = self._dictionary(dictionary_data)
+        self.known = self.dictionary.known_pairs()
         self.semantic.extend(self.dictionary.defects)
         components = self._components(self._member(data, "components", list, []))
         assembly = self._assembly(self._member(data, "assembly", dict, {}))
@@ -249,6 +257,10 @@ class _Builder:
         if not isinstance(raw, list):
             self.defect(f"{self._at(where, action_id)}: assignments must be a list of strings")
             return ()
+        try:  # one C-level pass over a list that has no defect
+            return tuple(map(assignment_from_text, raw))
+        except (TypeError, TermSyntaxError):
+            pass  # not a string, or not a term: word each defect below
         out = []
         for text in raw:
             if not isinstance(text, str):
@@ -327,11 +339,9 @@ class _Builder:
                 if not isinstance(raw_actions, list):
                     self.defect(f"{where}: seff '{sig_id}' must be a list of actions")
                     raw_actions = []
-                actions = self._actions(raw_actions, owner, seff=True)
-                seffs.append(Seff(sig_id, actions))
-                if sig_id in params_of:
-                    self._check_actions(owner, actions, set(params_of[sig_id]))
-                else:
+                scope = set(params_of[sig_id]) if sig_id in params_of else None
+                seffs.append(Seff(sig_id, self._actions(raw_actions, owner, True, scope)))
+                if scope is None:
                     self.semantic.append(f"{owner}: component does not provide this signature")
             for sig_id in sorted(params_of.keys() - raw_seffs.keys()):
                 self.semantic.append(f"{where}: no seff for provided signature '{sig_id}'")
@@ -360,11 +370,20 @@ class _Builder:
                 self.semantic.append(f"signature '{sig_id}': duplicate parameter '{param}'")
             seen.add(param)
 
-    def _check_actions(self, where, actions, scope: set[str]) -> None:
-        """Check one seff's or scenario's actions, in order, against each other."""
-        semantic, verdicts = self.semantic, self.verdicts
+    def _actions(self, raw, where, seff: bool, scope: set[str] | None) -> tuple:
+        """Build one seff's or scenario's actions; with ``scope``, the variables
+        in scope at the start, check each against the ones before it."""
+        semantic, verdicts, known = self.semantic, self.verdicts, self.known
+        actions = []
         seen: set[str] = set()
-        for position, action in enumerate(actions):
+        last = len(raw) - 1
+        for position, entry in enumerate(raw):
+            action = self._action(entry, where, seff=seff)
+            if action is None:
+                continue
+            actions.append(action)
+            if scope is None:
+                continue
             aid = action.id
             if aid in seen:
                 semantic.append(f"{where}, action '{aid}': duplicate action id")
@@ -375,7 +394,9 @@ class _Builder:
                 assignments = action.assignments
             elif isinstance(action, ReturnAction):
                 is_return = True
-                if position != len(actions) - 1:
+                # by position in raw: an entry that did not build is a
+                # structural defect, and those hide every semantic one
+                if position != last:
                     semantic.append(f"{where}, action '{aid}': Return must be the final action")
                 assignments = action.assignments
             else:  # ExternalCall or SystemCall
@@ -393,18 +414,11 @@ class _Builder:
             for a in assignments:
                 suffixes = cache.get(a)
                 if suffixes is None:
-                    suffixes = cache[a] = _assignment_defects(a, self.dictionary, is_return)
+                    suffixes = cache[a] = _assignment_defects(a, known, is_return)
                 for suffix in suffixes:
                     semantic.append(f"{where}, action '{aid}': assignment '{_quoted(a.text)}': {suffix}")
                 if not is_return:
                     scope.add(a.target_var)
-
-    def _actions(self, raw, where, *, seff: bool) -> tuple:
-        actions = []
-        for entry in raw:
-            action = self._action(entry, where, seff=seff)
-            if action is not None:
-                actions.append(action)
         return tuple(actions)
 
     def _action(self, entry, where, *, seff: bool):
@@ -519,12 +533,13 @@ class _Builder:
                 continue
             where = f"scenario '{sid}'"
             user_labels = self._labels(entry, "userLabels", where)
-            actions = self._actions(self._list(entry, "actions", where), where, seff=False)
-            if sid in seen:
+            duplicate = sid in seen
+            actions = self._actions(
+                self._list(entry, "actions", where), where, False, None if duplicate else set()
+            )
+            if duplicate:
                 self.semantic.append(f"duplicate usage scenario id '{sid}'")
-            else:
-                seen.add(sid)
-                self._check_actions(where, actions, set())
+            seen.add(sid)
             scenarios.append(
                 UsageScenario(sid, entry.get("name", sid), user_labels, actions)
             )

@@ -66,17 +66,20 @@ def call_depth_message(chain) -> str:
     return f"call depth exceeded ({DEFAULT_MAX_CALL_DEPTH} nested calls): " + " -> ".join(chain)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Assignment:
     """One parsed ``target := term`` label assignment.
 
     ``target_type`` / ``target_value`` are ``None`` for wildcard
     segments; ``rhs`` is the term AST from :mod:`flowcheck.terms`, where
-    one ``"and"`` or ``"or"`` node holds every operand of a chain.
+    one ``"and"`` or ``"or"`` node holds every operand of a chain, and
+    ``refs`` holds its references, left to right.
 
-    Equality is identity: :func:`assignment_from_text` interns instances
-    by source text, and identity hashing keeps cache lookups flat instead
-    of rehashing the term AST on every use.
+    A plain slotted record, not frozen: a frozen ``__init__`` costs
+    several times as much, and models hold many thousand.  Equality is
+    identity: :func:`assignment_from_text` interns instances by source
+    text, and identity hashing keeps cache lookups flat instead of
+    rehashing the term AST on every use.
     """
 
     target_var: str
@@ -84,6 +87,7 @@ class Assignment:
     target_value: str | None
     rhs: tuple
     text: str
+    refs: tuple
 
     def wildcard_arity(self) -> int:
         return terms.wildcard_arity(self.target_type, self.target_value)
@@ -96,13 +100,14 @@ def assignment_from_text(text: str) -> Assignment:
     Models generated at scale repeat identical assignment strings many
     times; caching keeps loading linear in the number of distinct texts.
     """
-    (var, type_name, value), rhs = terms.parse_assignment(text)
-    return Assignment(var, type_name, value, rhs, text)
+    (var, type_name, value), rhs, refs = terms.read_assignment(text)
+    return Assignment(var, type_name, value, rhs, text, refs)
 
 
 def clear_parse_cache() -> None:
-    """Drop memoized parses; used by benchmarks to start from cold state."""
+    """Drop memoized parses and shapes; used by benchmarks to start from cold state."""
     assignment_from_text.cache_clear()
+    terms.parse_shape.cache_clear()
 
 
 @dataclass(frozen=True, slots=True)

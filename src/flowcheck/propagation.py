@@ -129,7 +129,7 @@ def _build_program(dictionary, assignments):
         keep = dictionary.keep_cache.setdefault(region, ~region)
         if arity == 0:
             bits = [(region, _truth_ref(dictionary, None))]
-        elif all(ref[2] == a.target_type for ref in terms.iter_refs(a.rhs)):
+        elif all(ref[2] == a.target_type for ref in a.refs):
             # same type on both sides: value positions line up bitwise
             fn = _mask_fn(a.rhs, dictionary.universe_mask)
             ops.append((a.target_var, keep, _region_fn(fn, region)))

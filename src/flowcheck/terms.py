@@ -45,6 +45,13 @@ reference token is split into its five pieces, which are exactly the
 tokens the text would give without the ``ref`` kind.  Only a malformed
 reference is walked piece by piece, to report where it breaks.
 
+An assignment is parsed once per *shape*: its text with each reference
+token replaced by ``r.*.*``, split off in one ``re.split`` that never
+matches inside an identifier.  The parser reads each distinct shape
+once, and the text's references fill a copy of its AST.  A shape that
+does not parse, or a reference that fails the reserved-word or wildcard
+checks, sends the text itself to the parser, which words the error.
+
 :func:`compile_truth` compiles boolean terms for both label assignments
 and constraints; they differ only in what a reference compiles to.
 """
@@ -52,6 +59,7 @@ and constraints; they differ only in what a reference compiles to.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import TermSyntaxError
@@ -59,6 +67,7 @@ from .errors import TermSyntaxError
 __all__ = [
     "parse_term",
     "parse_assignment",
+    "read_assignment",
     "iter_refs",
     "compile_truth",
     "wildcard_arity",
@@ -75,15 +84,16 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _SEGMENT = rf"({_IDENT}|\*)"
 _NOT_RESERVED = rf"(?!(?:{'|'.join(sorted(RESERVED_WORDS))})(?![A-Za-z0-9_]))"
 
+# a whole reference, five groups: variable, dot, type, dot, value
+_REF = rf"{_NOT_RESERVED}({_IDENT})\s*(\.)\s*{_SEGMENT}\s*(\.)\s*{_SEGMENT}"
+
 # one token per match after optional whitespace.  Groups 1-5 are a whole
-# reference (variable, dot, type, dot, value), tried first; group 6 is
-# any other token, group 7 a character no token starts with.
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    rf"{_NOT_RESERVED}({_IDENT})\s*(\.)\s*{_SEGMENT}\s*(\.)\s*{_SEGMENT}"
-    rf"|({_IDENT}|:=|[.*&|!()])"
-    r"|(\S))"
-)
+# reference, tried first; group 6 is any other token, group 7 a
+# character no token starts with.
+_TOKEN_RE = re.compile(rf"\s*(?:{_REF}|({_IDENT}|:=|[.*&|!()])|(\S))")
+
+# the reference tokens of a text: none starts inside an identifier
+_REF_RE = re.compile(rf"(?<![A-Za-z0-9_]){_REF}")
 
 # token kinds: "ref", "ident", "assign", one of ".*&|!()"; "end" terminates
 _KINDS = {":=": "assign", **{symbol: symbol for symbol in ".*&|!()"}}
@@ -249,12 +259,54 @@ def parse_assignment(text: str) -> tuple[tuple[str, str | None, str | None], tup
 
     ``None`` in the target tuple marks a wildcard segment.
     """
+    return read_assignment(text)[:2]
+
+
+def read_assignment(text: str) -> tuple[tuple, tuple, tuple]:
+    """:func:`parse_assignment`, plus the rhs's references as
+    :func:`iter_refs` yields them."""
+    parts = _REF_RE.split(text)
+    refs = []
+    for var, type_name, value in zip(parts[1::6], parts[3::6], parts[5::6]):
+        if type_name in RESERVED_WORDS or value in RESERVED_WORDS or type_name == "*" != value:
+            break
+        refs.append(("ref", var, None if type_name == "*" else type_name,
+                     None if value == "*" else value))
+    else:
+        try:
+            _, shape = parse_shape("r.*.*".join(parts[::6]))
+        except TermSyntaxError:
+            pass
+        else:
+            rhs_refs = tuple(refs[1:])
+            return refs[0][1:], _fill(shape, iter(rhs_refs)), rhs_refs
+    target, rhs = parse_shape(text)  # words the error at its column in the text
+    return target, rhs, tuple(iter_refs(rhs))
+
+
+@lru_cache(maxsize=1024)
+def parse_shape(text: str) -> tuple[tuple, tuple]:
+    """The recursive-descent parse of an assignment text, cached for shapes."""
     parser = TermParser(text)
     _, var, type_name, value = parser.parse_ref()
     parser.expect("assign", "':='")
     rhs = parser.parse_term()
     parser.expect_end()
     return (var, type_name, value), rhs
+
+
+def _fill(node: tuple, refs: Iterator[tuple]) -> tuple:
+    """A shape's AST with ``refs`` in place of its references; one frame
+    per node, so at most three per nesting level."""
+    tag = node[0]
+    if tag == "ref":
+        return next(refs)
+    if tag == "const":
+        return node
+    filled = [tag]
+    for operand in node[1:]:  # a comprehension or map() would add a frame
+        filled.append(_fill(operand, refs))
+    return tuple(filled)
 
 
 def iter_refs(node: tuple) -> Iterator[tuple]:

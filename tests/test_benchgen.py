@@ -22,7 +22,7 @@ from flowcheck.propagation import evaluate_all
 FEATURES = list(BenchFeature)
 STAGES = ["load", "constraints", "extract", "propagate", "query"]
 POINT_KEYS = {"feature", "size", "outcome", "runs_ms", "stage_runs_ms",
-              "median_ms", "stage_median_ms"}
+              "median_ms", "stage_median_ms", "load_split_median_ms"}
 
 # elements in the single extracted sequence as a function of model size
 EXPECTED_ELEMENTS = {
@@ -119,6 +119,22 @@ def test_run_bench_times_each_stage():
         for stage in STAGES:
             assert r.stage_median_ms[stage] == pytest.approx(
                 statistics.median(run[stage] for run in r.stage_runs_ms))
+
+
+@pytest.mark.parametrize("feature", FEATURES)
+def test_smallest_runs_are_their_stages(feature):
+    # a run is timed from its Timings record, not from the end of the
+    # collection before it, whose cold aftermath no stage covers
+    [r] = run_bench(BenchConfig(feature, sizes=(1,), repetitions=5))
+    for wall, stages in zip(r.runs_ms, r.stage_runs_ms):
+        assert sum(stages.values()) >= 0.99 * wall
+
+
+def test_load_split_covers_the_load():
+    [r] = run_bench(BenchConfig(BenchFeature.VARIABLE_ACTIONS, sizes=(2000,), repetitions=5))
+    assert list(r.load_split_median_ms) == ["json", "build", "validate"]
+    assert sum(r.load_split_median_ms.values()) == pytest.approx(
+        r.stage_median_ms["load"], rel=0.05)
 
 
 def bench_json(tmp_path, name, results):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import subprocess
 import sys
 
@@ -82,11 +83,22 @@ def test_analyze_timing_goes_to_stderr(shop_path, geo_constraints_path, capsys):
     assert [line.split()[0] for line in lines] == stages + ["elapsed"]
     times = []
     for line in lines:
-        _, ms, unit = line.split()
+        _, ms, unit = line.split()[:3]  # the load line goes on with its split
         assert unit == "ms"
         times.append(float(ms))
     # the stages cover the whole run; each printed time is rounded to 0.1 ms
     assert abs(sum(times[:-1]) - times[-1]) <= 0.05 * len(lines) + 1e-9
+
+
+def test_analyze_timing_splits_the_load(shop_path, geo_constraints_path, capsys):
+    _, _, err = run_cli(
+        ["analyze", shop_path, "--constraints", geo_constraints_path, "--timing"], capsys)
+    match = re.fullmatch(
+        r"load (\S+) ms \(json (\S+), build (\S+), validate (\S+)\)", err.splitlines()[0])
+    assert match, err
+    load, *parts = map(float, match.groups())
+    # the parts cover the whole load; each printed time is rounded to 0.1 ms
+    assert abs(sum(parts) - load) <= 0.2 + 1e-9
 
 
 def test_analyze_dump_propagation(shop_path, capsys):

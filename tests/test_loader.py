@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import minimal_model_data
+from flowcheck import terms
 from flowcheck.errors import ModelLoadError
 from flowcheck.extraction import find_all_sequences
 from flowcheck.loader import (
@@ -16,6 +17,7 @@ from flowcheck.loader import (
     save_model,
     serialize_model,
 )
+from flowcheck.model import assignment_from_text, clear_parse_cache
 from flowcheck.propagation import evaluate_all
 
 
@@ -289,3 +291,85 @@ def test_save_model_writes_trailing_newline(model_data, tmp_path):
     assert text.endswith("\n")
     reloaded = load_model(path)
     assert [c.id for c in reloaded.components] == ["comp.a"]
+
+
+# Assignments are parsed once per shape.  Loading with shapes, or with
+# every text read by the full parser, gives the same defect lines in the
+# same order, or the same assignments field by field.
+def _loaded(data):
+    assignment_from_text.cache_clear()  # parse every text afresh
+    try:
+        model = model_from_data(data)
+    except ModelLoadError as exc:
+        return exc.defects
+    actions = [a for c in model.components for seff in c.seffs for a in seff.actions]
+    actions += [a for scenario in model.scenarios for a in scenario.actions]
+    return [
+        (a.target_var, a.target_type, a.target_value, a.rhs, a.text, a.refs)
+        for action in actions
+        for a in getattr(action, "assignments", ()) + getattr(action, "result_assignments", ())
+    ]
+
+
+def _loaded_without_shapes(data):
+    parse = terms.parse_shape.__wrapped__  # the recursive-descent parser, uncached
+
+    def read_whole_text(text):
+        target, rhs = parse(text)
+        return target, rhs, tuple(terms.iter_refs(rhs))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(terms, "read_assignment", read_whole_text)
+        return _loaded(data)
+
+
+SHAPE_REFS = ["p.Color.Red", "out.Color.Blue", "p.Color.*", "p.*.*", "p.Shape.X",
+              "p.Color.Green", "RETURN.Color.Red", "RETURN.*.*", "q.TRUE.Red", "q.*.Red"]
+SHAPES = ["{} := {}", "{} := !{} & TRUE", "{} := ({} | FALSE) & {}", "{} := {} |", "{}:={}.W"]
+
+
+def shared_shape_model_data(refs, shapes):
+    """Every shape over every pair of ``refs``: a few shapes, many texts."""
+    texts = [shape.format(target, *[source] * shape.count("{}"))
+             for shape in shapes for target in refs for source in refs]
+    data = minimal_model_data()
+    seff = data["components"][0]["seffs"]["svc"]
+    seff[:1] = [{"type": "variable", "id": f"s{k}", "assignments": texts[k:k + 2]}
+                for k in range(0, len(texts), 2)]
+    seff[-1]["assignments"] += [text for text in texts if text.startswith("RETURN")]
+    data["usageScenarios"][0]["actions"][0]["assignments"] += texts[::3]
+    return data
+
+
+@pytest.mark.parametrize("refs, shapes", [
+    (["p.Color.Red", "out.Color.Blue", "v.Color.Red", "w.Color.Blue"], SHAPES[:3]),  # loads
+    (SHAPE_REFS[:8], SHAPES[:3]),  # unknown labels, arities, RETURN misused
+    (SHAPE_REFS, SHAPES),  # reserved words, wildcard types, syntax errors
+], ids=["clean", "semantic", "structural"])
+def test_shared_shapes_load_as_without_shapes(refs, shapes):
+    data = shared_shape_model_data(refs, shapes)
+    loaded = _loaded(data)
+    assert terms.parse_shape.cache_info().currsize > 0
+    assert loaded == _loaded_without_shapes(data)
+    assert len(loaded) >= 40
+
+
+def test_clear_parse_cache_clears_the_shapes(model_data):
+    model_from_data(model_data)
+    assert terms.parse_shape.cache_info().currsize > 0
+    clear_parse_cache()
+    assert terms.parse_shape.cache_info().currsize == 0
+
+
+_assignment_paths = [path + (0,) for path in _paths(minimal_model_data())
+                     if path and path[-1] == "assignments"]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(_paths(minimal_model_data()))), _json_values)
+                | st.tuples(st.sampled_from(_assignment_paths),
+                            st.builds("{} := {}".format, *[st.sampled_from(SHAPE_REFS)] * 2)),
+                min_size=1, max_size=3))
+def test_mutated_document_loads_as_without_shapes(edits):
+    data = _mutated(edits)
+    assert _loaded(data) == _loaded_without_shapes(data)

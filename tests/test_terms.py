@@ -1,14 +1,18 @@
 """Textual term grammar: parsing, precedence, error positions, the term
 compiler, and fuzzed term texts."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcheck.constraints import parse_constraint
 from flowcheck.errors import ConstraintError, TermSyntaxError
 from flowcheck.labels import DataDictionary, LabelType
+from flowcheck.model import clear_parse_cache
 from flowcheck.terms import (
     MAX_NESTING,
+    TermParser,
     compile_truth,
     iter_refs,
     parse_assignment,
@@ -335,3 +339,85 @@ def test_term_texts_raise_only_parse_errors(target, first, second):
             parse_constraint(text, COLORS)
         except (TermSyntaxError, ConstraintError):
             pass
+
+
+# Assignments are parsed once per shape, with each reference replaced by
+# a placeholder.  Whatever the text, the result is the recursive-descent
+# parser's on the whole text: the same tree, or the same error at the
+# same column.
+def full_parse(text):
+    parser = TermParser(text)
+    _, *target = parser.parse_ref()
+    parser.expect("assign", "':='")
+    rhs = parser.parse_term()
+    parser.expect_end()
+    return tuple(target), rhs
+
+
+def outcome(parse, text):
+    try:
+        return "parsed", parse(text)
+    except TermSyntaxError as exc:
+        return "refused", exc.reason, exc.position, str(exc)
+
+
+# pieces that sit next to a reference: an identifier that would swallow
+# its start, a digit, a fourth segment, spaced dots, a wildcard type
+SHAPE_PIECES = PIECES + ["xTRUE.T.V", "9", ".W", " . ", "*.V", "y . T . V", "FALSEy", "é"]
+assignment_texts = st.builds(
+    splice,
+    st.builds("{} := {}".format, st.sampled_from(REF_TEXTS), well_formed),
+    st.lists(st.tuples(st.integers(0, 200), st.sampled_from(SHAPE_PIECES)), max_size=3),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(assignment_texts)
+def test_shapes_parse_as_the_full_parser(text):
+    assert outcome(parse_assignment, text) == outcome(full_parse, text)
+
+
+NESTED = "a.T.V | b.T.V & !("  # three frames per level, the most any level takes
+
+
+@pytest.mark.parametrize("text", [
+    "x.T.V := TRUE.T.V",
+    "TRUE.T.V := y.T.V",
+    "x.T.V := xTRUE.T.V",
+    "x.T.V := 9y.T.V",
+    "x.T.V := y.T.V.W",
+    "x . T . V := y .T. V",
+    "x.*.* := y . * . *",
+    "x.*.* := *.V",
+    "x.T.* := y.T.*z",
+    pytest.param("x.T.V := " + NESTED * MAX_NESTING + "c.T.V" + ")" * MAX_NESTING,
+                 id="nesting-256"),
+    pytest.param("x.T.V := " + NESTED * (MAX_NESTING + 1) + "c.T.V" + ")" * (MAX_NESTING + 1),
+                 id="nesting-257"),
+    pytest.param("x.T.V := " + " | ".join(["a.T.V", "b.T.*", "c.*.*"] * 667)[:-8],
+                 id="chain-2000"),
+])
+def test_shape_edge_cases_parse_as_the_full_parser(text):
+    clear_parse_cache()
+    assert outcome(parse_assignment, text) == outcome(full_parse, text)
+    assert outcome(parse_assignment, text) == outcome(full_parse, text)  # the cached shape
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deepest_shape_fills_within_three_frames_per_level():
+    text = "x.T.V := " + NESTED * MAX_NESTING + "c.T.V" + ")" * MAX_NESTING
+    clear_parse_cache()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 3 * (MAX_NESTING + 1) + 30)
+    try:
+        first = parse_assignment(text)  # parses the shape, then fills it
+        again = parse_assignment(text)  # fills the cached shape
+    finally:
+        sys.setrecursionlimit(limit)
+    assert first == again == full_parse(text)
