@@ -92,30 +92,24 @@ class DataFlowAnalysis:
 
 class Timings:
     """Wall time of each pipeline stage, in the order the stages ran, and
-    of the loader's parts of the load stage."""
+    of the parts the loader marks in the load stage."""
 
     def __init__(self):
         self.stage_ms: dict[str, float] = {}
         self.load_split_ms: dict[str, float] = {}
-        self.started = self._last = self._split = time.perf_counter()
-        self._part = None
+        self.started = self._last = time.perf_counter()
 
     def lap(self, stage: str) -> None:
         """Close ``stage``: it took the time since the previous lap."""
         now = time.perf_counter()
         self.stage_ms[stage] = (now - self._last) * 1000.0
-        if self._part is not None:  # the last part runs to the end of the stage
-            self.load_split_ms[self._part] += (now - self._split) * 1000.0
-            self._part = None
-        self._last = self._split = now
+        self._last = now
 
     def split(self, part: str) -> None:
         """Close ``part`` of the load stage: it took the time since the
-        stage began or since the previous split.  The last part also takes
-        the rest of the stage, such as releasing the decoded document."""
-        now = time.perf_counter()
-        self.load_split_ms[part] = (now - self._split) * 1000.0
-        self._split, self._part = now, part
+        stage began, less the parts closed before it."""
+        ms = (time.perf_counter() - self._last) * 1000.0
+        self.load_split_ms[part] = ms - sum(self.load_split_ms.values())
 
     @property
     def total_ms(self) -> float:
@@ -144,22 +138,25 @@ class collector_paused:
             gc.enable()
 
 
-def run_pipeline(load, constraints_for, timings=None):
+def run_pipeline(load, constraints_for):
     """Load, extract, propagate and query, timing each stage.
 
-    ``load()`` returns the model and ``constraints_for(model)`` the
+    ``load(timings)`` returns the model and ``constraints_for(model)`` the
     constraints to query.  Returns ``(model, sequences, propagated,
     constraints, violations, timings)``; ``timings`` holds the stages
     ``load``, ``constraints``, ``extract``, ``propagate`` and ``query``.
-    A caller may pass a new ``timings`` that ``load`` splits too.  The
-    stage functions are looked up as module globals on every call, so a
-    wrapper installed over them later is seen.  The stages run in
+    If ``load`` splits its stage, ``validate`` is the rest of the load.
+    The stage functions are looked up as module globals on every call,
+    so a wrapper installed over them later is seen.  The stages run in
     :func:`collector_paused`.
     """
     with collector_paused():
-        timings = timings or Timings()
-        model = load()
+        timings = Timings()
+        model = load(timings)
         timings.lap("load")
+        split = timings.load_split_ms
+        if split:
+            split["validate"] = timings.stage_ms["load"] - sum(split.values())
         constraints = constraints_for(model)
         timings.lap("constraints")
         sequences = find_all_sequences(model)

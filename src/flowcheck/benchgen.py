@@ -29,7 +29,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .analysis import Timings, collector_paused, run_pipeline
+from .analysis import collector_paused, run_pipeline
 from .constraints import parse_constraint
 from .loader import load_model_text, model_from_data, model_to_json
 from .model import ArchitectureModel, clear_parse_cache
@@ -73,7 +73,7 @@ class BenchResult:
     median_ms: float | None
     stage_median_ms: dict[str, float]  # empty unless completed
     outcome: str  # "completed" or "failed: <reason>"
-    load_split_median_ms: dict[str, float]  # json, build, validate; empty unless completed
+    load_split_median_ms: dict[str, float]  # the median-load run's json, build, validate
 
     @property
     def completed(self) -> bool:
@@ -205,29 +205,29 @@ def _bench_point(config: BenchConfig, size: int) -> BenchResult:
                     outcome = f"failed: timeout after {config.timeout_s:.0f} s"
                     break
                 gc.collect()
-                # a run is timed from its record's creation, after the
-                # cold first microseconds that follow a collection
-                timings = Timings()
-                result = run_pipeline(
-                    lambda: load_model_text(text, timings=timings), _all_violations, timings
-                )
-                runs.append(timings.total_ms)
+                result = run_pipeline(lambda t: load_model_text(text, timings=t), _all_violations)
+                # from the record's start, past the cold microseconds after a collection
+                timings = result[-1]
+                runs.append((time.perf_counter() - timings.started) * 1000.0)
                 stage_runs.append(timings.stage_ms)
                 split_runs.append(timings.load_split_ms)
-                del result
+                del result, timings
     except MemoryError:
         outcome = "failed: out of memory"
     except Exception as exc:  # a failed point must not kill the harness
         outcome = f"failed: {type(exc).__name__}: {exc}"
-    median, stage_median, split_median = None, {}, {}
+    median, stage_median, split = None, {}, {}
     if runs and outcome == "completed":
         median = statistics.median(runs)
-        stage_median, split_median = (
-            {key: statistics.median(run[key] for run in per_run) for key in per_run[0]}
-            for per_run in (stage_runs, split_runs)
-        )
+        stage_median = {
+            stage: statistics.median(run[stage] for run in stage_runs)
+            for stage in stage_runs[0]
+        }
+        # the parts of the run whose load is the (lower) median add up to its load
+        loads = [run["load"] for run in stage_runs]
+        split = split_runs[loads.index(statistics.median_low(loads))]
     return BenchResult(config.feature, size, tuple(runs), tuple(stage_runs), median,
-                       stage_median, outcome, split_median)
+                       stage_median, outcome, split)
 
 
 def run_bench(config: BenchConfig, *, progress=None) -> list[BenchResult]:
@@ -254,8 +254,8 @@ def write_bench_json(results, path) -> None:
     A point has ``feature``, ``size``, ``outcome``, ``runs_ms`` (wall time
     per repetition), ``stage_runs_ms`` (per repetition, stage -> time),
     ``median_ms`` (null unless completed), ``stage_median_ms`` and
-    ``load_split_median_ms`` (the load stage's ``json``, ``build`` and
-    ``validate``).  A run's wall time is the sum of its stages.  Stages
+    ``load_split_median_ms`` (``json``, ``build`` and ``validate``, the
+    parts of the load of the run whose load is the lower median).  Stages
     keep pipeline order; times are milliseconds rounded to microseconds.
     """
     points = [

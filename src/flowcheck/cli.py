@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import DataFlowAnalysis, Timings, collector_paused, run_pipeline
+from .analysis import DataFlowAnalysis, collector_paused, run_pipeline
 from .benchgen import BenchConfig, BenchFeature, run_bench, write_bench_json
 from .constraints import format_report, load_constraints
 from .errors import FlowcheckError, ModelLoadError
@@ -63,10 +63,9 @@ def _cmd_analyze(args) -> int:
 
     # model and sequences are held until return, so that freeing them is
     # not timed as part of the report stage
-    timings = Timings()
     try:
-        model, sequences, propagated, constraints, violations, _ = run_pipeline(
-            lambda: load_model(args.model, timings), constraints_for, timings
+        model, sequences, propagated, constraints, violations, timings = run_pipeline(
+            lambda timings: load_model(args.model, timings), constraints_for
         )
     except ModelLoadError as exc:
         return _cannot_load(args.model, exc)

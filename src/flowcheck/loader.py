@@ -66,7 +66,7 @@ _JSON_ERRORS = (ValueError, RecursionError)
 
 def load_model(path, timings=None) -> ArchitectureModel:
     """Load, construct and validate a model from a JSON file; ``timings``
-    (:class:`~flowcheck.analysis.Timings`) gets json, build and validate."""
+    (:class:`~flowcheck.analysis.Timings`) gets the json and build parts."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -95,8 +95,6 @@ def model_from_data(data, base_dir=None, timings=None) -> ArchitectureModel:
     # structural defects make follow-up semantic noise likely; semantic
     # defects are reported only for a structurally sound document
     defects = builder.defects or builder.semantic + validate_model(model)
-    if timings:
-        timings.split("validate")
     if defects:
         raise ModelLoadError(defects)
     return model

@@ -75,11 +75,10 @@ class Assignment:
     one ``"and"`` or ``"or"`` node holds every operand of a chain, and
     ``refs`` holds its references, left to right.
 
-    A plain slotted record, not frozen: a frozen ``__init__`` costs
-    several times as much, and models hold many thousand.  Equality is
-    identity: :func:`assignment_from_text` interns instances by source
-    text, and identity hashing keeps cache lookups flat instead of
-    rehashing the term AST on every use.
+    Not frozen, as a frozen ``__init__`` costs several times as much.
+    Equality is identity: :func:`assignment_from_text` interns instances
+    by source text, and identity hashing keeps cache lookups flat instead
+    of rehashing the term AST on every use.
     """
 
     target_var: str

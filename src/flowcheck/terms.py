@@ -275,11 +275,10 @@ def read_assignment(text: str) -> tuple[tuple, tuple, tuple]:
     else:
         try:
             _, shape = parse_shape("r.*.*".join(parts[::6]))
-        except TermSyntaxError:
-            pass
-        else:
             rhs_refs = tuple(refs[1:])
             return refs[0][1:], _fill(shape, iter(rhs_refs)), rhs_refs
+        except TermSyntaxError:
+            pass
     target, rhs = parse_shape(text)  # words the error at its column in the text
     return target, rhs, tuple(iter_refs(rhs))
 

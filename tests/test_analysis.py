@@ -106,7 +106,7 @@ def test_run_pipeline_restores_collector_state(collector_state, shop_path, enabl
     gc.enable() if enabled else gc.disable()
     seen = []
 
-    def load():
+    def load(timings):
         seen.append(gc.isenabled())
         return load_model(shop_path)
 
@@ -126,23 +126,23 @@ def test_run_pipeline_restores_collector_state_on_errors(collector_state, tmp_pa
     bad = tmp_path / "bad.json"
     bad.write_text('{"usageScenarios": 1}')
     with pytest.raises(ModelLoadError):
-        run_pipeline(lambda: load_model(bad), _no_constraints)
+        run_pipeline(lambda timings: load_model(bad, timings), _no_constraints)
     assert gc.isenabled() is enabled
     with pytest.raises(RuntimeError):
-        run_pipeline(lambda: load_model(shop_path), _raise_runtime_error)
+        run_pipeline(lambda timings: load_model(shop_path, timings), _raise_runtime_error)
     assert gc.isenabled() is enabled
 
 
 def _pipelines(models_dir):
     constraints_file = models_dir / "geo.constraints"
     for name in ("online_shop.json", "online_shop_no_encrypt.json"):
-        yield (lambda path=models_dir / name: load_model(path),
+        yield (lambda timings, path=models_dir / name: load_model(path, timings),
                lambda model: load_constraints(constraints_file, model.dictionary))
     for seed in range(50):
         model = random_small_model(seed)
         # drawn here: the generator's closures form cycles of their own
         texts = random_constraints(model, seed)
-        yield (lambda text=model_to_json(model): load_model_text(text),
+        yield (lambda timings, text=model_to_json(model): load_model_text(text, timings=timings),
                lambda model, texts=texts: [parse_constraint(t, model.dictionary) for t in texts])
 
 
@@ -170,7 +170,7 @@ def test_run_pipeline_ends_without_a_collection(collector_state):
     gc.enable()
     gc.callbacks.append(record)
     try:
-        run_pipeline(lambda: model, _no_constraints)
+        run_pipeline(lambda timings: model, _no_constraints)
     finally:
         remove(record)
     assert collections == []

@@ -6,6 +6,7 @@ import statistics
 
 import pytest
 
+from flowcheck.analysis import run_pipeline
 from flowcheck.benchgen import (
     ALL_VIOLATIONS_CONSTRAINT,
     BenchConfig,
@@ -17,6 +18,7 @@ from flowcheck.benchgen import (
 )
 from flowcheck.constraints import parse_constraint, query_many
 from flowcheck.extraction import find_all_sequences
+from flowcheck.loader import load_model_text, model_to_json
 from flowcheck.propagation import evaluate_all
 
 FEATURES = list(BenchFeature)
@@ -124,17 +126,31 @@ def test_run_bench_times_each_stage():
 @pytest.mark.parametrize("feature", FEATURES)
 def test_smallest_runs_are_their_stages(feature):
     # a run is timed from its Timings record, not from the end of the
-    # collection before it, whose cold aftermath no stage covers
+    # collection before it, whose cold aftermath no stage covers; what is
+    # left is the pipeline's return, a few microseconds of a run of about
+    # half a millisecond, so the least disturbed run shows it
     [r] = run_bench(BenchConfig(feature, sizes=(1,), repetitions=5))
-    for wall, stages in zip(r.runs_ms, r.stage_runs_ms):
-        assert sum(stages.values()) >= 0.99 * wall
+    assert_stages_cover_runs(r.runs_ms, r.stage_runs_ms)
+    assert max(sum(stages.values()) / wall
+               for wall, stages in zip(r.runs_ms, r.stage_runs_ms)) >= 0.99
 
 
-def test_load_split_covers_the_load():
-    [r] = run_bench(BenchConfig(BenchFeature.VARIABLE_ACTIONS, sizes=(2000,), repetitions=5))
+def test_load_split_is_the_median_runs_load():
+    [r] = run_bench(BenchConfig(BenchFeature.VARIABLE_ACTIONS, sizes=(2000,), repetitions=4))
     assert list(r.load_split_median_ms) == ["json", "build", "validate"]
-    assert sum(r.load_split_median_ms.values()) == pytest.approx(
-        r.stage_median_ms["load"], rel=0.05)
+    load = statistics.median_low(run["load"] for run in r.stage_runs_ms)
+    assert sum(r.load_split_median_ms.values()) == pytest.approx(load, rel=0, abs=1e-9)
+
+
+def test_load_split_adds_up_to_each_load():
+    text = model_to_json(generate_bench_model(BenchFeature.SEFF_PARAMETERS, 2000))
+    for _ in range(3):
+        *_, timings = run_pipeline(
+            lambda timings: load_model_text(text, timings=timings), lambda model: [])
+        assert list(timings.load_split_ms) == ["json", "build", "validate"]
+        assert all(ms >= 0 for ms in timings.load_split_ms.values())
+        assert sum(timings.load_split_ms.values()) == pytest.approx(
+            timings.stage_ms["load"], rel=0, abs=1e-9)
 
 
 def bench_json(tmp_path, name, results):

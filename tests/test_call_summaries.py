@@ -267,7 +267,7 @@ def test_query_matches_each_context_once(models_dir, monkeypatch):
 def test_views_are_built_only_on_access(models_dir, geo_constraints_path):
     """Counting elements and analysing without a dump read the parts only."""
     _, sequences, propagated, *_ = run_pipeline(
-        lambda: load_model(models_dir / "shared_service.json"),
+        lambda timings: load_model(models_dir / "shared_service.json", timings),
         lambda model: load_constraints(geo_constraints_path, model.dictionary),
     )
     assert sum(len(s) for s in sequences) == sum(len(p) for p in propagated) > 0

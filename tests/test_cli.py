@@ -83,7 +83,8 @@ def test_analyze_timing_goes_to_stderr(shop_path, geo_constraints_path, capsys):
     assert [line.split()[0] for line in lines] == stages + ["elapsed"]
     times = []
     for line in lines:
-        _, ms, unit = line.split()[:3]  # the load line goes on with its split
+        parts = line.split()
+        _, ms, unit = parts[:3] if parts[0] == "load" else parts  # the load's split follows
         assert unit == "ms"
         times.append(float(ms))
     # the stages cover the whole run; each printed time is rounded to 0.1 ms
