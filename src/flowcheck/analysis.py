@@ -26,7 +26,13 @@ run in.
 from __future__ import annotations
 
 import gc
+import sys
 import time
+
+try:
+    from resource import RUSAGE_SELF, getrusage
+except ImportError:  # no ``resource`` module on Windows
+    getrusage = None
 
 from .constraints import Constraint, Violation, query, query_many
 from .extraction import ActionSequence, find_all_sequences
@@ -92,15 +98,18 @@ class DataFlowAnalysis:
 
 class Timings:
     """Wall time of each pipeline stage, in the order the stages ran, and
-    of the parts the loader marks in the load stage."""
+    of the parts the loader marks in the load stage, with the process's
+    peak resident memory when each stage ended."""
 
     def __init__(self):
         self.stage_ms: dict[str, float] = {}
         self.load_split_ms: dict[str, float] = {}
+        self.maxrss_mib: dict[str, float] = {}
         self.started = self._last = time.perf_counter()
 
     def lap(self, stage: str) -> None:
         """Close ``stage``: it took the time since the previous lap."""
+        self.maxrss_mib[stage] = _maxrss_mib()
         now = time.perf_counter()
         self.stage_ms[stage] = (now - self._last) * 1000.0
         self._last = now
@@ -115,6 +124,15 @@ class Timings:
     def total_ms(self) -> float:
         """From the start to the last lap."""
         return (self._last - self.started) * 1000.0
+
+
+def _maxrss_mib() -> float:
+    """The ``ru_maxrss`` high-water mark of this process in MiB; 0 where
+    the platform has none."""
+    if getrusage is None:
+        return 0.0
+    # kibibytes on Linux, bytes on macOS
+    return getrusage(RUSAGE_SELF).ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 class collector_paused:

@@ -81,6 +81,8 @@ def _cmd_analyze(args) -> int:
             print(f"{stage} {ms:.1f} ms" + (f" ({split})" if stage == "load" else ""),
                   file=sys.stderr)
         print(f"elapsed {timings.total_ms:.1f} ms", file=sys.stderr)
+        marks = ", ".join(f"{stage} {mib:.1f}" for stage, mib in timings.maxrss_mib.items())
+        print(f"maxrss {max(timings.maxrss_mib.values()):.1f} MiB ({marks})", file=sys.stderr)
     return 1 if any(violations.values()) else 0
 
 
@@ -162,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--timing",
         action="store_true",
-        help="print the time of each stage and the total to stderr",
+        help="print the time of each stage, the total and the peak memory to stderr",
     )
     analyze.set_defaults(func=_cmd_analyze)
 

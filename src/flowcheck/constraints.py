@@ -18,7 +18,7 @@ Evaluation works purely on propagated results; checking any number of
 constraints never re-runs propagation.  A query walks each sequence's
 deltas (see :func:`flowcheck.kernel.run_sequence`) part by part, once
 per textual constraint, so it re-tests only the variables each
-assignment element writes and needs no frame; within one query the node
+assignment element changes and needs no frame; within one query the node
 and data terms each run once per distinct mask, and each body's deltas,
 which stand for one call context, are matched once.
 """
@@ -292,10 +292,10 @@ def _data_matches(propagated, node_ok, data_ok, seen):
 
 def _walk(elements, masks, deltas, node_ok, data_ok, frame=(), start=0):
     """Match the elements of one part, numbered from ``start``, re-testing
-    only what each element writes, from the whole top ``frame`` before them.
+    only what each element changes, from the whole top ``frame`` before them.
 
     The walk keeps the set of variables in the top frame that satisfy
-    the term: an APPLY delta re-tests the variables it writes, and any
+    the term: an APPLY delta re-tests the variables it changes, and any
     other delta is the whole new top frame, so the set is rebuilt from it.
     """
     satisfying = {var for var, mask in frame if data_ok[mask]}

@@ -3,7 +3,9 @@
 Masks are plain ints of arbitrary width, frames are dicts mapping
 variable names to masks.  What an element does to the frame stack
 follows :data:`FRAME_EFFECTS`; the assignments it runs come from a
-``lower`` function that maps an assignment tuple to its ops.
+``lower`` function that maps an assignment tuple to its ops, called
+once per element of a part before the part is walked, and once per memo
+for a shared body.
 
 Each assignment is one op ``(target, keep, value)``, applied as::
 
@@ -17,10 +19,16 @@ another variable's mask shares that int instead of copying it.
 All ops of one element read the frame state from before the element,
 while writes land in declaration order, so later assignments win on
 conflicting targets.  :func:`run_sequence` returns one delta per
-element: an APPLY delta is a list of the ``(variable, mask)`` pairs the
-element writes, any other delta the whole new top frame as a tuple of
-pairs.  So a POP_BIND delta holds the whole caller frame; its own writes
-are its result variable and its result-assignment targets.
+element.  An APPLY delta is a tuple of the ``(variable, mask)`` pairs
+the element changes: each target, once, whose final mask differs from
+the frame before the element, or that the element creates, even at
+mask 0.  An element that changes nothing gets the shared empty tuple
+:data:`NO_CHANGE`.  So, as in semi-naive evaluation (Bancilhon &
+Ramakrishnan 1986), whoever reads the deltas re-tests only what
+changed; most writes in a forwarding body store the mask the variable
+already holds.  Any other delta is the whole new top frame as a tuple
+of pairs.  So a POP_BIND delta holds the whole caller frame; its own
+writes are its result variable and its result-assignment targets.
 
 A callee frame holds only the bound parameters, so the deltas of a
 call's body and the frame it returns depend only on the body and the
@@ -66,19 +74,25 @@ FRAME_EFFECTS = {
 }
 
 
-def assign(frame: dict, ops) -> list:
+NO_CHANGE = ()  # the delta of every APPLY element that changes nothing
+
+
+def assign(frame: dict, ops) -> tuple:
     """Run assignment ops in ``frame``, in place; return each distinct
-    target with its new mask."""
-    pre = frame.copy() if len(ops) > 1 else frame
+    target whose mask they changed or created, with its new mask."""
+    pre = frame.copy()
     for target, keep, value in ops:
         if type(value) is not int:
             value = value(pre)
         if keep:
             value |= frame.get(target, 0) & keep
         frame[target] = value
-    if len(ops) == 1:
-        return [(target, value)]
-    return list({op[0]: frame[op[0]] for op in ops}.items())
+    changed = tuple(
+        (target, mask)
+        for target, mask in {op[0]: frame[op[0]] for op in ops}.items()
+        if pre.get(target) != mask
+    )
+    return changed or NO_CHANGE
 
 
 def run_sequence(parts, lower, memo=None) -> list[list]:
@@ -87,14 +101,16 @@ def run_sequence(parts, lower, memo=None) -> list[list]:
 
     ``lower(assignments)`` returns the ops of an assignment tuple.  A
     body's summary in ``memo`` is keyed by the body and the delta of the
-    calling bracket before it, which is the bound frame.
+    calling bracket before it, which is the bound frame; the body's ops
+    are lowered once per memo, under ``memo["lowered"]``.
     """
     memo = {} if memo is None else memo
+    lowered = memo.setdefault("lowered", {})
     stack: list[dict] = []
     out: list[list] = []
     for n, part in enumerate(parts):
         if n % 2 == 0:
-            out.append(_walk(part, lower, stack))
+            out.append(_walk(part, _steps(part, lower), stack))
             continue
         previous = parts[n - 1]
         if not previous or FRAME_EFFECTS.get(type(previous[-1])) != CALL:
@@ -102,22 +118,53 @@ def run_sequence(parts, lower, memo=None) -> list[list]:
         key = (id(part), out[-1][-1])
         summary = memo.get(key)
         if summary is None:
-            summary = memo[key] = (_walk(part, lower, stack), stack[-1])
+            steps = lowered.get(id(part))
+            if steps is None:
+                steps = lowered[id(part)] = _steps(part, lower)
+            summary = memo[key] = (_walk(part, steps, stack), stack[-1])
         else:
             stack[-1] = summary[1]
         out.append(summary[0])
     return out
 
 
-def _walk(elements, lower, stack) -> list:
-    deltas: list = []
-    append = deltas.append
+def _steps(elements, lower) -> list:
+    """Each element's frame effect, with the ops it runs or None."""
+    steps = []
     for element in elements:
         effect = FRAME_EFFECTS.get(type(element))
         if effect == APPLY:
+            steps.append((effect, lower(element.assignments)))
+        elif effect == POP_BIND and element.result_assignments:
+            steps.append((effect, lower(element.result_assignments)))
+        else:
+            steps.append((effect, None))
+    return steps
+
+
+def _walk(elements, steps, stack) -> list:
+    deltas: list = []
+    append = deltas.append
+    for element, (effect, ops) in zip(elements, steps):
+        if effect == APPLY:
             if not stack:
                 raise PropagationError("no active frame")
-            append(assign(stack[-1], lower(element.assignments)))
+            frame = stack[-1]
+            if len(ops) != 1:
+                append(assign(frame, ops))
+                continue
+            # one op, inline: it reads the frame before writing it
+            ((target, keep, value),) = ops
+            old = frame.get(target)
+            if type(value) is not int:
+                value = value(frame)
+            if keep and old:
+                value |= old & keep
+            if value == old:
+                append(NO_CHANGE)
+            else:
+                frame[target] = value
+                append(((target, value),))
             continue
         if effect == PUSH:
             stack.append({})
@@ -141,8 +188,8 @@ def _walk(elements, lower, stack) -> list:
             frame = stack[-1]
             if element.result_variable is not None:
                 frame[element.result_variable] = returned.get(RETURN_VARIABLE, 0)
-            if element.result_assignments:
-                assign(frame, lower(element.result_assignments))
+            if ops:
+                assign(frame, ops)
         else:
             raise PropagationError(
                 f"unknown sequence element kind {type(element).__name__}"

@@ -365,15 +365,20 @@ def validate_model(model: ArchitectureModel) -> list[str]:
                     f"'{signature.id}' has no Return action"
                 )
 
+    # one walk over each action list; the instances below reuse its calls
+    calls_of: dict[int, list] = {}
     for component in model.components:
+        calls = calls_of[id(component)] = []
         for seff in component.seffs:
             owner = signature_owner.get(seff.signature_id)
-            if owner is None or owner[0] is not component:
-                continue  # a seff for a signature its component does not provide
+            # a seff for a signature its component does not provide is not checked
+            provided = owner is not None and owner[0] is component
             for action in seff.actions:
                 if isinstance(action, ExternalCall):
-                    where = f"component '{component.id}', seff '{seff.signature_id}'"
-                    check_call(f"{where}, action '{action.id}'", action)
+                    calls.append(action)
+                    if provided:
+                        where = f"component '{component.id}', seff '{seff.signature_id}'"
+                        check_call(f"{where}, action '{action.id}'", action)
 
     # each instance is allocated, and its component and external calls resolve
     for instance in model.assembly.instances:
@@ -385,22 +390,19 @@ def validate_model(model: ArchitectureModel) -> list[str]:
                 f"instance '{instance.id}': unknown component '{instance.component_id}'"
             )
             continue
-        for seff in component.seffs:
-            for action in seff.actions:
-                if not isinstance(action, ExternalCall):
-                    continue
-                where = f"instance '{instance.id}', call '{action.id}'"
-                target_id = index.connectors.get((instance.id, action.role))
-                if target_id is None:
-                    defects.append(f"{where}: no connector for role '{action.role}'")
-                    continue
-                target = index.instances.get(target_id)
-                provider = signature_owner.get(action.signature_id)
-                if target and provider and target.component_id != provider[0].id:
-                    defects.append(
-                        f"{where}: connector target '{target_id}' does not provide "
-                        f"signature '{action.signature_id}'"
-                    )
+        for action in calls_of[id(component)]:
+            where = f"instance '{instance.id}', call '{action.id}'"
+            target_id = index.connectors.get((instance.id, action.role))
+            if target_id is None:
+                defects.append(f"{where}: no connector for role '{action.role}'")
+                continue
+            target = index.instances.get(target_id)
+            provider = signature_owner.get(action.signature_id)
+            if target and provider and target.component_id != provider[0].id:
+                defects.append(
+                    f"{where}: connector target '{target_id}' does not provide "
+                    f"signature '{action.signature_id}'"
+                )
 
     for connector in model.assembly.connectors:
         where = f"connector ({connector.instance_id}, {connector.role})"

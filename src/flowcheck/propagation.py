@@ -265,7 +265,9 @@ class PropagatedSequence:
     """An action sequence together with one result per element.
 
     The canonical state is ``parts``: the node masks and the deltas (see
-    :mod:`flowcheck.kernel`) of each part of ``sequence.parts``.  The flat
+    :mod:`flowcheck.kernel`) of each part of ``sequence.parts``.  An
+    assignment element's delta holds only the variables it changed, so
+    its frame is the frame before it updated with its delta.  The flat
     ``node_masks`` and ``deltas``, the ``frames`` they replay to and the
     :class:`ElementResult` views in ``results`` are built on first
     access, and must be treated as read-only.
@@ -359,9 +361,10 @@ class PropagatedSequence:
 def propagate(model: ArchitectureModel, sequence: ActionSequence, memo=None) -> PropagatedSequence:
     """Run label propagation over one sequence.
 
-    ``memo`` holds the call summaries of :func:`flowcheck.kernel.run_sequence`
-    and each body's node masks; the sequences that share one must outlive
-    it.  Each call counts as one propagation run.
+    ``memo`` holds the call summaries and lowered bodies of
+    :func:`flowcheck.kernel.run_sequence` and each body's node masks;
+    the sequences that share one must outlive it.  Each call counts as
+    one propagation run.
     """
     global _run_count
     dictionary = model.dictionary

@@ -80,15 +80,23 @@ def test_analyze_timing_goes_to_stderr(shop_path, geo_constraints_path, capsys):
     assert out.splitlines() == ["TOTAL 0 violations"]
     lines = err.splitlines()
     stages = ["load", "constraints", "extract", "propagate", "query", "report"]
-    assert [line.split()[0] for line in lines] == stages + ["elapsed"]
+    assert [line.split()[0] for line in lines] == stages + ["elapsed", "maxrss"]
     times = []
-    for line in lines:
+    for line in lines[:-1]:
         parts = line.split()
         _, ms, unit = parts[:3] if parts[0] == "load" else parts  # the load's split follows
         assert unit == "ms"
         times.append(float(ms))
     # the stages cover the whole run; each printed time is rounded to 0.1 ms
-    assert abs(sum(times[:-1]) - times[-1]) <= 0.05 * len(lines) + 1e-9
+    assert abs(sum(times[:-1]) - times[-1]) <= 0.05 * len(times) + 1e-9
+    number = r"(\d+\.\d)"
+    match = re.fullmatch(
+        rf"maxrss {number} MiB \(" + ", ".join(f"{stage} {number}" for stage in stages) + r"\)",
+        lines[-1])
+    assert match, lines[-1]
+    peak, *marks = map(float, match.groups())
+    # a high-water mark never falls, and the last is the whole run's
+    assert marks == sorted(marks) and marks[-1] == peak
 
 
 def test_analyze_timing_splits_the_load(shop_path, geo_constraints_path, capsys):

@@ -17,7 +17,7 @@ from flowcheck.extraction import (
 from flowcheck.labels import DataDictionary, LabelType
 from flowcheck.loader import load_model, model_from_data
 from flowcheck.model import assignment_from_text
-from flowcheck.oracle import _apply_assignments, oracle_propagate
+from flowcheck.oracle import _apply_assignments, oracle_propagate, random_small_model
 from flowcheck.propagation import (
     DataFlowVariable,
     PropagatedSequence,
@@ -314,6 +314,83 @@ def test_run_counter_counts_propagations(model_data):
     before = propagation_runs()
     evaluate_all(model, sequences)
     assert propagation_runs() == before + len(sequences)
+
+
+# -- change-only deltas ----------------------------------------------------
+
+def _apply_deltas(*op_lists):
+    """The deltas of one frame's assignment elements, each element's
+    "assignments" being its ops already."""
+    elements = [UserStart("s", "s")] + [
+        UserVariableNode(f"a{n}", "s", tuple(ops)) for n, ops in enumerate(op_lists)]
+    return kernel.run_sequence([tuple(elements)], lambda ops: ops)[0][1:]
+
+
+def test_unchanged_single_write_shares_the_empty_delta():
+    same = lambda pre: pre["x"]  # noqa: E731
+    deltas = _apply_deltas([("x", 0, 5)], [("x", 0, 5)], [("x", 0, same)], [("x", ~1, 1)])
+    assert deltas[0] == (("x", 5),)
+    assert all(delta is kernel.NO_CHANGE for delta in deltas[1:])
+    assert kernel.NO_CHANGE == ()
+
+
+@pytest.mark.parametrize("ops", [
+    [("x", 0, 0)],
+    [("x", ~1, 0)],
+    [("x", 0, lambda pre: pre.get("y", 0))],
+    [("y", 0, 2), ("x", 0, 0)],
+], ids=["constant", "kept-bits", "closure", "multi-op"])
+def test_write_that_creates_a_variable_at_mask_0_is_recorded(ops):
+    assert ("x", 0) in _apply_deltas(ops)[0]
+
+
+def test_multi_op_writes_that_cancel_out_record_nothing():
+    deltas = _apply_deltas([("x", 0, 1), ("y", 0, 2)],
+                           [("x", 0, 4), ("y", ~2, 0), ("x", 0, 1), ("y", 0, 2)])
+    assert deltas[1] is kernel.NO_CHANGE
+
+
+def test_multi_op_records_each_changed_target_once_with_its_final_mask():
+    deltas = _apply_deltas([("x", 0, 1), ("y", 0, 2)],
+                           [("x", 0, 4), ("y", 0, 2), ("z", 0, 0), ("x", ~8, 8), ("y", 0, 3)])
+    assert deltas[1] == (("x", 12), ("y", 3), ("z", 0))
+
+
+def test_shared_body_is_lowered_once_per_memo():
+    lowered = []
+
+    def lower(ops):
+        lowered.append(ops)
+        return ops
+
+    body = (SeffVariableNode("b", "i", (("p", ~1, 1),)),)
+    parts = []
+    for value in (2, 4):  # two bound frames, so the body is walked twice
+        parts += [(UserStart("s", "s"), UserVariableNode("u", "s", (("x", 0, value),)),
+                   CallingUserNode("c", "s", "i", "sig", (("p", "x"),))), body]
+    memo = {}
+    deltas = [kernel.run_sequence(parts[:2] + [()], lower, memo),
+              kernel.run_sequence(parts[2:] + [()], lower, memo)]
+    assert [d[1] for d in deltas] == [[(("p", 3),)], [(("p", 5),)]]
+    assert lowered.count(body[0].assignments) == 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_assignment_deltas_hold_exactly_what_changed(seed):
+    """Against the oracle's frames: an assignment element's delta names
+    each variable whose mask differs from the frame before it, or that
+    it creates, once."""
+    model = random_small_model(seed)
+    for sequence in find_all_sequences(model):
+        frames = oracle_propagate(model, sequence).frames
+        deltas = propagate(model, sequence).deltas
+        for n, (element, delta) in enumerate(zip(sequence, deltas)):
+            if kernel.FRAME_EFFECTS[type(element)] != kernel.APPLY:
+                continue
+            before = frames[n - 1]
+            assert len(dict(delta)) == len(delta)
+            assert dict(delta) == {var: mask for var, mask in frames[n].items()
+                                   if before.get(var) != mask}
 
 
 # -- kernel error paths ----------------------------------------------------
