@@ -1,7 +1,6 @@
-"""Define and evaluate confidentiality constraints over propagated flows.
+"""Parse and evaluate textual confidentiality constraints.
 
-A constraint matches sequence elements.  The textual form, one per
-line, reads:
+A constraint matches sequence elements.  Its form, one per line, reads:
 
     VIOLATION <name> WHERE <node term> AND DATA <data term>
 
@@ -12,12 +11,14 @@ matched existentially: the element violates if at least one in-scope
 variable satisfies it, and all satisfying variables are reported.  A
 data term without references (``DATA TRUE``) is a plain condition, so it
 also matches elements that carry no variables at all.  Wildcards are not
-allowed in constraints.
+allowed in constraints.  A check written in Python instead is a
+callable over element results, passed to
+:meth:`flowcheck.analysis.DataFlowAnalysis.query_data_flow`.
 
-Evaluation works purely on propagated results; checking any number of
-constraints never re-runs propagation.  A query walks each sequence's
-deltas (see :func:`flowcheck.kernel.run_sequence`) part by part, once
-per textual constraint, so it re-tests only the variables each
+A query reads only the stored parts of each propagated sequence;
+checking any number of constraints never re-runs propagation.  It walks
+each sequence's deltas (see :func:`flowcheck.kernel.run_sequence`) part
+by part, once per constraint, so it re-tests only the variables each
 assignment element changes and needs no frame; within one query the node
 and data terms each run once per distinct mask, and each body's deltas,
 which stand for one call context, are matched once.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import terms
 from .errors import ConstraintError, DictionaryError, TermSyntaxError
@@ -70,50 +71,19 @@ class Violation(NamedTuple):
         )
 
 
-class Constraint:
-    """A named element predicate, textual or programmatic.
+class Constraint(NamedTuple):
+    """A parsed textual constraint: its name and text, and its node and
+    data terms compiled into tests over a label mask.
 
-    ``predicate(node_labels, variables)`` is always callable; textual
-    constraints additionally carry compiled mask tests used on the fast
-    path.
+    ``data_has_refs`` tells whether the data term references data, and
+    so is matched existentially over the in-scope variables.
     """
 
-    __slots__ = ("name", "predicate", "text", "_node_fn", "_data_fn", "_data_has_refs")
-
-    def __init__(self, name, predicate, *, text=None, node_fn=None, data_fn=None, data_has_refs=False):
-        self.name = name
-        self.predicate = predicate
-        self.text = text
-        self._node_fn = node_fn
-        self._data_fn = data_fn
-        self._data_has_refs = data_has_refs
-
-    @classmethod
-    def from_predicate(cls, name: str, predicate) -> "Constraint":
-        """Wrap a callable ``(node_labels, variables) -> bool``."""
-        return cls(name, predicate)
-
-    def matches(self, result) -> tuple[bool, tuple[str, ...]]:
-        """Evaluate against one element result.
-
-        Returns (matched, names of satisfying variables); the names stay
-        empty for programmatic constraints and data terms without
-        references.
-        """
-        node_fn = self._node_fn
-        if node_fn is not None:
-            if not node_fn(result._node_mask):
-                return False, ()
-            data_fn = self._data_fn
-            if not self._data_has_refs:
-                return (True, ()) if data_fn(0) else (False, ())
-            names = sorted(
-                name for name, mask in result._frame.items() if data_fn(mask)
-            )
-            if names:
-                return True, tuple(names)
-            return False, ()
-        return (True, ()) if self.predicate(result.node_labels, result.variables) else (False, ())
+    name: str
+    text: str
+    node_test: Callable[[int], bool]
+    data_test: Callable[[int], bool]
+    data_has_refs: bool
 
     def __repr__(self) -> str:
         return f"Constraint({self.name!r})"
@@ -159,26 +129,14 @@ def parse_constraint(text: str, dictionary: DataDictionary) -> Constraint:
     data_ast = parser.parse_term()
     parser.expect_end()
 
-    node_fn = _mask_test(node_ast, dictionary, NODE_PREFIX, name)
-    data_fn = _mask_test(data_ast, dictionary, DATA_PREFIX, name)
-    # from the AST, not the compiled test: folding must not turn an
-    # existential data term into a plain condition
-    data_has_refs = any(True for _ in terms.iter_refs(data_ast))
-
-    def predicate(node_labels, variables) -> bool:
-        if not node_fn(node_labels.mask):
-            return False
-        if not data_has_refs:
-            return data_fn(0)
-        return any(data_fn(v.labels.mask) for v in variables)
-
     return Constraint(
         name,
-        predicate,
-        text=text,
-        node_fn=node_fn,
-        data_fn=data_fn,
-        data_has_refs=data_has_refs,
+        text,
+        _mask_test(node_ast, dictionary, NODE_PREFIX, name),
+        _mask_test(data_ast, dictionary, DATA_PREFIX, name),
+        # from the AST, not the compiled test: folding must not turn an
+        # existential data term into a plain condition
+        any(True for _ in terms.iter_refs(data_ast)),
     )
 
 
@@ -208,7 +166,7 @@ def parse_constraints_text(
 def load_constraints(path, dictionary: DataDictionary) -> list[Constraint]:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConstraintError(f"cannot read constraints file '{path}': {exc}") from None
     return parse_constraints_text(text, dictionary, source=str(path))
@@ -231,22 +189,15 @@ class _Verdicts(dict):
 def _scan(sequence_index, propagated, rows) -> None:
     """Match all constraint rows against one propagated sequence.
 
-    Each row is (name, node_ok, data_ok, data_has_refs, predicate,
-    bucket, seen); ``node_ok`` and ``data_ok`` are the compiled tests
-    wrapped in :class:`_Verdicts`, which live for one query like ``seen``
-    (see :func:`_data_matches`), so each test runs once per distinct mask
-    however many elements or variables carry it.  Both tests are ``None``
-    for a programmatic row, whose predicate sees every element result.
+    Each row is (name, node_ok, data_ok, data_has_refs, bucket, seen);
+    ``node_ok`` and ``data_ok`` are the compiled tests wrapped in
+    :class:`_Verdicts`, which live for one query like ``seen`` (see
+    :func:`_data_matches`), so each test runs once per distinct mask
+    however many elements or variables carry it.
     """
-    for name, node_ok, data_ok, data_has_refs, predicate, bucket, seen in rows:
+    for name, node_ok, data_ok, data_has_refs, bucket, seen in rows:
         if data_has_refs:
             matches = _data_matches(propagated, node_ok, data_ok, seen)
-        elif node_ok is None:
-            matches = (
-                (element_index, result.element, ())
-                for element_index, result in enumerate(propagated.results)
-                if predicate(result.node_labels, result.variables)
-            )
         elif data_ok[0]:
             node_masks = chain.from_iterable(masks for masks, _ in propagated.parts)
             matches = (
@@ -322,12 +273,7 @@ def _rows_for(constraints, out: dict[str, list[Violation]]):
             raise ConstraintError("duplicate constraint names in one query")
         bucket: list[Violation] = []
         out[c.name] = bucket
-        if c._node_fn is None:
-            rows.append((c.name, None, None, False, c.predicate, bucket, None))
-        else:
-            node_ok = _Verdicts(c._node_fn)
-            data_ok = _Verdicts(c._data_fn)
-            rows.append((c.name, node_ok, data_ok, c._data_has_refs, c.predicate, bucket, {}))
+        rows.append((c.name, _Verdicts(c.node_test), _Verdicts(c.data_test), c.data_has_refs, bucket, {}))
     return rows
 
 
@@ -342,8 +288,8 @@ def query(propagated, constraint: Constraint, *, sequence_index: int = 0) -> lis
 def query_many(propagated_sequences, constraints) -> dict[str, list[Violation]]:
     """Evaluate several constraints over several propagated sequences.
 
-    Works entirely on the given results; propagation is never re-run, no
-    matter how many constraints are checked.  Violations are ordered by
+    Reads only the stored parts; propagation is never re-run, no matter
+    how many constraints are checked.  Violations are ordered by
     sequence, then element.
     """
     out: dict[str, list[Violation]] = {}

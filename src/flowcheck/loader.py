@@ -43,7 +43,6 @@ from .model import (
     Signature,
     SystemCall,
     UsageScenario,
-    UserVariableAction,
     VariableAction,
     assignment_from_text,
     validate_model,
@@ -69,7 +68,7 @@ def load_model(path, timings=None) -> ArchitectureModel:
     (:class:`~flowcheck.analysis.Timings`) gets the json and build parts."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelLoadError([f"cannot read model file '{path}': {exc}"]) from None
     return load_model_text(text, base_dir=path.parent, source=str(path), timings=timings)
@@ -184,7 +183,7 @@ class _Builder:
             return None
         path = self.base_dir / ref
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             self.defect(f"member '{name}': cannot read '{path}': {exc}")
             return None
@@ -430,7 +429,7 @@ class _Builder:
         kind = entry.get("type")
         if kind == "variable":
             assignments = self._assignments(entry.get("assignments"), where, aid)
-            return (VariableAction if seff else UserVariableAction)(aid, assignments)
+            return VariableAction(aid, assignments)
         here = f"{where}, action '{aid}'"
         if kind == "return":
             if not seff:

@@ -36,7 +36,6 @@ __all__ = [
     "clear_parse_cache",
     "Signature",
     "VariableAction",
-    "UserVariableAction",
     "ExternalCall",
     "ReturnAction",
     "Seff",
@@ -50,7 +49,6 @@ __all__ = [
     "UsageScenario",
     "ArchitectureModel",
     "validate_model",
-    "node_labels_for_instance",
 ]
 
 # Reserved variable carrying a callee's return data across the call boundary.
@@ -121,10 +119,6 @@ class VariableAction(NamedTuple):
 
     id: str
     assignments: tuple[Assignment, ...]
-
-
-class UserVariableAction(VariableAction):
-    """A variable action issued by the user side of a scenario."""
 
 
 class ExternalCall(NamedTuple):
@@ -314,12 +308,6 @@ def index_of(model: ArchitectureModel) -> ModelIndex:
         index = ModelIndex(model)
         object.__setattr__(model, "_index", index)
     return index
-
-
-def node_labels_for_instance(model: ArchitectureModel, instance_id: str) -> LabelSet:
-    """Labels of the node an instance runs on: component plus container."""
-    index = index_of(model)
-    return model.dictionary.set_from_mask(index.node_mask(instance_id))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 from . import kernel, terms
 from .errors import DictionaryError
@@ -280,20 +280,6 @@ class PropagatedSequence:
         self.parts = tuple(parts)
         self._dictionary = dictionary
         self._node_masks = self._deltas = self._frames = self._results = None
-
-    @classmethod
-    def from_results(cls, sequence: ActionSequence, results) -> "PropagatedSequence":
-        """Build from pre-made :class:`ElementResult` objects, each whole
-        frame serving as its element's delta."""
-        results = tuple(results)
-        dictionary = results[0]._dictionary if results else None
-        each = iter(results)
-        chunks = (tuple(islice(each, len(part))) for part in sequence.parts)
-        self = cls(sequence, [([r._node_mask for r in chunk], [tuple(r._frame.items()) for r in chunk])
-                              for chunk in chunks], dictionary)
-        self._frames = tuple(r._frame for r in results)
-        self._results = results
-        return self
 
     def _each(self, field: int):
         """Iterate the node masks (``field`` 0) or the deltas (1) of every part."""

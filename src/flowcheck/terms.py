@@ -66,7 +66,6 @@ from .errors import TermSyntaxError
 
 __all__ = [
     "parse_term",
-    "parse_assignment",
     "read_assignment",
     "iter_refs",
     "compile_truth",
@@ -254,17 +253,12 @@ def parse_term(text: str) -> tuple:
     return node
 
 
-def parse_assignment(text: str) -> tuple[tuple[str, str | None, str | None], tuple]:
-    """Parse ``target := term`` into ((var, type, value), rhs AST).
+def read_assignment(text: str) -> tuple[tuple, tuple, tuple]:
+    """Parse ``target := term`` into ((var, type, value), rhs AST, the
+    rhs's references as :func:`iter_refs` yields them).
 
     ``None`` in the target tuple marks a wildcard segment.
     """
-    return read_assignment(text)[:2]
-
-
-def read_assignment(text: str) -> tuple[tuple, tuple, tuple]:
-    """:func:`parse_assignment`, plus the rhs's references as
-    :func:`iter_refs` yields them."""
     parts = _REF_RE.split(text)
     refs = []
     for var, type_name, value in zip(parts[1::6], parts[3::6], parts[5::6]):

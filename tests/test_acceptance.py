@@ -22,15 +22,11 @@ from flowcheck.benchgen import (
 from flowcheck.constraints import load_constraints, parse_constraint, query, query_many
 from flowcheck.extraction import find_all_sequences
 from flowcheck.loader import load_model, model_from_data
-from flowcheck.oracle import (
-    oracle_propagate,
-    oracle_query,
-    random_constraints,
-    random_small_model,
-)
+from flowcheck.oracle import oracle_propagate, oracle_query
 from flowcheck.propagation import evaluate_all, propagate, propagation_runs
 
 from conftest import minimal_model_data
+from generators import random_constraints, random_small_model
 
 GEO = ("VIOLATION geo WHERE node.ServerLocation.nonEU "
        "AND DATA data.DataSensitivity.Personal & !data.Encryption.Encrypted")

@@ -11,9 +11,9 @@ from flowcheck.benchgen import BenchFeature, generate_bench_model
 from flowcheck.constraints import load_constraints, parse_constraint
 from flowcheck.errors import ModelLoadError
 from flowcheck.loader import load_model, load_model_text, model_to_json
-from flowcheck.oracle import random_constraints, random_small_model
 
 from conftest import call_chain_model_data
+from generators import random_constraints, random_small_model
 
 GEO = ("VIOLATION geo WHERE node.ServerLocation.nonEU "
        "AND DATA data.DataSensitivity.Personal & !data.Encryption.Encrypted")

@@ -25,10 +25,11 @@ from flowcheck.extraction import (
     find_all_sequences,
 )
 from flowcheck.loader import load_model, model_from_data
-from flowcheck.oracle import oracle_propagate, oracle_query, random_constraints
+from flowcheck.oracle import oracle_propagate, oracle_query
 from flowcheck.propagation import evaluate_all, propagate
 
 from conftest import call_chain_model_data, unchecked_model
+from generators import random_constraints
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The command line interface: exit codes, output shapes, determinism."""
 
+import codecs
 import gc
 import json
 import re
@@ -162,6 +163,23 @@ def test_analyze_writes_report_with_collector_paused(
 
 def test_validate_ok(shop_path, capsys):
     assert run_cli(["validate", shop_path], capsys) == (0, "OK\n", "")
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "online_shop_no_encrypt.json", "--constraints", "geo.constraints"],
+    ["validate", "online_shop_no_encrypt.json"],
+    ["sequences", "online_shop_no_encrypt.json"],
+])
+def test_byte_order_mark_reads_as_without(args, models_dir, tmp_path, monkeypatch, capsys):
+    # as some Windows editors save them: the model, the member file it
+    # references and the constraints file each start with a UTF-8 BOM
+    for name in ("online_shop_no_encrypt.json", "dictionary.json", "geo.constraints"):
+        (tmp_path / name).write_bytes(codecs.BOM_UTF8 + (models_dir / name).read_bytes())
+    monkeypatch.chdir(models_dir)
+    plain = run_cli(args, capsys)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args, capsys) == plain
+    assert plain[0] in (0, 1)
 
 
 def test_validate_reports_defects(tmp_path, capsys):

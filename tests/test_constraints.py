@@ -15,8 +15,9 @@ from flowcheck.constraints import (
 from flowcheck.errors import ConstraintError
 from flowcheck.extraction import find_all_sequences
 from flowcheck.loader import load_model, model_from_data
-from flowcheck.oracle import random_constraints, random_small_model
 from flowcheck.propagation import evaluate_all
+
+from generators import random_constraints, random_small_model
 
 GEO = ("VIOLATION geo WHERE node.ServerLocation.nonEU "
        "AND DATA data.DataSensitivity.Personal & !data.Encryption.Encrypted")
@@ -129,7 +130,7 @@ def test_data_term_with_refs_stays_existential_when_it_folds(shop):
     assert out == per_element(propagated, [folded, plain])
     for p in propagated:
         for result in p.results:
-            hit = folded.predicate(result.node_labels, result.variables)
+            hit, _ = matches(folded, result)
             assert hit == bool(result.variable_names())
 
 
@@ -223,25 +224,10 @@ def test_load_constraints_undecodable_file(shop, tmp_path):
         load_constraints(path, model.dictionary)
 
 
-def test_from_predicate(shop_plain):
-    model, propagated = shop_plain
-    # predicates receive (node_labels, variables)
-    c = Constraint.from_predicate(
-        "personal_off_eu",
-        lambda node, variables: (
-            node.has("ServerLocation", "nonEU")
-            and any(v.has_data_characteristic("DataSensitivity", "Personal")
-                    for v in variables)))
-    violations = query_many(propagated, [c])["personal_off_eu"]
-    assert [v.element_id for v in violations] == ["act.db.log", "act.db.ret"]
-    # programmatic constraints do not name the satisfying variables
-    assert violations[0].variable_names == ()
-
-
 def test_matches_single_result(shop_plain):
     model, propagated = shop_plain
     c = parse_constraint(GEO, model.dictionary)
-    outcomes = [c.matches(r) for r in propagated[0].results]
+    outcomes = [matches(c, r) for r in propagated[0].results]
     assert [hit for hit, _ in outcomes] == [
         False, False, False, False, True, True, False, False]
     assert outcomes[4] == (True, ("payload", "stored"))
@@ -250,9 +236,21 @@ def test_matches_single_result(shop_plain):
 
 # ---------------------------------------------------------------------------
 # the incremental scan: query_many re-tests only the variables each element
-# writes, and must agree with a full per-element Constraint.matches
+# changes, and must agree with a reference that matches each element's
+# whole frame
 
 RED = "VIOLATION red WHERE TRUE AND DATA data.Color.Red"
+
+
+def matches(constraint, result):
+    """(matched, names of the satisfying variables) at one element result;
+    the names stay empty for a data term without references."""
+    if not constraint.node_test(result.node_labels.mask):
+        return False, ()
+    if not constraint.data_has_refs:
+        return constraint.data_test(0), ()
+    names = tuple(v.name for v in result.variables if constraint.data_test(v.labels.mask))
+    return bool(names), names
 
 
 def per_element(propagated_sequences, constraints):
@@ -261,7 +259,7 @@ def per_element(propagated_sequences, constraints):
             Violation(c.name, seq, index, result.element.element_id, names)
             for seq, propagated in enumerate(propagated_sequences)
             for index, result in enumerate(propagated.results)
-            for hit, names in [c.matches(result)]
+            for hit, names in [matches(c, result)]
             if hit
         ]
         for c in constraints
@@ -376,11 +374,11 @@ def test_scan_tests_each_distinct_mask_once(model_data):
             "AND DATA data.Color.Red & !data.Color.Blue")
     expected = per_element(propagated, [parse_constraint(text, model.dictionary)])
 
-    constraint = parse_constraint(text, model.dictionary)
+    parsed = parse_constraint(text, model.dictionary)
     tested = {"node": [], "data": []}
-    node_fn, data_fn = constraint._node_fn, constraint._data_fn
-    constraint._node_fn = lambda mask: tested["node"].append(mask) or node_fn(mask)
-    constraint._data_fn = lambda mask: tested["data"].append(mask) or data_fn(mask)
+    constraint = parsed._replace(
+        node_test=lambda mask: tested["node"].append(mask) or parsed.node_test(mask),
+        data_test=lambda mask: tested["data"].append(mask) or parsed.data_test(mask))
     assert query_many(propagated, [constraint]) == expected
     assert len(expected["mixed"]) == len(propagated[0]) - 1  # all but the start
 

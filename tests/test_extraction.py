@@ -17,9 +17,9 @@ from flowcheck.extraction import (
     find_all_sequences,
 )
 from flowcheck.loader import load_model, model_from_data
-from flowcheck.oracle import random_small_model
 
 from conftest import minimal_model_data, unchecked_model
+from generators import random_small_model
 
 
 def test_default_depth_limit():

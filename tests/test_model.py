@@ -10,10 +10,8 @@ from flowcheck.model import (
     ExternalCall,
     ReturnAction,
     SystemCall,
-    UserVariableAction,
     VariableAction,
     assignment_from_text,
-    node_labels_for_instance,
 )
 
 
@@ -48,8 +46,6 @@ def test_actions_are_tuples():
     a = VariableAction("a1", (assignment_from_text("x.T.V := TRUE"),))
     assert isinstance(a, tuple)
     assert a.id == "a1"
-    u = UserVariableAction("a2", ())
-    assert isinstance(u, VariableAction)
     r = ReturnAction("r1", ())
     assert r.assignments == ()
     c = ExternalCall("c1", "role", "sig", (("p", "v"),), None, ())
@@ -62,6 +58,9 @@ def test_minimal_model_loads(model_data):
     model = model_from_data(model_data)
     assert [c.id for c in model.components] == ["comp.a"]
     assert model.scenarios[0].actions[1].result_variable == "got"
+    # user and seff variable actions are one record type
+    assert type(model.scenarios[0].actions[0]) is VariableAction
+    assert type(model.components[0].seffs[0].actions[0]) is VariableAction
 
 
 def test_index_lookups(model_data):
@@ -87,8 +86,9 @@ def test_index_lookups(model_data):
 def test_node_labels_union_component_and_container(model_data):
     model = model_from_data(model_data)
     # component carries Color.Red, its container carries Color.Blue
-    labels = node_labels_for_instance(model, "inst.a")
-    assert labels.names() == ["Color.Blue", "Color.Red"]
+    [component], [container] = model.components, model.deployment.containers
+    assert component.labels.mask != container.labels.mask
+    assert index_of(model).node_mask("inst.a") == component.labels.mask | container.labels.mask
 
 
 def test_node_mask_matches_node_labels(model_data):

@@ -6,13 +6,10 @@ from flowcheck import loader
 from flowcheck.constraints import parse_constraint, query, query_many
 from flowcheck.extraction import find_all_sequences
 from flowcheck.loader import model_to_json
-from flowcheck.oracle import (
-    oracle_propagate,
-    oracle_query,
-    random_constraints,
-    random_small_model,
-)
+from flowcheck.oracle import oracle_propagate, oracle_query
 from flowcheck.propagation import propagate
+
+from generators import random_constraints, random_small_model
 
 
 def test_generator_is_deterministic():

@@ -17,7 +17,7 @@ from flowcheck.extraction import (
 from flowcheck.labels import DataDictionary, LabelType
 from flowcheck.loader import load_model, model_from_data
 from flowcheck.model import assignment_from_text
-from flowcheck.oracle import _apply_assignments, oracle_propagate, random_small_model
+from flowcheck.oracle import _apply_assignments, oracle_propagate
 from flowcheck.propagation import (
     DataFlowVariable,
     PropagatedSequence,
@@ -27,6 +27,8 @@ from flowcheck.propagation import (
     propagation_runs,
 )
 from flowcheck import kernel
+
+from generators import random_small_model
 
 
 EU = ["ServerLocation.EU"]
@@ -297,15 +299,6 @@ def test_propagated_sequence_equality(model_data):
     assert a == b
     assert a != PropagatedSequence(seq, [(a.node_masks[:-1], a.deltas[:-1])],
                                    model.dictionary)
-
-
-def test_from_results_round_trip(model_data):
-    model = model_from_data(model_data)
-    seq = find_all_sequences(model)[0]
-    direct = propagate(model, seq)
-    rebuilt = PropagatedSequence.from_results(seq, direct.results)
-    assert rebuilt == direct
-    assert rebuilt.results == direct.results
 
 
 def test_run_counter_counts_propagations(model_data):

@@ -15,10 +15,15 @@ from flowcheck.terms import (
     TermParser,
     compile_truth,
     iter_refs,
-    parse_assignment,
     parse_term,
+    read_assignment,
     wildcard_arity,
 )
+
+
+def parse_assignment(text):
+    """The target and the right-hand side AST of an assignment text."""
+    return read_assignment(text)[:2]
 
 
 def test_constants():
