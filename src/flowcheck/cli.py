@@ -69,10 +69,10 @@ def _cmd_analyze(args) -> int:
         )
     except ModelLoadError as exc:
         return _cannot_load(args.model, exc)
-    dump = propagation_dump(propagated) if args.dump_propagation else None
+    dump = propagation_dump(propagated) if args.dump_propagation else ""
     report = format_report(violations, [c.name for c in constraints])
     timings.lap("report")
-    if dump is not None:
+    if dump:  # a model without usage scenarios dumps no line
         print(dump)
     print(report)
     if args.timing:

@@ -73,7 +73,8 @@ class Violation(NamedTuple):
 
 class Constraint(NamedTuple):
     """A parsed textual constraint: its name and text, and its node and
-    data terms compiled into tests over a label mask.
+    data terms compiled into tests over a label mask, each returning 1
+    where the term holds and 0 where it does not.
 
     ``data_has_refs`` tells whether the data term references data, and
     so is matched existentially over the in-scope variables.
@@ -81,8 +82,8 @@ class Constraint(NamedTuple):
 
     name: str
     text: str
-    node_test: Callable[[int], bool]
-    data_test: Callable[[int], bool]
+    node_test: Callable[[int], int]
+    data_test: Callable[[int], int]
     data_has_refs: bool
 
     def __repr__(self) -> str:
@@ -90,7 +91,8 @@ class Constraint(NamedTuple):
 
 
 def _mask_test(node, dictionary, prefix, name):
-    """Compile one side of a constraint into a test over a label mask."""
+    """Compile one side of a constraint into a test over a label mask:
+    a term over the one-bit region of its verdict."""
     def ref(ref_node):
         _, var, type_name, value = ref_node
         if var != prefix:
@@ -103,15 +105,13 @@ def _mask_test(node, dictionary, prefix, name):
                 f"constraint '{name}': wildcards are not allowed in constraints"
             )
         try:
-            bit_mask = 1 << dictionary.bit(type_name, value)
+            bit = dictionary.bit(type_name, value)
         except DictionaryError as exc:
             raise ConstraintError(f"constraint '{name}': {exc}") from None
-        return lambda mask: mask & bit_mask != 0
+        return lambda mask: mask >> bit & 1
 
-    test = terms.compile_truth(node, ref)
-    if isinstance(test, bool):
-        return lambda mask: test
-    return test
+    test = terms.compile_mask(node, 1, ref)
+    return (lambda mask: test) if type(test) is int else test
 
 
 def parse_constraint(text: str, dictionary: DataDictionary) -> Constraint:

@@ -18,18 +18,21 @@ The kernel (:mod:`flowcheck.kernel`) walks a sequence's parts and
 returns what each element changes in the visible frame, so later
 queries never re-run the propagation; the sequences of one analysis
 share the deltas of each call context and the node masks of each body.
-Each assignment lowers here, once per distinct
-assignment tuple, to one kernel op that keeps the target's bits outside the
-assigned region and ors in the new ones.  Its value is an int when the
-term folds to a constant, and otherwise a closure over the frame state
-before the element: a right-hand side whose value positions line up
-with the target's becomes one mask-valued closure, any other is compiled
-per target label by :func:`flowcheck.terms.compile_truth`.
+Each assignment lowers here, once per distinct assignment tuple, to one
+kernel op that keeps the target's bits outside the assigned region and
+ors in the new ones.  The region is the target's one bit, its type's
+bits or the whole dictionary, and :func:`flowcheck.terms.compile_mask`
+compiles the right-hand side over it into an int, when the term folds
+to a constant, or a closure over the frame state before the element.
+A reference's wildcard arity must equal the target's.  A concrete
+reference gives the whole region or nothing; a reference of the
+target's type (or ``v.*.*`` under a ``v.*.*`` target) gives the
+variable's mask within the region; a reference of another type moves
+each value it shares with the target's type onto the target's bit.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -68,104 +71,53 @@ def propagation_runs() -> int:
 # lowering: assignments -> kernel ops
 
 
-def _mask_fn(node, universe):
-    """Compile a term into a closure mapping the pre-state to a mask.
-
-    A reference yields the variable's whole mask, so this serves targets
-    whose value positions line up bitwise with the references'.  Every
-    mask lies within ``universe``, so an ``&`` chain starts from it.
-    """
-    tag = node[0]
-    if tag == "ref":
-        var = node[1]
-        return lambda pre: pre.get(var, 0)
-    if tag == "const":
-        mask = universe if node[1] else 0
-        return lambda pre: mask
-    fns = []
-    for operand in node[1:]:
-        fns.append(_mask_fn(operand, universe))
-    if tag == "not":
-        # complement within the dictionary universe so it stays bounded
-        return lambda pre: universe & ~fns[0](pre)
-    combine, start = (operator.and_, universe) if tag == "and" else (operator.or_, 0)
-
-    def chain(pre):
-        mask = start
-        for fn in fns:
-            mask = combine(mask, fn(pre))
-        return mask
-    return chain
-
-
-def _truth_ref(dictionary, value):
-    # value substitutes wildcard value segments when expanding a v.Type.*
-    # target per dictionary value; concrete refs ignore it
-    def ref(node):
-        _, var, type_name, ref_value = node
-        if ref_value is None:
-            ref_value = value
-            if not dictionary.has_label(type_name, ref_value):
-                return False
-        bit = 1 << dictionary.bit(type_name, ref_value)
-        return lambda pre: pre.get(var, 0) & bit != 0
-
-    return ref
-
-
 def _build_program(dictionary, assignments):
     ops = []
     for a in assignments:
         arity = a.wildcard_arity()
         if arity == 2:
-            # v.*.* covers every dictionary label: full replacement
-            ops.append((a.target_var, 0, _mask_fn(a.rhs, dictionary.universe_mask)))
-            continue
-        if arity == 1:
+            region = dictionary.universe_mask
+        elif arity == 1:
             region = dictionary.type_mask(a.target_type)
         else:
             region = 1 << dictionary.bit(a.target_type, a.target_value)
-        # one int per region, shared by every op that keeps the rest
-        keep = dictionary.keep_cache.setdefault(region, ~region)
-        if arity == 0:
-            bits = [(region, _truth_ref(dictionary, None))]
-        elif all(ref[2] == a.target_type for ref in a.refs):
-            # same type on both sides: value positions line up bitwise
-            fn = _mask_fn(a.rhs, dictionary.universe_mask)
-            ops.append((a.target_var, keep, _region_fn(fn, region)))
-            continue
-        else:
-            bits = [
-                (1 << dictionary.bit(a.target_type, value), _truth_ref(dictionary, value))
-                for value in dictionary.values_of(a.target_type)
-            ]
-        # each target bit is set where its test holds: fold the constant
-        # tests into ``add`` and keep the others for the pre-state
-        add = 0
-        pairs = []
-        for bit, ref in bits:
-            test = terms.compile_truth(a.rhs, ref)
-            if test is True:
-                add |= bit
-            elif test is not False:
-                pairs.append((bit, test))
-        ops.append((a.target_var, keep, _bits_fn(add, pairs) if pairs else add))
+        value = terms.compile_mask(a.rhs, region, partial(_ref_mask, dictionary, a, region))
+        # v.*.* replaces the whole variable; any other target keeps what
+        # lies outside its region, with one int per region for every op
+        keep = 0 if arity == 2 else dictionary.keep_cache.setdefault(region, ~region)
+        ops.append((a.target_var, keep, value))
     return tuple(ops)
 
 
-def _region_fn(fn, region):
-    return lambda pre: fn(pre) & region
+def _ref_mask(dictionary, a, region, node):
+    """Compile one reference of assignment ``a`` into its mask within ``region``."""
+    _, var, type_name, value = node
+    arity, target_arity = terms.wildcard_arity(type_name, value), a.wildcard_arity()
+    if arity != target_arity:
+        raise DictionaryError(f"reference '{var}' has wildcard arity {arity}, target has {target_arity}")
+    if arity == 0:
+        bit = 1 << dictionary.bit(type_name, value)
+        return lambda pre: region if pre.get(var, 0) & bit else 0
+    if type_name == a.target_type:
+        # value positions line up with the target's; a whole copy under
+        # v.*.* shares the variable's int
+        if region == dictionary.universe_mask:
+            return lambda pre: pre.get(var, 0)
+        return lambda pre: pre.get(var, 0) & region
+    # another type: each value it shares with the target's type moves
+    # onto the target's bit for that value
+    moves = [
+        (1 << dictionary.bit(type_name, shared), 1 << dictionary.bit(a.target_type, shared))
+        for shared in dictionary.values_of(a.target_type)
+        if dictionary.has_label(type_name, shared)
+    ]
+    if not moves:
+        return 0
 
-
-def _bits_fn(add, pairs):
-    def value(pre):
-        mask = add
-        for bit, test in pairs:
-            if test(pre):
-                mask |= bit
-        return mask
-
-    return value
+    def moved(pre):
+        mask = pre.get(var, 0)
+        return sum(target for source, target in moves if mask & source)
+    return moved
 
 
 def _lower_program(dictionary: DataDictionary, assignments: tuple):

@@ -36,28 +36,25 @@ level, so 256 levels stay within the default recursion limit of 1 000
 with room for the caller's frames.
 
 Tokens are ``ident``, ``assign`` (``:=``), the symbols ``. * & | ! ( )``
-and ``end``, plus ``ref``: a whole reference ``var.Type.Value``, with
-optional whitespace around the dots, is one token, so the parser reads
-it in one step.  A reference token never starts with a reserved word,
-so ``TRUE.T.V`` lexes as the constant ``TRUE`` followed by the rest.
-Where a single identifier belongs (a constraint name or keyword), a
-reference token is split into its five pieces, which are exactly the
-tokens the text would give without the ``ref`` kind.  Only a malformed
-reference is walked piece by piece, to report where it breaks.
+and ``end``.  A reference is read piece by piece, so every error names
+the piece where it breaks, and whitespace may surround its dots.
 
 An assignment is parsed once per *shape*: its text with each reference
-token replaced by ``r.*.*``, split off in one ``re.split`` that never
-matches inside an identifier.  The parser reads each distinct shape
-once, and the text's references fill a copy of its AST.  A shape that
-does not parse, or a reference that fails the reserved-word or wildcard
-checks, sends the text itself to the parser, which words the error.
+replaced by ``r.*.*``, split off in one ``re.split`` that never matches
+inside an identifier.  The parser reads each distinct shape once, and
+the text's references fill a copy of its AST.  A shape that does not
+parse, or a reference that fails the reserved-word or wildcard checks,
+sends the text itself to the parser, which words the error.
 
-:func:`compile_truth` compiles boolean terms for both label assignments
-and constraints; they differ only in what a reference compiles to.
+:func:`compile_mask` compiles terms for both label assignments and
+constraints into bitmasks over a region: the bits of an assignment's
+target, or the single bit of a constraint's verdict.  The two differ
+only in the region and in what a reference compiles to.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -68,7 +65,7 @@ __all__ = [
     "parse_term",
     "read_assignment",
     "iter_refs",
-    "compile_truth",
+    "compile_mask",
     "wildcard_arity",
     "TermParser",
     "RESERVED_WORDS",
@@ -86,29 +83,24 @@ _NOT_RESERVED = rf"(?!(?:{'|'.join(sorted(RESERVED_WORDS))})(?![A-Za-z0-9_]))"
 # a whole reference, five groups: variable, dot, type, dot, value
 _REF = rf"{_NOT_RESERVED}({_IDENT})\s*(\.)\s*{_SEGMENT}\s*(\.)\s*{_SEGMENT}"
 
-# one token per match after optional whitespace.  Groups 1-5 are a whole
-# reference, tried first; group 6 is any other token, group 7 a
-# character no token starts with.
-_TOKEN_RE = re.compile(rf"\s*(?:{_REF}|({_IDENT}|:=|[.*&|!()])|(\S))")
+# one token per match after optional whitespace: group 1 is a token,
+# group 2 a character no token starts with
+_TOKEN_RE = re.compile(rf"\s*(?:({_IDENT}|:=|[.*&|!()])|(\S))")
 
-# the reference tokens of a text: none starts inside an identifier
+# the references of a text, for the shape split: none starts inside an
+# identifier
 _REF_RE = re.compile(rf"(?<![A-Za-z0-9_]){_REF}")
 
-# token kinds: "ref", "ident", "assign", one of ".*&|!()"; "end" terminates
+# token kinds: "ident", "assign", one of ".*&|!()"; "end" terminates
 _KINDS = {":=": "assign", **{symbol: symbol for symbol in ".*&|!()"}}
 
 
 def _tokenize(text: str) -> list[tuple]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        last = m.lastindex
-        if last == 5:
-            # a reference token carries its match, for the pieces
-            tokens.append(("ref", m[1], m.start(1), m))
-        elif last == 6:
-            tokens.append((_KINDS.get(m[6], "ident"), m[6], m.start(6)))
-        else:
-            raise TermSyntaxError(f"unexpected character {m[7]!r}", text, m.start(7))
+        if m.lastindex == 2:
+            raise TermSyntaxError(f"unexpected character {m[2]!r}", text, m.start(2))
+        tokens.append((_KINDS.get(m[1], "ident"), m[1], m.start(1)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -133,18 +125,7 @@ class TermParser:
         token = token or self.peek()
         return TermSyntaxError(message, self.text, token[2])
 
-    def _split_ref(self) -> None:
-        """Replace a reference token at the cursor by its five pieces."""
-        token = self.peek()
-        if token[0] == "ref":
-            m = token[3]
-            self.tokens[self.index:self.index + 1] = [
-                (_KINDS.get(m[group], "ident"), m[group], m.start(group)) for group in range(1, 6)
-            ]
-
     def expect(self, kind: str, what: str) -> tuple:
-        if kind == "ident":
-            self._split_ref()
         token = self.peek()
         if token[0] != kind:
             raise self.error(f"expected {what}, found {token[1]!r}" if token[1] else f"expected {what}")
@@ -152,7 +133,6 @@ class TermParser:
         return token
 
     def expect_word(self, word: str) -> None:
-        self._split_ref()
         token = self.peek()
         if token[0] != "ident" or token[1] != word:
             raise self.error(f"expected '{word}'")
@@ -198,28 +178,13 @@ class TermParser:
         elif token[0] == "ident" and token[1] in RESERVED_WORDS:
             self.index += 1
             node = ("const", token[1] == "TRUE")
-        elif token[0] == "ref" or token[0] == "ident":
+        elif token[0] == "ident":
             node = self.parse_ref()
         else:
             raise self.error("expected a term")
         return ("not", node) if negated else node
 
     def parse_ref(self) -> tuple:
-        token = self.peek()
-        if token[0] == "ref":
-            self.index += 1
-            m = token[3]
-            var, type_name, value = m.group(1, 3, 5)
-            if type_name in RESERVED_WORDS:
-                raise TermSyntaxError(f"'{type_name}' is reserved", self.text, m.start(3))
-            if value in RESERVED_WORDS:
-                raise TermSyntaxError(f"'{value}' is reserved", self.text, m.start(5))
-            type_name = None if type_name == "*" else type_name
-            value = None if value == "*" else value
-            if type_name is None and value is not None:
-                raise self.error("a wildcard type requires a wildcard value", token)
-            return ("ref", var, type_name, value)
-        # not a reference token: walk the pieces to report where it breaks
         var_token = self.expect("ident", "a variable name")
         var = var_token[1]
         if var in RESERVED_WORDS:
@@ -313,45 +278,51 @@ def iter_refs(node: tuple) -> Iterator[tuple]:
             stack.extend(reversed(node[1:]))
 
 
-def compile_truth(node: tuple, ref: Callable[[tuple], object]):
-    """Compile a boolean term into a ``bool`` or a one-argument test.
+def compile_mask(node: tuple, region: int, ref: Callable[[tuple], object]):
+    """Compile a term into a mask within ``region``: an ``int``, or a
+    one-argument function returning one.
 
-    ``ref`` turns each reference node into a ``bool`` or a test; it is
-    called for every reference, left to right, before any folding, so it
-    also checks references in branches that folding removes.  The result
-    is a ``bool`` exactly when folding the constants decides the term.
+    ``&``, ``|`` and ``!`` act bitwise, and ``!`` complements within
+    ``region``.  ``ref`` turns each reference node into an ``int`` or a
+    function; it is called for every reference, left to right, before
+    any folding, so it also checks references in branches that folding
+    removes.  The result is an ``int`` exactly when folding the
+    constants decides the term.
     """
     tag = node[0]
     if tag == "ref":
         return ref(node)
     if tag == "const":
-        return node[1]
+        return region if node[1] else 0
     if tag == "not":
-        sub = compile_truth(node[1], ref)
-        if isinstance(sub, bool):
-            return not sub
-        return lambda arg: not sub(arg)
-    # "and" is decided by its first false operand, "or" by its first true
-    # one; a constant that does not decide the node is dropped
+        sub = compile_mask(node[1], region, ref)
+        if type(sub) is int:
+            return region & ~sub
+        return lambda arg: region & ~sub(arg)
+    # an "and" chain is decided once its mask is 0, an "or" chain once it
+    # is the whole region; the constant operands fold into the start
     conjunction = tag == "and"
-    decided = False
-    tests = []
+    combine, start, stop = (operator.and_, region, 0) if conjunction else (operator.or_, 0, region)
+    folded = start
+    fns = []
     for operand in node[1:]:
-        test = compile_truth(operand, ref)
-        if not isinstance(test, bool):
-            tests.append(test)
-        elif test != conjunction:
-            decided = True
-    if decided:
-        return not conjunction
-    if len(tests) <= 1:
-        return tests[0] if tests else conjunction
+        mask = compile_mask(operand, region, ref)
+        if type(mask) is int:
+            folded = combine(folded, mask)
+        else:
+            fns.append(mask)
+    if folded == stop or not fns:
+        return folded
+    if folded == start and len(fns) == 1:
+        return fns[0]
 
     def chain(arg):
-        for test in tests:
-            if (not test(arg)) is conjunction:
-                return not conjunction
-        return conjunction
+        mask = folded
+        for fn in fns:
+            mask = combine(mask, fn(arg))
+            if mask == stop:
+                break
+        return mask
     return chain
 
 

@@ -121,6 +121,13 @@ def test_analyze_dump_propagation(shop_path, capsys):
     assert lines[-1] == "TOTAL 0 violations"
 
 
+def test_dump_of_a_model_without_scenarios_prints_no_blank_line(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dictionary": {"labelTypes": [{"name": "T", "values": ["V"]}]}}))
+    code, out, err = run_cli(["analyze", path, "--dump-propagation"], capsys)
+    assert (code, out, err) == (0, "TOTAL 0 violations\n", "")
+
+
 def test_sequences_output(shop_path, capsys):
     code, out, _ = run_cli(["sequences", shop_path], capsys)
     assert code == 0

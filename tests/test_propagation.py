@@ -241,19 +241,25 @@ def test_negation_and_references(dict_tu):
 
 # One case per way an assignment lowers.  The target x starts with labels
 # of its own type T and of the other type U; T.B and T.C have no
-# counterpart in U, so y.U.* folds to False for them (and !y.U.* to True).
+# counterpart in U, so y.U.* gives 0 for them (and !y.U.* sets them), and
+# W shares no value with T, so y.W.* folds to 0.
 SHAPES_DICTIONARY = DataDictionary((
     LabelType("T", ("A", "B", "C")),
     LabelType("U", ("A", "X")),
+    LabelType("W", ("Z",)),
 ))
 ASSIGNMENT_SHAPES = {
     "constant-true": ["x.T.C := TRUE"],
     "constant-false": ["x.T.B := FALSE"],
+    "type-wildcard-constant": ["x.T.* := TRUE"],
+    "full-wildcard-constant": ["x.*.* := FALSE"],
     "concrete-tested": ["x.T.A := y.U.A & !x.T.B"],
     "full-wildcard": ["x.*.* := y.*.*"],
     "aligned-type-wildcard": ["x.T.* := y.T.* | x.T.*"],
     "non-aligned-type-wildcard": ["x.T.* := y.U.*"],
     "negated-non-aligned-type-wildcard": ["x.T.* := !y.U.*"],
+    "type-wildcard-sharing-no-value": ["x.T.* := y.W.*"],
+    "negated-type-wildcard-sharing-no-value": ["x.T.* := !y.W.* & y.T.*"],
     "two-assignments-one-target": ["x.T.* := y.T.*", "x.T.A := !x.T.A"],
 }
 
@@ -268,6 +274,23 @@ def test_assignment_shape_matches_oracle(texts):
     variables = [var(dictionary, name, *pairs) for name, pairs in start.items()]
     out = evaluate_assignments(dictionary, assignments, variables)
     assert {v.name: {(l.type, l.value) for l in v.labels} for v in out} == expected
+
+
+# The loader refuses an assignment whose references' wildcard arity
+# differs from its target's; lowering refuses it in the same words.
+@pytest.mark.parametrize("text, arity, target_arity", [
+    ("x.T.* := a.T.A", 0, 1),
+    ("x.*.* := a.T.A", 0, 2),
+    ("x.T.A := a.T.*", 1, 0),
+    ("x.*.* := !a.T.* | a.*.*", 1, 2),
+    ("x.T.* := TRUE & a.*.*", 2, 1),
+])
+def test_mixed_arity_assignment_rejected(text, arity, target_arity):
+    a = var(SHAPES_DICTIONARY, "a", ("T", "A"))
+    with pytest.raises(DictionaryError) as info:
+        evaluate_assignments(SHAPES_DICTIONARY, [assignment_from_text(text)], [a])
+    assert str(info.value) == (
+        f"reference 'a' has wildcard arity {arity}, target has {target_arity}")
 
 
 def test_foreign_dictionary_rejected(dict_tu):

@@ -13,7 +13,7 @@ from flowcheck.model import clear_parse_cache
 from flowcheck.terms import (
     MAX_NESTING,
     TermParser,
-    compile_truth,
+    compile_mask,
     iter_refs,
     parse_term,
     read_assignment,
@@ -115,9 +115,8 @@ def test_reserved_variable_names():
 
 
 
-# A whole reference is one token; where a single identifier belongs it is
-# split into its pieces.  Reasons and positions are those of the
-# piece-by-piece parser.
+# Where a reference, a constraint name or a keyword breaks, the error
+# names the piece it breaks at.
 def _constraint(text):
     return parse_constraint(text, COLORS)
 
@@ -224,9 +223,11 @@ def test_render_reparse_round_trip(ast):
     assert parse_term(render(ast)) == ast
 
 
-# compile_truth: the one compiler of boolean terms. References to "zz"
-# compile to the constant False (as an unknown label does in assignment
-# lowering), the others to a test over a frame of (type, value) pairs.
+# compile_mask: the one compiler of terms.  A sample is a list of frames
+# of (type, value) pairs, and bit i of a mask is the term's truth in
+# frame i, so a region of n bits evaluates the term in n frames at once.
+# References to "zz" compile to 0 (as a type sharing no value does in
+# assignment lowering), the others to a function of the sample.
 def evaluate(node, frame):
     k = node[0]
     if k == "const":
@@ -240,11 +241,12 @@ def evaluate(node, frame):
     return any(evaluate(operand, frame) for operand in node[1:])
 
 
-def frame_ref(node):
+def mask_ref(node):
     _, var, type_name, value = node
     if var == "zz":
-        return False
-    return lambda frame: (type_name, value) in frame.get(var, ())
+        return 0
+    return lambda sample: sum(
+        1 << i for i, frame in enumerate(sample) if (type_name, value) in frame.get(var, ()))
 
 
 pairs = st.frozensets(st.tuples(st.sampled_from(["T", "U"]), st.sampled_from(["A", "B"])))
@@ -252,47 +254,52 @@ frames = st.dictionaries(st.sampled_from(["x", "y"]), pairs)
 
 
 @settings(derandomize=True, database=None)
-@given(terms, st.lists(frames, min_size=1, max_size=5))
-def test_compile_truth_agrees_with_direct_evaluation(ast, sample):
-    compiled = compile_truth(ast, frame_ref)
-    for frame in sample:
-        got = compiled if isinstance(compiled, bool) else compiled(frame)
-        assert got is evaluate(ast, frame)
+@given(terms, st.lists(frames, min_size=4, max_size=4))
+def test_compile_mask_agrees_with_direct_evaluation(ast, sample):
+    for region, used in ((1, sample[:1]), (0b1111, sample)):
+        compiled = compile_mask(ast, region, mask_ref)
+        got = compiled if type(compiled) is int else compiled(used)
+        assert 0 <= got <= region
+        for i, frame in enumerate(used):
+            assert got >> i & 1 == evaluate(ast, frame)
 
 
 @settings(derandomize=True, database=None)
 @given(terms)
-def test_compile_truth_calls_ref_for_every_reference_in_order(ast):
-    seen = []
+def test_compile_mask_calls_ref_for_every_reference_in_order(ast):
+    for region in (1, 0b1111):
+        seen = []
 
-    def ref(node):
-        seen.append(node)
-        return frame_ref(node)
+        def ref(node):
+            seen.append(node)
+            return mask_ref(node)
 
-    compile_truth(ast, ref)
-    assert seen == list(iter_refs(ast))
+        compile_mask(ast, region, ref)
+        assert seen == list(iter_refs(ast))
 
 
-def test_compile_truth_folds_constants():
+def test_compile_mask_folds_constants():
     seen = []
 
     def ref(node):
         seen.append(node[1])
-        return frame_ref(node)
+        return mask_ref(node)
 
-    assert compile_truth(parse_term("FALSE & x.T.A"), ref) is False
-    assert compile_truth(parse_term("!(y.T.A | TRUE)"), ref) is False
-    assert compile_truth(parse_term("zz.T.A | !x.T.B & FALSE"), ref) is False
-    assert compile_truth(parse_term("!zz.T.A"), ref) is True
-    assert compile_truth(parse_term("x.T.A | TRUE | y.T.A"), ref) is True
+    def compile_text(text):
+        return compile_mask(parse_term(text), 0b1111, ref)
+
+    assert compile_text("FALSE & x.T.A") == 0
+    assert compile_text("!(y.T.A | TRUE)") == 0
+    assert compile_text("zz.T.A | !x.T.B & FALSE") == 0
+    assert compile_text("!zz.T.A") == 0b1111
+    assert compile_text("x.T.A | TRUE | y.T.A") == 0b1111
     # references in folded-away branches were still compiled, left to right
     assert seen == ["x", "y", "zz", "x", "zz", "x", "y"]
-    test = compile_truth(parse_term("TRUE & x.T.A"), ref)
-    assert test({"x": {("T", "A")}}) is True
-    assert test({}) is False
-    test = compile_truth(parse_term("TRUE & x.T.A & zz.T.A | y.T.B & !zz.T.A"), ref)
-    assert test({"y": {("T", "B")}}) is True
-    assert test({"x": {("T", "A")}}) is False
+    has_x = {"x": {("T", "A")}}
+    test = compile_text("TRUE & x.T.A")
+    assert test([has_x, {}, {}, has_x]) == 0b1001
+    test = compile_text("TRUE & x.T.A & zz.T.A | y.T.B & !zz.T.A")
+    assert test([{"y": {("T", "B")}}, has_x, {}, {}]) == 0b0001
 
 
 # Term texts over the grammar's alphabet: whatever the input, the parsers
