@@ -16,17 +16,18 @@ callable over element results, passed to
 :meth:`flowcheck.analysis.DataFlowAnalysis.query_data_flow`.
 
 A query reads only the stored parts of each propagated sequence;
-checking any number of constraints never re-runs propagation.  It walks
-each sequence's deltas (see :func:`flowcheck.kernel.run_sequence`) part
-by part, once per constraint, so it re-tests only the variables each
-assignment element changes and needs no frame; within one query the node
-and data terms each run once per distinct mask, and each body's deltas,
-which stand for one call context, are matched once.
+checking any number of constraints never re-runs propagation.  For each
+constraint it visits only the positions where a part's top frame or node
+changes (see :class:`flowcheck.propagation.PropagatedSequence`), as the
+verdict holds in between, and there re-tests only the variables an
+assignment element changes, so it needs no frame; within one query the
+node and data terms each run once per distinct mask, and each body's
+deltas, which stand for one call context, are matched once.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import pairwise
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -187,36 +188,10 @@ class _Verdicts(dict):
 
 
 def _scan(sequence_index, propagated, rows) -> None:
-    """Match all constraint rows against one propagated sequence.
-
-    Each row is (name, node_ok, data_ok, data_has_refs, bucket, seen);
-    ``node_ok`` and ``data_ok`` are the compiled tests wrapped in
-    :class:`_Verdicts`, which live for one query like ``seen`` (see
-    :func:`_data_matches`), so each test runs once per distinct mask
-    however many elements or variables carry it.
-    """
-    for name, node_ok, data_ok, data_has_refs, bucket, seen in rows:
-        if data_has_refs:
-            matches = _data_matches(propagated, node_ok, data_ok, seen)
-        elif data_ok[0]:
-            node_masks = chain.from_iterable(masks for masks, _ in propagated.parts)
-            matches = (
-                (element_index, element, ())
-                for element_index, (element, node_mask)
-                in enumerate(zip(propagated.sequence, node_masks))
-                if node_ok[node_mask]
-            )
-        else:
-            continue
-        bucket.extend(
-            Violation(name, sequence_index, element_index, element.element_id, names)
-            for element_index, element, names in matches
-        )
-
-
-def _data_matches(propagated, node_ok, data_ok, seen):
-    """Yield (element index, element, sorted satisfying names) for a data
-    term with references.
+    """Match all constraint rows (name, node_ok, data_ok, bucket, seen)
+    against one propagated sequence.  The tests are wrapped in
+    :class:`_Verdicts`, which live for one query like ``seen``, so each
+    runs once per distinct mask however many elements or variables carry it.
 
     What matches inside a body depends only on its deltas list, which the
     kernel shares between the calls into one context, so ``seen`` keeps
@@ -225,45 +200,60 @@ def _data_matches(propagated, node_ok, data_ok, seen):
     whole frame of its calling bracket's delta, and the part after it
     from its returning bracket's, so no walk reads another's state.
     """
-    start = 0
-    frame = ()  # the whole top frame before the part
-    for n, (elements, (masks, deltas)) in enumerate(
-        zip(propagated.sequence.parts, propagated.parts)
+    start, frame = 0, ()  # the whole top frame before the part
+    for n, (elements, (masks, deltas), changes) in enumerate(
+        zip(propagated.sequence.parts, propagated.parts, propagated.changes)
     ):
-        if n % 2 == 0:
-            yield from _walk(elements, masks, deltas, node_ok, data_ok, frame, start)
-        else:
-            if id(deltas) not in seen:
-                seen[id(deltas)] = (deltas, list(_walk(elements, masks, deltas, node_ok, data_ok, frame)))
-            for offset, element, names in seen[id(deltas)][1]:
-                yield start + offset, element, names
+        for name, node_ok, data_ok, bucket, seen in rows:
+            if n % 2 == 0:
+                matches = _walk(elements, masks, deltas, changes, node_ok, data_ok, frame)
+            else:
+                body = seen.get(id(deltas))
+                if body is None:
+                    body = seen[id(deltas)] = (
+                        deltas, _walk(elements, masks, deltas, changes, node_ok, data_ok, frame))
+                matches = body[1]
+            if matches:
+                bucket += [
+                    Violation(name, sequence_index, start + index, elements[index].element_id, names)
+                    for at, end, names in matches
+                    for index in range(at, end)
+                ]
         start += len(elements)
         frame = deltas[-1] if n % 2 == 0 and deltas else ()
 
 
-def _walk(elements, masks, deltas, node_ok, data_ok, frame=(), start=0):
-    """Match the elements of one part, numbered from ``start``, re-testing
-    only what each element changes, from the whole top ``frame`` before them.
+def _walk(elements, masks, deltas, changes, node_ok, data_ok, frame=()) -> list:
+    """Match the elements of one part from the whole top ``frame`` before
+    them, visiting only its ``changes``; return (first, end, sorted
+    satisfying names) for each run of matching elements.
 
-    The walk keeps the set of variables in the top frame that satisfy
-    the term: an APPLY delta re-tests the variables it changes, and any
-    other delta is the whole new top frame, so the set is rebuilt from it.
+    Between two change positions neither the top frame nor the node mask
+    changes, so the verdict at one holds up to the next.  The walk keeps
+    the set of variables in the top frame that satisfy the term: an APPLY
+    delta re-tests the variables it changes, and any other delta is the
+    whole new top frame, so the set is rebuilt from it.  A term without
+    references (``data_ok`` None) reads the node masks only.
     """
-    satisfying = {var for var, mask in frame if data_ok[mask]}
-    names = None  # sorted ``satisfying``; None while stale
-    for element_index, (element, node_mask, delta) in enumerate(zip(elements, masks, deltas), start):
-        if FRAME_EFFECTS[type(element)] == APPLY:
-            for var, mask in delta:
+    runs = []
+    satisfying, names = True, ()
+    if data_ok is not None:
+        satisfying = {var for var, mask in frame if data_ok[mask]} if frame else set()
+        names = None  # sorted ``satisfying``; None while stale
+    for at, end in pairwise(changes):
+        if data_ok is not None and FRAME_EFFECTS[type(elements[at])] == APPLY:
+            for var, mask in deltas[at]:
                 if data_ok[mask] != (var in satisfying):
                     satisfying ^= {var}
                     names = None
-        else:
-            satisfying = {var for var, mask in delta if data_ok[mask]}
+        elif data_ok is not None:
+            satisfying = {var for var, mask in deltas[at] if data_ok[mask]}
             names = None
-        if satisfying and node_ok[node_mask]:
+        if satisfying and node_ok[masks[at]]:
             if names is None:
                 names = tuple(sorted(satisfying))
-            yield element_index, element, names
+            runs.append((at, end, names))
+    return runs
 
 
 def _rows_for(constraints, out: dict[str, list[Violation]]):
@@ -273,7 +263,9 @@ def _rows_for(constraints, out: dict[str, list[Violation]]):
             raise ConstraintError("duplicate constraint names in one query")
         bucket: list[Violation] = []
         out[c.name] = bucket
-        rows.append((c.name, _Verdicts(c.node_test), _Verdicts(c.data_test), c.data_has_refs, bucket, {}))
+        if c.data_has_refs or c.data_test(0):  # else a plain condition that never holds
+            data_ok = _Verdicts(c.data_test) if c.data_has_refs else None
+            rows.append((c.name, _Verdicts(c.node_test), data_ok, bucket, {}))
     return rows
 
 

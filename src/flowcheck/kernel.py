@@ -29,6 +29,9 @@ changed; most writes in a forwarding body store the mask the variable
 already holds.  Any other delta is the whole new top frame as a tuple
 of pairs.  So a POP_BIND delta holds the whole caller frame; its own
 writes are its result variable and its result-assignment targets.
+The kernel also records where the top frame changes: every element but
+an APPLY element that changes nothing.  Only it can, for the empty frame
+a call that binds nothing pushes is :data:`NO_CHANGE` itself.
 
 A callee frame holds only the bound parameters, so the deltas of a
 call's body and the frame it returns depend only on the body and the
@@ -95,36 +98,39 @@ def assign(frame: dict, ops) -> tuple:
     return changed or NO_CHANGE
 
 
-def run_sequence(parts, lower, memo=None) -> list[list]:
+def run_sequence(parts, lower, memo=None, changes=None) -> list[list]:
     """Walk a sequence's parts (see :class:`flowcheck.extraction.ActionSequence`)
     and return their deltas, one list per part.
 
     ``lower(assignments)`` returns the ops of an assignment tuple.  A
     body's summary in ``memo`` is keyed by the body and the delta of the
     calling bracket before it, which is the bound frame; the body's ops
-    are lowered once per memo, under ``memo["lowered"]``.
+    are lowered once per memo, under ``memo["lowered"]``.  ``changes``,
+    a list if given, receives each part's change positions, then its length.
     """
     memo = {} if memo is None else memo
     lowered = memo.setdefault("lowered", {})
+    changes = [] if changes is None else changes
     stack: list[dict] = []
     out: list[list] = []
     for n, part in enumerate(parts):
         if n % 2 == 0:
-            out.append(_walk(part, _steps(part, lower), stack))
-            continue
-        previous = parts[n - 1]
-        if not previous or FRAME_EFFECTS.get(type(previous[-1])) != CALL:
-            raise PropagationError("a shared body must follow a calling bracket")
-        key = (id(part), out[-1][-1])
-        summary = memo.get(key)
-        if summary is None:
-            steps = lowered.get(id(part))
-            if steps is None:
-                steps = lowered[id(part)] = _steps(part, lower)
-            summary = memo[key] = (_walk(part, steps, stack), stack[-1])
+            summary = _walk(part, _steps(part, lower), stack)
         else:
-            stack[-1] = summary[1]
+            previous = parts[n - 1]
+            if not previous or FRAME_EFFECTS.get(type(previous[-1])) != CALL:
+                raise PropagationError("a shared body must follow a calling bracket")
+            key = (id(part), out[-1][-1])
+            summary = memo.get(key)
+            if summary is None:
+                steps = lowered.get(id(part))
+                if steps is None:
+                    steps = lowered[id(part)] = _steps(part, lower)
+                summary = memo[key] = (*_walk(part, steps, stack), stack[-1])
+            else:
+                stack[-1] = summary[2]
         out.append(summary[0])
+        changes.append(summary[1])
     return out
 
 
@@ -142,16 +148,19 @@ def _steps(elements, lower) -> list:
     return steps
 
 
-def _walk(elements, steps, stack) -> list:
+def _walk(elements, steps, stack) -> tuple[list, list]:
     deltas: list = []
-    append = deltas.append
+    changes: list = []
+    append, change = deltas.append, changes.append
     for element, (effect, ops) in zip(elements, steps):
         if effect == APPLY:
             if not stack:
                 raise PropagationError("no active frame")
             frame = stack[-1]
             if len(ops) != 1:
-                append(assign(frame, ops))
+                if delta := assign(frame, ops):
+                    change(len(deltas))
+                append(delta)
                 continue
             # one op, inline: it reads the frame before writing it
             ((target, keep, value),) = ops
@@ -164,6 +173,7 @@ def _walk(elements, steps, stack) -> list:
                 append(NO_CHANGE)
             else:
                 frame[target] = value
+                change(len(deltas))
                 append(((target, value),))
             continue
         if effect == PUSH:
@@ -194,8 +204,10 @@ def _walk(elements, steps, stack) -> list:
             raise PropagationError(
                 f"unknown sequence element kind {type(element).__name__}"
             )
+        change(len(deltas))  # also for an empty frame
         append(tuple(stack[-1].items()))
-    return deltas
+    change(len(deltas))
+    return deltas, changes
 
 
 def replay(elements, deltas) -> list[dict]:

@@ -15,7 +15,7 @@ labels and leaves the rest untouched.  A reference to a variable that is
 not in scope simply evaluates to false.
 
 The kernel (:mod:`flowcheck.kernel`) walks a sequence's parts and
-returns what each element changes in the visible frame, so later
+returns what each element changes in the visible frame, and where, so later
 queries never re-run the propagation; the sequences of one analysis
 share the deltas of each call context and the node masks of each body.
 Each assignment lowers here, once per distinct assignment tuple, to one
@@ -104,12 +104,12 @@ def _ref_mask(dictionary, a, region, node):
         if region == dictionary.universe_mask:
             return lambda pre: pre.get(var, 0)
         return lambda pre: pre.get(var, 0) & region
-    # another type: each value it shares with the target's type moves
-    # onto the target's bit for that value
+    # another type, which must exist: each value it shares with the
+    # target's type moves onto the target's bit for that value
     moves = [
         (1 << dictionary.bit(type_name, shared), 1 << dictionary.bit(a.target_type, shared))
-        for shared in dictionary.values_of(a.target_type)
-        if dictionary.has_label(type_name, shared)
+        for shared in dictionary.values_of(type_name)
+        if dictionary.has_label(a.target_type, shared)
     ]
     if not moves:
         return 0
@@ -219,17 +219,21 @@ class PropagatedSequence:
     The canonical state is ``parts``: the node masks and the deltas (see
     :mod:`flowcheck.kernel`) of each part of ``sequence.parts``.  An
     assignment element's delta holds only the variables it changed, so
-    its frame is the frame before it updated with its delta.  The flat
+    its frame is the frame before it updated with its delta.  ``changes``
+    holds each part's positions where its top frame or node changes, then
+    its length (by default, every position).  The flat
     ``node_masks`` and ``deltas``, the ``frames`` they replay to and the
     :class:`ElementResult` views in ``results`` are built on first
     access, and must be treated as read-only.
     """
 
-    __slots__ = ("sequence", "parts", "_dictionary", "_node_masks", "_deltas", "_frames", "_results")
+    __slots__ = ("sequence", "parts", "changes", "_dictionary", "_node_masks", "_deltas", "_frames",
+                 "_results")
 
-    def __init__(self, sequence: ActionSequence, parts, dictionary):
+    def __init__(self, sequence: ActionSequence, parts, dictionary, changes=None):
         self.sequence = sequence
         self.parts = tuple(parts)
+        self.changes = tuple(changes or (range(len(masks) + 1) for masks, _ in self.parts))
         self._dictionary = dictionary
         self._node_masks = self._deltas = self._frames = self._results = None
 
@@ -300,16 +304,16 @@ def propagate(model: ArchitectureModel, sequence: ActionSequence, memo=None) -> 
     """Run label propagation over one sequence.
 
     ``memo`` holds the call summaries and lowered bodies of
-    :func:`flowcheck.kernel.run_sequence` and each body's node masks;
-    the sequences that share one must outlive it.  Each call counts as
-    one propagation run.
+    :func:`flowcheck.kernel.run_sequence`, each body's node masks and
+    the change positions of each call context; the sequences that share
+    one must outlive it.  Each call counts as one propagation run.
     """
     global _run_count
     dictionary = model.dictionary
     memo = {} if memo is None else memo
     # the walk comes first, so an element of unknown kind is reported as
     # such before its node is looked up
-    deltas = kernel.run_sequence(sequence.parts, partial(_lower_program, dictionary), memo)
+    deltas = kernel.run_sequence(sequence.parts, partial(_lower_program, dictionary), memo, changes := [])
     index = index_of(model)
     user_mask = index.scenario(sequence.scenario_id).user_labels.mask
 
@@ -319,17 +323,27 @@ def propagate(model: ArchitectureModel, sequence: ActionSequence, memo=None) -> 
             for element in elements
         ]
 
+    def node_changes(masks):  # the first position, and each whose node differs from the one before
+        if masks[:1] * len(masks) == masks:  # one node throughout, the common case
+            return [0][:len(masks)]
+        return [n for n in range(len(masks)) if not n or masks[n] != masks[n - 1]]
+
     parts = []
-    for n, (elements, part_deltas) in enumerate(zip(sequence.parts, deltas)):
-        if n % 2:  # a body holds no user-side element
-            masks = memo.get(id(elements))
-            if masks is None:
-                masks = memo[id(elements)] = masks_of(elements)
-        else:
+    for n, (elements, part_deltas, walk) in enumerate(zip(sequence.parts, deltas, changes)):
+        if n % 2:  # a body holds no user-side element; its changes follow the call context
+            body = memo.get(id(elements))
+            if body is None:
+                masks = masks_of(elements)
+                body = memo[id(elements)] = (masks, node_changes(masks))
+            masks, nodes = body
+            changes[n] = memo.get(id(walk)) or memo.setdefault(id(walk), sorted({*nodes, *walk}))
+        else:  # mostly all on the user's node, whose first position the kernel records
             masks = masks_of(elements)
+            if walk[0] or masks.count(user_mask) != len(masks):
+                changes[n] = sorted({*node_changes(masks), *walk})
         parts.append((masks, part_deltas))
     _run_count += 1
-    return PropagatedSequence(sequence, parts, dictionary)
+    return PropagatedSequence(sequence, parts, dictionary, changes)
 
 
 def evaluate_all(model: ArchitectureModel, sequences) -> list[PropagatedSequence]:

@@ -3,7 +3,8 @@
 ``random_small_model`` generates valid little models (at most ten
 sequence elements) from a seed, emitting a manifest document and pushing
 it through the regular loader, so the generator can never hand out a
-model the loader would reject.
+model the loader would reject.  ``long_run_model`` does the same for
+models whose sequences hold long runs of elements that change nothing.
 """
 
 import random
@@ -234,3 +235,87 @@ def random_constraints(model: ArchitectureModel, seed: int, count: int = 3) -> l
             f"VIOLATION c{index} WHERE {_render(node_term)} AND DATA {_render(data_term)}"
         )
     return texts
+
+
+def long_run_model(seed: int) -> tuple[ArchitectureModel, list[str]]:
+    """A valid model whose sequences hold long runs of elements that
+    change nothing, with constraint texts for it; same seed, same pair.
+
+    A forwarding service copies its parameter onto itself for tens of
+    actions, with a call into a service on another instance, and so on
+    another node, inside the run, and an occasional real change.  A
+    service without parameters makes each call into it push the empty
+    frame.  Scenarios differ in how many actions come before the same
+    call, so one call context starts at several element positions.  At
+    least one constraint is a plain condition and one references data.
+    """
+    rng = random.Random(seed)
+    pairs = [("T", value) for value in "ABC"] + [("Loc", "In"), ("Loc", "Out")]
+
+    def labels():
+        return sorted(f"{t}.{v}" for t, v in rng.sample(pairs, rng.randint(0, 3)))
+
+    def variable(action_id, text):
+        return {"type": "variable", "id": action_id, "assignments": [text]}
+
+    def forward(var, count, prefix):
+        return [variable(f"{prefix}{k}", f"{var}.*.* := {var}.*.*") for k in range(count)]
+
+    def service(name, parameters, actions):
+        return {"id": f"c.{name}", "name": name, "labels": labels(),
+                "signatures": [{"id": f"{name}.run", "name": "run", "parameters": parameters}],
+                "seffs": {f"{name}.run": actions}}
+
+    def ret(name, var):
+        return {"type": "return", "id": f"{name}.ret", "assignments": [f"RETURN.*.* := {var}.*.*"]}
+
+    side_var = rng.choice(["p", "q"])  # q is unbound: the side call binds nothing
+    middle = {"type": "call", "id": "fwd.side", "role": "side", "signature": "side.run",
+              "bindings": {"p": "in"} if side_var == "p" else {}}
+    if rng.random() < 0.5:
+        middle["result"] = "back"
+    run = forward("in", rng.randint(5, 30), "fwd.a") + [middle] + forward("in", rng.randint(5, 30), "fwd.b")
+    for k in range(rng.randint(0, 2)):
+        change = rng.choice(["in.T.A := !in.T.A", "in.T.B := TRUE", "out.*.* := in.*.*"])
+        run.insert(rng.randrange(len(run) + 1), variable(f"fwd.c{k}", change))
+    components = [
+        service("fwd", ["in"], run + [ret("fwd", "in")]),
+        service("side", ["p"] if side_var == "p" else [],
+                forward(side_var, rng.randint(1, 8), "side.f") + [ret("side", side_var)]),
+        service("bare", [], forward("z", rng.randint(1, 5), "bare.f") + [ret("bare", "z")]),
+    ]
+    containers = [{"id": f"h{k}", "name": f"h{k}", "labels": labels()} for k in range(2)]
+
+    scenarios = []
+    for s in range(rng.randint(2, 4)):
+        start = "d.T.A := TRUE" if rng.random() < 0.7 else "d.*.* := TRUE"  # few contexts
+        actions = [variable(f"u{s}.d", start)]
+        actions += forward("d", rng.randint(0, 12), f"u{s}.pad")  # a start offset of its own
+        calls = [{"type": "call", "id": f"u{s}.fwd", "instance": "i.fwd",
+                  "signature": "fwd.run", "bindings": {"in": "d"}, "result": "r"}]
+        if rng.random() < 0.6:
+            calls.insert(rng.randint(0, 1), {"type": "call", "id": f"u{s}.bare",
+                                             "instance": "i.bare", "signature": "bare.run",
+                                             "bindings": {}})
+        actions += calls + [variable(f"u{s}.e", "e.*.* := r.*.*")] + forward("e", rng.randint(0, 5), f"u{s}.tail")
+        scenarios.append({"id": f"scn{s}", "name": f"scn{s}", "userLabels": labels(),
+                          "actions": actions})
+
+    data = {
+        "dictionary": {"labelTypes": [{"name": "T", "values": ["A", "B", "C"]},
+                                      {"name": "Loc", "values": ["In", "Out"]}]},
+        "components": components,
+        "assembly": {"instances": [{"id": f"i.{name}", "component": f"c.{name}"}
+                                   for name in ("fwd", "side", "bare")],
+                     "connectors": [{"instance": "i.fwd", "role": "side", "target": "i.side"}]},
+        "deployment": {"containers": containers,
+                       "allocations": {"i.fwd": "h0", "i.side": "h1",
+                                       "i.bare": rng.choice(["h0", "h1"])}},
+        "usageScenarios": scenarios,
+    }
+    nodes = ["TRUE", "node.Loc.Out", "!node.Loc.Out", "node.Loc.In | node.T.A", "!node.T.B"]
+    datas = ["data.T.A", "data.T.A & !data.T.B", "!data.T.C", "data.Loc.In | data.T.B"]
+    texts = [f"VIOLATION plain WHERE {rng.choice(nodes)} AND DATA TRUE"]
+    texts += [f"VIOLATION ref{k} WHERE {rng.choice(nodes)} AND DATA {rng.choice(datas)}"
+              for k in range(rng.randint(1, 3))]
+    return loader.model_from_data(data), texts

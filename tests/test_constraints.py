@@ -17,7 +17,7 @@ from flowcheck.extraction import find_all_sequences
 from flowcheck.loader import load_model, model_from_data
 from flowcheck.propagation import evaluate_all
 
-from generators import random_constraints, random_small_model
+from generators import long_run_model, random_constraints, random_small_model
 
 GEO = ("VIOLATION geo WHERE node.ServerLocation.nonEU "
        "AND DATA data.DataSensitivity.Personal & !data.Encryption.Encrypted")
@@ -348,6 +348,17 @@ def test_scan_equals_per_element_matches_on_random_models():
             parse_constraint(text, model.dictionary)
             for text in random_constraints(model, seed)
         ]
+        assert query_many(propagated, constraints) == per_element(propagated, constraints), seed
+
+
+def test_scan_equals_per_element_matches_on_long_runs():
+    """The walk visits only the change positions; on models whose runs of
+    unchanged elements hold a node change, an empty pushed frame and a
+    body context reused at several offsets, it matches every element."""
+    for seed in range(120):
+        model, texts = long_run_model(seed)
+        propagated = evaluate_all(model, find_all_sequences(model))
+        constraints = [parse_constraint(text, model.dictionary) for text in texts]
         assert query_many(propagated, constraints) == per_element(propagated, constraints), seed
 
 

@@ -293,6 +293,16 @@ def test_mixed_arity_assignment_rejected(text, arity, target_arity):
         f"reference 'a' has wildcard arity {arity}, target has {target_arity}")
 
 
+@pytest.mark.parametrize("text", ["x.T.A := !y.Bogus.A", "x.T.* := !y.Bogus.*"],
+                         ids=["concrete", "type-wildcard"])
+def test_reference_to_unknown_label_type_rejected(text):
+    # lowering refuses both forms in the same words, though the type
+    # wildcard alone would fold to a constant
+    with pytest.raises(DictionaryError) as info:
+        evaluate_assignments(SHAPES_DICTIONARY, [assignment_from_text(text)], [])
+    assert str(info.value) == "unknown label type 'Bogus'"
+
+
 def test_foreign_dictionary_rejected(dict_tu):
     other = DataDictionary((LabelType("T", ("A",)),))
     stranger = DataFlowVariable("x", other.set_from_mask(0))
@@ -407,6 +417,19 @@ def test_assignment_deltas_hold_exactly_what_changed(seed):
             assert len(dict(delta)) == len(delta)
             assert dict(delta) == {var: mask for var, mask in frames[n].items()
                                    if before.get(var) != mask}
+
+
+def test_kernel_records_each_frame_change_then_the_part_length():
+    # the call binds nothing, so the frame it pushes is the empty tuple,
+    # NO_CHANGE itself, and still a change
+    elements = (UserStart("s", "s"), UserVariableNode("a", "s", (("x", 0, 5),)),
+                UserVariableNode("b", "s", (("x", 0, 5),)),
+                UserVariableNode("c", "s", (("x", 0, 5), ("y", 0, 0))),
+                CallingUserNode("c", "s", "i", "sig", ()))
+    changes = []
+    deltas = kernel.run_sequence([elements], lambda ops: ops, None, changes)
+    assert deltas[0][4] is kernel.NO_CHANGE
+    assert changes == [[0, 1, 3, 4, 5]]
 
 
 # -- kernel error paths ----------------------------------------------------
