@@ -12,12 +12,13 @@ Each timed repetition executes the full pipeline through
 ``analysis.run_pipeline``: parse the in-memory JSON serialization,
 resolve and validate, parse a constraint that flags every element ("all
 violations"), extract sequences, propagate and query.  Each repetition
-keeps its wall time and the time of each stage.  ``run_pipeline``
-pauses the cyclic garbage collector from load to query, as it does for
-``flowcheck analyze``, so a collector pass lands in no timed region and
-bench and ``analyze`` time the same program.  One data point starts
-from cold caches; a crash, timeout or memory exhaustion is recorded as a
-failed outcome instead of killing the harness.
+keeps its wall time, the time of each stage and that of ``json.loads``
+of the text, a reference that drifts with the machine as they do.
+``run_pipeline`` pauses the cyclic garbage collector from load to query,
+as it does for ``flowcheck analyze``, so a collector pass lands in no
+timed region and bench and ``analyze`` time the same program.  One data
+point starts from cold caches; a crash, timeout or memory exhaustion is
+recorded as a failed outcome instead of killing the harness.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ class BenchResult:
     stage_median_ms: dict[str, float]  # empty unless completed
     outcome: str  # "completed" or "failed: <reason>"
     load_split_median_ms: dict[str, float]  # the median-load run's json, build, validate
+    reference_median_ms: float | None = None  # json.loads of the model text
 
     @property
     def completed(self) -> bool:
@@ -190,6 +192,7 @@ def _all_violations(model: ArchitectureModel) -> list:
 def _bench_point(config: BenchConfig, size: int) -> BenchResult:
     clear_parse_cache()
     runs: list[float] = []
+    references: list[float] = []  # json.loads of the text, the reference, per run
     stage_runs: list[dict[str, float]] = []
     split_runs: list[dict[str, float]] = []
     outcome = "completed"
@@ -205,6 +208,9 @@ def _bench_point(config: BenchConfig, size: int) -> BenchResult:
                     outcome = f"failed: timeout after {config.timeout_s:.0f} s"
                     break
                 gc.collect()
+                started, document = time.perf_counter(), json.loads(text)
+                references.append((time.perf_counter() - started) * 1000.0)
+                del document
                 result = run_pipeline(lambda t: load_model_text(text, timings=t), _all_violations)
                 # from the record's start, past the cold microseconds after a collection
                 timings = result[-1]
@@ -216,9 +222,9 @@ def _bench_point(config: BenchConfig, size: int) -> BenchResult:
         outcome = "failed: out of memory"
     except Exception as exc:  # a failed point must not kill the harness
         outcome = f"failed: {type(exc).__name__}: {exc}"
-    median, stage_median, split = None, {}, {}
+    median, stage_median, split, reference = None, {}, {}, None
     if runs and outcome == "completed":
-        median = statistics.median(runs)
+        median, reference = statistics.median(runs), statistics.median(references)
         stage_median = {
             stage: statistics.median(run[stage] for run in stage_runs)
             for stage in stage_runs[0]
@@ -227,7 +233,7 @@ def _bench_point(config: BenchConfig, size: int) -> BenchResult:
         loads = [run["load"] for run in stage_runs]
         split = split_runs[loads.index(statistics.median_low(loads))]
     return BenchResult(config.feature, size, tuple(runs), tuple(stage_runs), median,
-                       stage_median, outcome, split)
+                       stage_median, outcome, split, reference)
 
 
 def run_bench(config: BenchConfig, *, progress=None) -> list[BenchResult]:
@@ -255,7 +261,9 @@ def write_bench_json(results, path) -> None:
     per repetition), ``stage_runs_ms`` (per repetition, stage -> time),
     ``median_ms`` (null unless completed), ``stage_median_ms`` and
     ``load_split_median_ms`` (``json``, ``build`` and ``validate``, the
-    parts of the load of the run whose load is the lower median).  Stages
+    parts of the load of the run whose load is the lower median), then
+    ``reference_median_ms`` (``json.loads`` of the model text) and
+    ``over_reference``, each of those stages and parts over it.  Stages
     keep pipeline order; times are milliseconds rounded to microseconds.
     """
     points = [
@@ -275,6 +283,9 @@ def write_bench_json(results, path) -> None:
             "load_split_median_ms": {
                 part: round(ms, 3) for part, ms in result.load_split_median_ms.items()
             },
+            "reference_median_ms": result.reference_median_ms and round(result.reference_median_ms, 3),
+            "over_reference": {name: round(ms / result.reference_median_ms, 3) for name, ms in
+                               {**result.stage_median_ms, **result.load_split_median_ms}.items()},
         }
         for result in results
     ]

@@ -4,8 +4,8 @@ Masks are plain ints of arbitrary width, frames are dicts mapping
 variable names to masks.  What an element does to the frame stack
 follows :data:`FRAME_EFFECTS`; the assignments it runs come from a
 ``lower`` function that maps an assignment tuple to its ops, called
-once per element of a part before the part is walked, and once per memo
-for a shared body.
+for each element of a part but the repeats in a run (below) before the
+part is walked, and once per memo for a shared body.
 
 Each assignment is one op ``(target, keep, value)``, applied as::
 
@@ -33,6 +33,12 @@ The kernel also records where the top frame changes: every element but
 an APPLY element that changes nothing.  Only it can, for the empty frame
 a call that binds nothing pushes is :data:`NO_CHANGE` itself.
 
+A run is an APPLY element and the APPLY elements right after it in its
+part that repeat its assignments, when ``idempotent`` says that running
+those twice gives what once does, as for gen/kill and identity transfer
+functions (Kam & Ullman 1977).  The first is walked, the rest are one
+step: :data:`NO_CHANGE` each, and no change position.
+
 A callee frame holds only the bound parameters, so the deltas of a
 call's body and the frame it returns depend only on the body and the
 bound frame (Sharir & Pnueli 1981).  :func:`run_sequence` walks each
@@ -40,6 +46,8 @@ such context once per memo, and later calls get its deltas list itself.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .errors import PropagationError
 from .extraction import (
@@ -58,6 +66,7 @@ PUSH = 0
 APPLY = 1
 CALL = 2
 POP_BIND = 3
+REPEAT = 4  # a step, not an element kind: a run of repeated idempotent APPLY elements
 
 # What each element kind does to the frame stack.  The kernel walks by
 # this table, and replay and the constraint query read it to tell an
@@ -98,15 +107,15 @@ def assign(frame: dict, ops) -> tuple:
     return changed or NO_CHANGE
 
 
-def run_sequence(parts, lower, memo=None, changes=None) -> list[list]:
+def run_sequence(parts, lower, memo=None, changes=None, idempotent=None) -> list[list]:
     """Walk a sequence's parts (see :class:`flowcheck.extraction.ActionSequence`)
     and return their deltas, one list per part.
 
-    ``lower(assignments)`` returns the ops of an assignment tuple.  A
-    body's summary in ``memo`` is keyed by the body and the delta of the
-    calling bracket before it, which is the bound frame; the body's ops
-    are lowered once per memo, under ``memo["lowered"]``.  ``changes``,
-    a list if given, receives each part's change positions, then its length.
+    ``lower(assignments)`` returns the ops of an assignment tuple, and
+    ``idempotent(assignments)``, if given, whether its runs are one step.
+    A body's summary in ``memo`` is keyed by the body and its bound frame,
+    the calling bracket's delta; its ops are lowered once per memo.
+    ``changes``, a list if given, gets each part's change positions and length.
     """
     memo = {} if memo is None else memo
     lowered = memo.setdefault("lowered", {})
@@ -115,7 +124,7 @@ def run_sequence(parts, lower, memo=None, changes=None) -> list[list]:
     out: list[list] = []
     for n, part in enumerate(parts):
         if n % 2 == 0:
-            summary = _walk(part, _steps(part, lower), stack)
+            summary = _walk(_steps(part, lower, idempotent), stack)
         else:
             previous = parts[n - 1]
             if not previous or FRAME_EFFECTS.get(type(previous[-1])) != CALL:
@@ -125,8 +134,8 @@ def run_sequence(parts, lower, memo=None, changes=None) -> list[list]:
             if summary is None:
                 steps = lowered.get(id(part))
                 if steps is None:
-                    steps = lowered[id(part)] = _steps(part, lower)
-                summary = memo[key] = (*_walk(part, steps, stack), stack[-1])
+                    steps = lowered[id(part)] = _steps(part, lower, idempotent)
+                summary = memo[key] = (*_walk(steps, stack), stack[-1])
             else:
                 stack[-1] = summary[2]
         out.append(summary[0])
@@ -134,25 +143,36 @@ def run_sequence(parts, lower, memo=None, changes=None) -> list[list]:
     return out
 
 
-def _steps(elements, lower) -> list:
-    """Each element's frame effect, with the ops it runs or None."""
+def _steps(elements, lower, idempotent) -> list:
+    """Each step: ``(effect, ops or None, element)``, or ``(REPEAT, count, None)``."""
     steps = []
+    kind = assignments = run = None  # the type and assignments of the APPLY element before; its run
     for element in elements:
+        if (type(element) is kind and element.assignments == assignments
+                and idempotent and (run or idempotent(assignments))):
+            if run is None:
+                steps.append(run := [REPEAT, 0, None])
+            run[1] += 1
+            continue
+        run = None
         effect = FRAME_EFFECTS.get(type(element))
         if effect == APPLY:
-            steps.append((effect, lower(element.assignments)))
-        elif effect == POP_BIND and element.result_assignments:
-            steps.append((effect, lower(element.result_assignments)))
+            kind, assignments = type(element), element.assignments
+            steps.append((effect, lower(assignments), element))
+            continue
+        kind = None
+        if effect == POP_BIND and element.result_assignments:
+            steps.append((effect, lower(element.result_assignments), element))
         else:
-            steps.append((effect, None))
+            steps.append((effect, None, element))
     return steps
 
 
-def _walk(elements, steps, stack) -> tuple[list, list]:
+def _walk(steps, stack) -> tuple[list, list]:
     deltas: list = []
     changes: list = []
     append, change = deltas.append, changes.append
-    for element, (effect, ops) in zip(elements, steps):
+    for effect, ops, element in steps:
         if effect == APPLY:
             if not stack:
                 raise PropagationError("no active frame")
@@ -175,6 +195,9 @@ def _walk(elements, steps, stack) -> tuple[list, list]:
                 frame[target] = value
                 change(len(deltas))
                 append(((target, value),))
+            continue
+        if effect == REPEAT:  # the element before left nothing for these to change
+            deltas.extend(repeat(NO_CHANGE, ops))
             continue
         if effect == PUSH:
             stack.append({})

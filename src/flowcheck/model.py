@@ -249,7 +249,6 @@ class ModelIndex:
         for instance_id, container_id in model.deployment.allocations:
             self.allocation.setdefault(instance_id, container_id)
         self.scenarios = {s.id: s for s in model.scenarios}
-        self._node_masks: dict[str, int] = {}
 
     def instance(self, instance_id: str) -> AssemblyInstance:
         try:
@@ -291,14 +290,10 @@ class ModelIndex:
 
     def node_mask(self, instance_id: str) -> int:
         """Component labels joined with the allocated container's labels."""
-        mask = self._node_masks.get(instance_id)
-        if mask is None:
-            component = self.component_of(instance_id)
-            mask = component.labels.mask
-            container_id = self.allocation.get(instance_id)
-            if container_id is not None and container_id in self.containers:
-                mask |= self.containers[container_id].labels.mask
-            self._node_masks[instance_id] = mask
+        mask = self.component_of(instance_id).labels.mask
+        container_id = self.allocation.get(instance_id)
+        if container_id is not None and container_id in self.containers:
+            mask |= self.containers[container_id].labels.mask
         return mask
 
 

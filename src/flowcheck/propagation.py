@@ -34,8 +34,9 @@ each value it shares with the target's type onto the target's bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain
+from operator import attrgetter
 
 from . import kernel, terms
 from .errors import DictionaryError
@@ -118,6 +119,13 @@ def _ref_mask(dictionary, a, region, node):
         mask = pre.get(var, 0)
         return sum(target for source, target in moves if mask & source)
     return moved
+
+
+def _idempotent(assignments: tuple) -> bool:
+    """Whether no op reads a variable the assignments write, unless it copies its own target."""
+    written = {a.target_var for a in assignments}
+    return all(a.rhs == ("ref", a.target_var, a.target_type, a.target_value)
+               or written.isdisjoint(ref[1] for ref in a.refs) for a in assignments)
 
 
 def _lower_program(dictionary: DataDictionary, assignments: tuple):
@@ -303,29 +311,27 @@ class PropagatedSequence:
 def propagate(model: ArchitectureModel, sequence: ActionSequence, memo=None) -> PropagatedSequence:
     """Run label propagation over one sequence.
 
-    ``memo`` holds the call summaries and lowered bodies of
-    :func:`flowcheck.kernel.run_sequence`, each body's node masks and
-    the change positions of each call context; the sequences that share
-    one must outlive it.  Each call counts as one propagation run.
+    ``memo`` holds :func:`flowcheck.kernel.run_sequence`'s call summaries
+    and lowered bodies, the idempotence verdicts, the node masks of each
+    instance and body and the change positions of each call context;
+    sequences that share one must outlive it.  Each call counts as one run.
     """
     global _run_count
     dictionary = model.dictionary
     memo = {} if memo is None else memo
+    index = index_of(model)
+    if "idempotent" not in memo:
+        memo.update(idempotent=cache(_idempotent), node_mask=cache(index.node_mask))
     # the walk comes first, so an element of unknown kind is reported as
     # such before its node is looked up
-    deltas = kernel.run_sequence(sequence.parts, partial(_lower_program, dictionary), memo, changes := [])
-    index = index_of(model)
+    deltas = kernel.run_sequence(sequence.parts, partial(_lower_program, dictionary), memo,
+                                 changes := [], memo["idempotent"])
     user_mask = index.scenario(sequence.scenario_id).user_labels.mask
-
-    def masks_of(elements):
-        return [
-            user_mask if type(element) in _USER_SIDE else index.node_mask(element.instance_id)
-            for element in elements
-        ]
+    node_mask = memo["node_mask"]
 
     def node_changes(masks):  # the first position, and each whose node differs from the one before
-        if masks[:1] * len(masks) == masks:  # one node throughout, the common case
-            return [0][:len(masks)]
+        if masks and masks.count(masks[0]) == len(masks):  # one node throughout, the common case
+            return [0]
         return [n for n in range(len(masks)) if not n or masks[n] != masks[n - 1]]
 
     parts = []
@@ -333,12 +339,13 @@ def propagate(model: ArchitectureModel, sequence: ActionSequence, memo=None) -> 
         if n % 2:  # a body holds no user-side element; its changes follow the call context
             body = memo.get(id(elements))
             if body is None:
-                masks = masks_of(elements)
+                masks = list(map(node_mask, map(attrgetter("instance_id"), elements)))
                 body = memo[id(elements)] = (masks, node_changes(masks))
             masks, nodes = body
             changes[n] = memo.get(id(walk)) or memo.setdefault(id(walk), sorted({*nodes, *walk}))
         else:  # mostly all on the user's node, whose first position the kernel records
-            masks = masks_of(elements)
+            masks = [user_mask if type(element) in _USER_SIDE else node_mask(element.instance_id)
+                     for element in elements]
             if walk[0] or masks.count(user_mask) != len(masks):
                 changes[n] = sorted({*node_changes(masks), *walk})
         parts.append((masks, part_deltas))

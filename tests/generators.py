@@ -4,9 +4,12 @@
 sequence elements) from a seed, emitting a manifest document and pushing
 it through the regular loader, so the generator can never hand out a
 model the loader would reject.  ``long_run_model`` does the same for
-models whose sequences hold long runs of elements that change nothing.
+models whose sequences hold long runs of elements that change nothing,
+and ``repeat_run_model`` for models whose actions repeat the action
+just before them.
 """
 
+import itertools
 import random
 
 from flowcheck import loader
@@ -318,4 +321,104 @@ def long_run_model(seed: int) -> tuple[ArchitectureModel, list[str]]:
     texts = [f"VIOLATION plain WHERE {rng.choice(nodes)} AND DATA TRUE"]
     texts += [f"VIOLATION ref{k} WHERE {rng.choice(nodes)} AND DATA {rng.choice(datas)}"
               for k in range(rng.randint(1, 3))]
+    return loader.model_from_data(data), texts
+
+
+# each entry is one action's assignments; an action repeats as a run
+REPEATED_ACTIONS = [
+    ["k.T.A := TRUE"], ["k.T.* := FALSE"], ["k.*.* := FALSE"],  # constant sets and clears
+    ["in.T.A := in.T.A"], ["in.T.* := in.T.*"], ["in.*.* := in.*.*"],  # self-copies
+    ["fresh.*.* := fresh.*.*"],  # a self-copy that creates its variable
+    ["out.*.* := in.*.*"], ["in.T.* := k.T.*"],  # copies from another variable
+    ["in.T.A := !in.T.A"],  # a self-toggle, which each repetition changes
+    ["in.T.A := TRUE", "out.T.A := in.T.A"],  # one op reads what another writes
+    ["in.T.B := k.T.A", "k.T.A := !in.T.B"],
+    ["in.T.A := in.T.A", "in.T.B := in.T.A"],
+    ["in.T.* := FALSE", "in.T.A := in.T.A"],  # a self-copy after a clear of its region
+    ["out.T.C := TRUE", "back.*.* := in.*.*"],
+]
+
+
+def repeat_run_model(seed: int) -> tuple[ArchitectureModel, list[str]]:
+    """A valid model whose actions come in runs that repeat one action,
+    with constraint texts for it; same seed, same pair.
+
+    The runs are drawn from :data:`REPEATED_ACTIONS`.  Calls cut some of
+    them: into a service without actions, whose result assignments
+    rewrite what the run reads, or into a service that changes its
+    parameter and returns it as the call's result.  The user repeats
+    actions too, around the calls.  Scenarios bind different frames into
+    one service, so its body is walked under several call contexts.
+    """
+    rng = random.Random(seed)
+    pairs = [("T", value) for value in "ABC"] + [("Loc", "In"), ("Loc", "Out")]
+    counter = itertools.count()
+
+    def labels():
+        return sorted(f"{t}.{v}" for t, v in rng.sample(pairs, rng.randint(0, 3)))
+
+    def run(texts=None):
+        texts = texts or rng.choice(REPEATED_ACTIONS)
+        return [{"type": "variable", "id": f"a{next(counter)}", "assignments": texts}
+                for _ in range(rng.randint(1, 5))]
+
+    def cut():
+        call = {"type": "call", "id": f"a{next(counter)}", "role": "empty", "signature": "empty.run",
+                "bindings": {}}
+        if rng.random() < 0.7:
+            call["resultAssignments"] = [rng.choice(["in.T.B := TRUE", "k.*.* := FALSE",
+                                                     "in.T.A := !in.T.A"])]
+        if rng.random() < 0.3:
+            call.update(role="side", signature="side.run", bindings={"p": "in"},
+                        result=rng.choice(["in", "k", "back"]))
+        return call
+
+    def service(name, parameters, actions):
+        return {"id": f"c.{name}", "name": name, "labels": labels(),
+                "signatures": [{"id": f"{name}.run", "name": "run", "parameters": parameters}],
+                "seffs": {f"{name}.run": actions}}
+
+    body = []
+    for _ in range(rng.randint(3, 6)):
+        actions = run()
+        if rng.random() < 0.4:  # the same action on both sides of a call
+            actions += [cut()] + run(actions[0]["assignments"])
+        body += actions
+    body.append({"type": "return", "id": "fwd.ret", "assignments": ["RETURN.*.* := out.*.*"]})
+    side = run(["p.T.C := !p.T.C"]) + [{"type": "return", "id": "side.ret",
+                                         "assignments": ["RETURN.*.* := p.*.*"]}]
+    components = [service("fwd", ["in", "k"], body), service("side", ["p"], side),
+                  service("empty", [], [])]
+    containers = [{"id": f"h{k}", "name": f"h{k}", "labels": labels()} for k in range(2)]
+
+    scenarios = []
+    for s in range(rng.randint(2, 4)):
+        start = rng.choice(["d.T.A := TRUE", "d.*.* := TRUE", "d.Loc.In := TRUE"])
+        actions = run([start]) + run(["e.T.B := d.T.A"])
+        for _ in range(rng.randint(1, 2)):
+            call = {"type": "call", "id": f"a{next(counter)}", "instance": "i.fwd",
+                    "signature": "fwd.run", "bindings": {"in": "d", "k": "e"}}
+            if rng.random() < 0.5:
+                call["result"] = "d"
+            actions += [call] + run(rng.choice([["e.*.* := d.*.*"], ["d.T.C := !d.T.C"]]))
+        scenarios.append({"id": f"scn{s}", "name": f"scn{s}", "userLabels": labels(),
+                          "actions": actions})
+
+    data = {
+        "dictionary": {"labelTypes": [{"name": "T", "values": ["A", "B", "C"]},
+                                      {"name": "Loc", "values": ["In", "Out"]}]},
+        "components": components,
+        "assembly": {"instances": [{"id": f"i.{name}", "component": f"c.{name}"}
+                                   for name in ("fwd", "side", "empty")],
+                     "connectors": [{"instance": "i.fwd", "role": role, "target": f"i.{role}"}
+                                    for role in ("side", "empty")]},
+        "deployment": {"containers": containers,
+                       "allocations": {"i.fwd": "h0", "i.side": rng.choice(["h0", "h1"]),
+                                       "i.empty": "h1"}},
+        "usageScenarios": scenarios,
+    }
+    nodes = ["TRUE", "node.Loc.Out", "!node.Loc.Out", "node.Loc.In | node.T.A"]
+    datas = ["TRUE", "data.T.A", "data.T.A & !data.T.B", "!data.T.C", "data.Loc.In | data.T.B"]
+    texts = [f"VIOLATION r{k} WHERE {rng.choice(nodes)} AND DATA {rng.choice(datas)}"
+             for k in range(rng.randint(1, 3))]
     return loader.model_from_data(data), texts

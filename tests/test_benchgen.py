@@ -24,7 +24,8 @@ from flowcheck.propagation import evaluate_all
 FEATURES = list(BenchFeature)
 STAGES = ["load", "constraints", "extract", "propagate", "query"]
 POINT_KEYS = {"feature", "size", "outcome", "runs_ms", "stage_runs_ms",
-              "median_ms", "stage_median_ms", "load_split_median_ms"}
+              "median_ms", "stage_median_ms", "load_split_median_ms",
+              "reference_median_ms", "over_reference"}
 
 # elements in the single extracted sequence as a function of model size
 EXPECTED_ELEMENTS = {
@@ -187,6 +188,19 @@ def test_bench_json_points(tmp_path):
         assert_stages_cover_runs(point["runs_ms"], point["stage_runs_ms"], rounding=0.003)
 
 
+def test_bench_json_points_carry_the_stages_over_a_json_loads_reference(tmp_path):
+    config = BenchConfig(BenchFeature.VARIABLE_ACTIONS, sizes=(2000,), repetitions=3)
+    [point] = bench_json(tmp_path, "bench.json", run_bench(config))["points"]
+    reference = point["reference_median_ms"]
+    assert reference > 0
+    medians = {**point["stage_median_ms"], **point["load_split_median_ms"]}
+    assert list(point["over_reference"]) == STAGES + ["json", "build", "validate"]
+    for name, ratio in point["over_reference"].items():
+        assert ratio == pytest.approx(medians[name] / reference, rel=0.01, abs=2e-3), name
+    # the load's own json part parses the same text
+    assert 0.2 < point["over_reference"]["json"] < 5
+
+
 def test_bench_json_same_structure_on_rerun(tmp_path):
     config = BenchConfig(BenchFeature.SEFF_PARAMETERS, sizes=(1, 5), repetitions=2)
     first = bench_json(tmp_path, "a.json", run_bench(config))
@@ -201,6 +215,8 @@ def test_bench_json_failed_point(tmp_path):
     assert point["outcome"].startswith("failed: timeout")
     assert point["median_ms"] is None
     assert point["stage_median_ms"] == {}
+    assert point["reference_median_ms"] is None
+    assert point["over_reference"] == {}
 
 
 COMMITTED_BENCHES = sorted(pathlib.Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))

@@ -14,7 +14,7 @@ from flowcheck.benchgen import BenchFeature
 from flowcheck.cli import build_parser, main
 from flowcheck.extraction import find_all_sequences
 from flowcheck.loader import load_model
-from flowcheck.oracle import oracle_query
+from flowcheck.oracle import oracle_propagate, oracle_query
 from flowcheck.terms import MAX_NESTING
 
 from conftest import call_chain_model_data
@@ -403,6 +403,30 @@ def test_analyze_long_chain_reports_the_oracle_violations(
         ["analyze", shop_no_encrypt_path, "--constraints", constraints], capsys)
     assert (code, err) == (1, "")
     assert out.splitlines() == want + [f"TOTAL {len(want)} violations"]
+
+
+def test_repeated_actions_example_matches_the_oracle(models_dir, capsys):
+    # a forwarding chain, a repeated label set and a repeated toggle, in a
+    # body that two scenarios call with different frames
+    path = models_dir / "repeated_actions.json"
+    constraints = models_dir / "repeated_actions.constraints"
+    model = load_model(path)
+    sequences = find_all_sequences(model)
+    texts = [line for line in constraints.read_text().splitlines() if not line.startswith("#")]
+    want = [
+        f"CONSTRAINT {text.split()[1]} SEQ {index} ELEM {element} "
+        f"NODE {sequence.elements[element].element_id} VARS {','.join(names)}"
+        for text in texts
+        for index, sequence in enumerate(sequences)
+        for element, names in oracle_query(model, sequence, text)
+    ]
+    # three toggles unseal the resent document before it reaches the vault
+    assert "CONSTRAINT geo SEQ 1 ELEM 15 NODE act.vault.copy1 VARS payload,stored" in want
+    dump = cli.propagation_dump([oracle_propagate(model, sequence) for sequence in sequences])
+    code, out, err = run_cli(
+        ["analyze", path, "--constraints", constraints, "--dump-propagation"], capsys)
+    assert (code, err) == (1, "")
+    assert out == "\n".join([dump, *want, f"TOTAL {len(want)} violations"]) + "\n"
 
 
 def test_build_parser_smoke():

@@ -4,6 +4,7 @@ from typing import NamedTuple
 
 import pytest
 
+from flowcheck import cli, kernel, propagation
 from flowcheck.errors import DictionaryError, PropagationError
 from flowcheck.extraction import (
     ActionSequence,
@@ -15,7 +16,7 @@ from flowcheck.extraction import (
     find_all_sequences,
 )
 from flowcheck.labels import DataDictionary, LabelType
-from flowcheck.loader import load_model, model_from_data
+from flowcheck.loader import load_model, model_from_data, model_to_json
 from flowcheck.model import assignment_from_text
 from flowcheck.oracle import _apply_assignments, oracle_propagate
 from flowcheck.propagation import (
@@ -26,9 +27,8 @@ from flowcheck.propagation import (
     propagate,
     propagation_runs,
 )
-from flowcheck import kernel
 
-from generators import random_small_model
+from generators import random_small_model, repeat_run_model
 
 
 EU = ["ServerLocation.EU"]
@@ -430,6 +430,53 @@ def test_kernel_records_each_frame_change_then_the_part_length():
     deltas = kernel.run_sequence([elements], lambda ops: ops, None, changes)
     assert deltas[0][4] is kernel.NO_CHANGE
     assert changes == [[0, 1, 3, 4, 5]]
+
+
+# -- runs of repeated actions ----------------------------------------------
+
+def test_repeated_runs_match_the_oracle_and_the_walk_of_every_element(tmp_path, capsys, monkeypatch):
+    """The kernel walks each run of a repeated idempotent action as one
+    step.  On models of such runs, cut by calls and reused under several
+    call contexts, propagation equals the oracle's, and the deltas, the
+    change positions and the CLI's output equal those of a walk that
+    runs every element."""
+    model_path, constraints_path = tmp_path / "model.json", tmp_path / "model.constraints"
+    argv = ["analyze", str(model_path), "--constraints", str(constraints_path), "--dump-propagation"]
+    verdicts = []
+    idempotent = propagation._idempotent
+
+    def spy(assignments):
+        verdicts.append(idempotent(assignments))
+        return verdicts[-1]
+
+    for seed in range(200):
+        model, texts = repeat_run_model(seed)
+        model_path.write_text(model_to_json(model))
+        constraints_path.write_text("\n".join(texts) + "\n")
+        sequences = find_all_sequences(model)
+        outputs, propagated = [], []
+        for verdict in (spy, lambda assignments: False):
+            monkeypatch.setattr(propagation, "_idempotent", verdict)
+            propagated.append(evaluate_all(model, sequences))
+            outputs.append((cli.main(argv), capsys.readouterr()))
+        assert outputs[0] == outputs[1], seed
+        for sequence, runs, each in zip(sequences, *propagated):
+            assert runs == oracle_propagate(model, sequence), seed
+            assert (runs.parts, runs.changes) == (each.parts, each.changes), seed
+    assert True in verdicts and False in verdicts
+
+
+def test_kernel_walks_a_run_once_and_records_no_change_in_it():
+    elements = (UserStart("s", "s"),) + tuple(
+        UserVariableNode(name, "s", ops) for name, ops in [
+            ("a", (("x", 0, 5),)), ("b", (("x", 0, 5),)), ("c", (("x", 0, 5),)),
+            ("d", (("x", 0, 6),)), ("e", (("x", 0, 6),))])
+    lowered, changes = [], []
+    deltas = kernel.run_sequence([elements], lambda ops: lowered.append(ops) or ops, None,
+                                 changes, lambda ops: True)
+    assert deltas == [[(), (("x", 5),), (), (), (("x", 6),), ()]]
+    assert changes == [[0, 1, 4, 6]]
+    assert lowered == [elements[1].assignments, elements[4].assignments]
 
 
 # -- kernel error paths ----------------------------------------------------
