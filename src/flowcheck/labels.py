@@ -131,9 +131,6 @@ class DataDictionary:
 
     # -- vocabulary lookups -------------------------------------------------
 
-    def has_type(self, type_name: str) -> bool:
-        return type_name in self._values_of
-
     def has_label(self, type_name: str, value: str) -> bool:
         return (type_name, value) in self._bit_of
 
@@ -172,9 +169,6 @@ class DataDictionary:
             return self._type_masks[type_name]
         except KeyError:
             raise DictionaryError(f"unknown label type '{type_name}'") from None
-
-    def iter_labels(self) -> Iterator[Label]:
-        return (Label(t, v) for t, v in self._keys)
 
     def set_from_mask(self, mask: int) -> LabelSet:
         return LabelSet(self, mask)

@@ -17,6 +17,10 @@ first, only when there is no structural defect, and a single
 :class:`ModelLoadError` carries all of them.  Behaviour is restricted to
 straight-line actions; any other action type (branches, loops, forks,
 ...) is rejected here.
+
+Memory: a file's text is freed once decoded, before the build, and one
+load's assignments share one ``str`` per distinct variable, label-type
+and label-value name (:data:`flowcheck.terms.NAMES`).
 """
 
 from __future__ import annotations
@@ -67,28 +71,35 @@ def load_model(path, timings=None) -> ArchitectureModel:
     """Load, construct and validate a model from a JSON file; ``timings``
     (:class:`~flowcheck.analysis.Timings`) gets the json and build parts."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
+    try:  # no name holds the text, so it is freed before the build
+        data = _decode(path.read_text(encoding="utf-8-sig"), str(path), timings)
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelLoadError([f"cannot read model file '{path}': {exc}"]) from None
-    return load_model_text(text, base_dir=path.parent, source=str(path), timings=timings)
+    return model_from_data(data, base_dir=path.parent, timings=timings)
 
 
 def load_model_text(text: str, base_dir=None, source: str = "<text>",
                     timings=None) -> ArchitectureModel:
+    return model_from_data(_decode(text, source, timings), base_dir=base_dir, timings=timings)
+
+
+def _decode(text: str, source: str, timings):
     try:
         data = json.loads(text)
     except _JSON_ERRORS as exc:
         raise ModelLoadError([f"{source}: malformed JSON: {exc}"]) from None
     if timings:
         timings.split("json")
-    return model_from_data(data, base_dir=base_dir, timings=timings)
+    return data
 
 
 def model_from_data(data, base_dir=None, timings=None) -> ArchitectureModel:
     """Construct and validate a model from an already-parsed document."""
     builder = _Builder(base_dir)
-    model = builder.build(data)
+    try:
+        model = builder.build(data)
+    finally:
+        terms.NAMES.clear()  # the model keeps the names it shares
     if timings:
         timings.split("build")
     # structural defects make follow-up semantic noise likely; semantic

@@ -102,9 +102,11 @@ def assignment_from_text(text: str) -> Assignment:
 
 
 def clear_parse_cache() -> None:
-    """Drop memoized parses and shapes; used by benchmarks to start from cold state."""
+    """Drop memoized parses, shapes and shared names; used by benchmarks
+    to start from cold state."""
     assignment_from_text.cache_clear()
     terms.parse_shape.cache_clear()
+    terms.NAMES.clear()
 
 
 @dataclass(frozen=True, slots=True)

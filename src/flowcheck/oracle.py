@@ -1,12 +1,12 @@
 """Brute-force reference semantics for differential testing.
 
-``oracle_propagate`` recomputes the result of every element from scratch
-by replaying the whole sequence prefix, keeps labels as plain sets of
-(type, value) pairs, expands wildcard assignments eagerly pair by pair
-and evaluates terms by direct substitution.  Nothing is shared with the
-optimized path: no bit masks, no lowering, no incremental frame reuse.
-Deliberately quadratic and slow; it exists to cross-check the engine on
-small models.
+``oracle_propagate`` walks each sequence once, element by element, and
+keeps a full copy of every element's frame.  It keeps labels as plain
+sets of (type, value) pairs, expands wildcard assignments eagerly pair
+by pair and evaluates terms by direct substitution.  Nothing is shared
+with the optimized path: no bit masks, no lowering, no deltas, no runs
+and no shared call bodies.  Deliberately slow; it exists to cross-check
+the engine on small models.
 """
 
 from __future__ import annotations
@@ -103,32 +103,19 @@ def _apply_assignments(assignments, frame: dict, dictionary: DataDictionary) -> 
                 bucket.discard(target_pair)
 
 
-def _component_pairs(model: ArchitectureModel, component_id: str) -> set:
-    for component in model.components:
-        if component.id == component_id:
-            return {(label.type, label.value) for label in component.labels}
-    return set()
-
-
-def _node_pairs(model: ArchitectureModel, instance_id: str) -> set:
-    component_id = None
-    for instance in model.assembly.instances:
-        if instance.id == instance_id:
-            component_id = instance.component_id
-    pairs = _component_pairs(model, component_id) if component_id else set()
-    for allocated_id, container_id in model.deployment.allocations:
-        if allocated_id == instance_id:
-            for container in model.deployment.containers:
-                if container.id == container_id:
-                    pairs |= {(label.type, label.value) for label in container.labels}
-    return pairs
-
-
-def _user_pairs(model: ArchitectureModel, scenario_id: str) -> set:
-    for scenario in model.scenarios:
-        if scenario.id == scenario_id:
-            return {(label.type, label.value) for label in scenario.user_labels}
-    return set()
+def _node_pairs(model: ArchitectureModel, element) -> set:
+    """The (type, value) pairs of an element's node: its scenario's user
+    labels, or its instance's component and container labels."""
+    if element.kind in _USER_KINDS:
+        found = [s.user_labels for s in model.scenarios if s.id == element.scenario_id][:1]
+    else:
+        instance_id = element.instance_id
+        component_ids = [i.component_id for i in model.assembly.instances if i.id == instance_id][-1:]
+        found = [c.labels for c in model.components if c.id in component_ids][:1]
+        found += [c.labels for allocated, container_id in model.deployment.allocations
+                  if allocated == instance_id
+                  for c in model.deployment.containers if c.id == container_id]
+    return {(label.type, label.value) for labels in found for label in labels}
 
 
 def _step(model: ArchitectureModel, element, stack: list) -> None:
@@ -158,17 +145,15 @@ def _step(model: ArchitectureModel, element, stack: list) -> None:
         raise PropagationError(f"unknown sequence element kind {kind}")
 
 
-def _state_at(model: ArchitectureModel, sequence: ActionSequence, index: int):
-    """Replay elements 0..index from scratch; returns (node pairs, frame)."""
+def _states(model: ArchitectureModel, sequence: ActionSequence) -> list:
+    """(node pairs, a copy of the frame) after each element, in one walk."""
     stack: list[dict] = []
-    for element in sequence.elements[: index + 1]:
+    states = []
+    for element in sequence.elements:
         _step(model, element, stack)
-    element = sequence.elements[index]
-    if element.kind in _USER_KINDS:
-        node = _user_pairs(model, element.scenario_id)
-    else:
-        node = _node_pairs(model, element.instance_id)
-    return node, stack[-1]
+        frame = {name: set(pairs) for name, pairs in stack[-1].items()}
+        states.append((_node_pairs(model, element), frame))
+    return states
 
 
 def _pairs_to_mask(dictionary: DataDictionary, pairs) -> int:
@@ -179,13 +164,13 @@ def _pairs_to_mask(dictionary: DataDictionary, pairs) -> int:
 
 
 def oracle_propagate(model: ArchitectureModel, sequence: ActionSequence) -> PropagatedSequence:
-    """Reference propagation; one full prefix replay per element.
+    """Reference propagation from one walk of the elements.
 
     Each element's whole frame serves as its delta, which replay and the
     query read alike, since an assignment never removes a variable.
     """
     dictionary = model.dictionary
-    states = [_state_at(model, sequence, index) for index in range(len(sequence.elements))]
+    states = _states(model, sequence)
     parts = []
     start = 0
     for part in sequence.parts:
@@ -205,7 +190,7 @@ def oracle_query(
     """Reference constraint evaluation by direct truth-table substitution.
 
     Returns (element index, names of satisfying variables) for every
-    matching element, replaying states with the naive interpreter.
+    matching element, from one walk with the naive interpreter.
     """
     parser = terms.TermParser(constraint_text)
     parser.expect_word("VIOLATION")
@@ -219,8 +204,7 @@ def oracle_query(
 
     data_refs = any(True for _ in terms.iter_refs(data_ast))
     matches = []
-    for index in range(len(sequence.elements)):
-        node_pairs, frame = _state_at(model, sequence, index)
+    for index, (node_pairs, frame) in enumerate(_states(model, sequence)):
         if not _truth(node_ast, lambda var, t, v: (t, v) in node_pairs):
             continue
         if not data_refs:

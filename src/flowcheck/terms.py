@@ -70,6 +70,7 @@ __all__ = [
     "TermParser",
     "RESERVED_WORDS",
     "MAX_NESTING",
+    "NAMES",
 ]
 
 RESERVED_WORDS = frozenset({"TRUE", "FALSE"})
@@ -93,6 +94,11 @@ _REF_RE = re.compile(rf"(?<![A-Za-z0-9_]){_REF}")
 
 # token kinds: "ident", "assign", one of ".*&|!()"; "end" terminates
 _KINDS = {":=": "assign", **{symbol: symbol for symbol in ".*&|!()"}}
+
+# One str per distinct name that assignment parses store (hash-consing);
+# the loader empties it when a load ends.  sys.intern would make each
+# name immortal on 3.12, so names would pile up in a long-running process.
+NAMES: dict[str, str] = {}
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -226,11 +232,13 @@ def read_assignment(text: str) -> tuple[tuple, tuple, tuple]:
     """
     parts = _REF_RE.split(text)
     refs = []
+    share = NAMES.setdefault
     for var, type_name, value in zip(parts[1::6], parts[3::6], parts[5::6]):
         if type_name in RESERVED_WORDS or value in RESERVED_WORDS or type_name == "*" != value:
             break
-        refs.append(("ref", var, None if type_name == "*" else type_name,
-                     None if value == "*" else value))
+        refs.append(("ref", share(var, var),
+                     None if type_name == "*" else share(type_name, type_name),
+                     None if value == "*" else share(value, value)))
     else:
         try:
             _, shape = parse_shape("r.*.*".join(parts[::6]))

@@ -54,21 +54,19 @@ def test_lookup_errors(dict_ab):
         dict_ab.type_mask("Nope")
 
 
-def test_has_type_and_has_label(dict_ab):
-    assert dict_ab.has_type("Loc")
-    assert not dict_ab.has_type("Size")
+def test_known_types_and_labels(dict_ab):
+    assert dict_ab.values_of("Loc") == ("EU", "US", "Asia")
+    with pytest.raises(DictionaryError, match="unknown label type 'Size'"):
+        dict_ab.values_of("Size")
     assert dict_ab.has_label("Loc", "US")
     assert not dict_ab.has_label("Loc", "Mars")
+    assert not dict_ab.has_label("Size", "US")
 
 
-def test_iter_labels_in_bit_order(dict_ab):
-    labels = list(dict_ab.iter_labels())
-    assert labels == [
-        Label("Enc", "On"),
-        Label("Loc", "EU"),
-        Label("Loc", "US"),
-        Label("Loc", "Asia"),
-    ]
+def test_declared_labels_take_bits_in_order(dict_ab):
+    labels = [(lt.name, value) for lt in dict_ab.label_types for value in lt.values]
+    assert labels == [("Enc", "On"), ("Loc", "EU"), ("Loc", "US"), ("Loc", "Asia")]
+    assert [dict_ab.bit(*label) for label in labels] == list(range(dict_ab.size))
 
 
 def test_label_set_basics(dict_ab):
@@ -157,13 +155,12 @@ names = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
 def test_mask_decode_round_trip(layout):
     d = DataDictionary(tuple(LabelType(n, tuple(vs)) for n, vs in layout))
     # every single-bit mask decodes to exactly the label that owns the bit
-    for label in d.iter_labels():
+    labels = [Label(lt.name, value) for lt in d.label_types for value in lt.values]
+    for label in labels:
         bit = d.bit(label.type, label.value)
         s = d.set_from_mask(1 << bit)
         assert s.names() == [str(label)]
-    assert d.set_from_mask(d.universe_mask).names() == sorted(
-        str(l) for l in d.iter_labels()
-    )
+    assert d.set_from_mask(d.universe_mask).names() == sorted(str(l) for l in labels)
 
 
 def _or_bits(bits):

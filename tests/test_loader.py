@@ -1,12 +1,14 @@
 """JSON loading, file references, serialization, and round trips."""
 
 import json
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import minimal_model_data
-from flowcheck import terms
+from flowcheck import loader, terms
 from flowcheck.errors import ModelLoadError
 from flowcheck.extraction import find_all_sequences
 from flowcheck.loader import (
@@ -359,6 +361,65 @@ def test_clear_parse_cache_clears_the_shapes(model_data):
     assert terms.parse_shape.cache_info().currsize > 0
     clear_parse_cache()
     assert terms.parse_shape.cache_info().currsize == 0
+
+
+# A load keeps one str object per distinct name, and the model text is
+# not alive while the builder runs.
+def test_assignments_that_name_the_same_names_share_one_str_each(model_data):
+    clear_parse_cache()
+    seff = model_from_data(model_data).components[0].seffs[0]
+    (a1,), (a2,) = (action.assignments for action in seff.actions)
+    assert a1.text == "out.Color.Blue := p.Color.Red"
+    assert a2.text == "RETURN.Color.Blue := out.Color.Blue"
+    _, var, type_name, value = a2.refs[0]
+    assert var is a1.target_var
+    assert type_name is a1.target_type is a2.target_type is a1.refs[0][2]
+    assert value is a1.target_value is a2.target_value
+
+
+def test_a_load_empties_the_name_table_and_interns_nothing(model_data, monkeypatch):
+    canonical = sys.intern("".join(["Col", "or"]))  # what sys.intern would return
+    stored = []
+    build = loader._Builder.build
+
+    def spy(self, data):
+        model = build(self, data)
+        stored.append(dict(terms.NAMES))
+        return model
+
+    monkeypatch.setattr(loader._Builder, "build", spy)
+    clear_parse_cache()
+    model = model_from_data(model_data)
+    assert "Color" in stored[0] and terms.NAMES == {}
+    assert model.scenarios[0].actions[0].assignments[0].target_type is not canonical
+    model_data["usageScenarios"][0]["actions"][0]["assignments"] = ["w.Color.Red := TRUE",
+                                                                     "w.Color.Blue := "]
+    with pytest.raises(ModelLoadError):
+        model_from_data(model_data)
+    assert "w" in stored[1] and terms.NAMES == {}
+    assignment_from_text("x.Color.Red := TRUE")
+    clear_parse_cache()
+    assert terms.NAMES == {}
+
+
+def test_model_text_is_released_before_the_build(tmp_path, monkeypatch):
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps(minimal_model_data()) + " " * (4 << 20), encoding="utf-8")
+    alive = []
+    build = loader._Builder.build
+
+    def measured(self, data):
+        alive.append(tracemalloc.get_traced_memory()[0] - before)
+        return build(self, data)
+
+    monkeypatch.setattr(loader._Builder, "build", measured)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        load_model(path)
+    finally:
+        tracemalloc.stop()
+    assert alive[0] < 1 << 20  # the 4 MiB text is gone
 
 
 _assignment_paths = [path + (0,) for path in _paths(minimal_model_data())
