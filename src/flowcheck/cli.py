@@ -44,6 +44,11 @@ def propagation_dump(propagated) -> str:
     return "\n".join(lines)
 
 
+# C0 and C1 control characters as a Python literal writes them, so that
+# model text in a defect neither breaks its line nor drives the terminal
+_ESCAPES = {code: repr(chr(code))[1:-1] for code in (*range(0x20), *range(0x7F, 0xA0))}
+
+
 def _fail(message: str) -> int:
     print(message, file=sys.stderr)
     return 2
@@ -51,7 +56,7 @@ def _fail(message: str) -> int:
 
 def _cannot_load(path, exc: ModelLoadError) -> int:
     for defect in exc.defects:
-        print(defect, file=sys.stderr)
+        print(defect.translate(_ESCAPES), file=sys.stderr)
     return _fail(f"error: cannot load model '{path}'")
 
 
@@ -103,7 +108,7 @@ def _cmd_validate(args) -> int:
         load_model(args.model)
     except ModelLoadError as exc:
         for defect in exc.defects:
-            print(defect)
+            print(defect.translate(_ESCAPES))
         print(f"{len(exc.defects)} defect(s)")
         return 2
     print("OK")

@@ -9,7 +9,11 @@ Loading walks the document once.  The builder collects *structural*
 defects (wrong JSON shapes or types, unparseable assignment texts,
 unknown labels) and checks each entry against its siblings as it reads
 it (duplicate ids, names, assignments, variable scope, Return placement,
-seff coverage).  The dictionary's own defects come from
+seff coverage).  It parses only the assignments of the seffs that a
+usage scenario reaches, found in the document first, and the
+scenarios'; it tests the others in batches after the build, and walks
+the document again, parsing them all, if that test cannot pass one.
+The dictionary's own defects come from
 :attr:`~flowcheck.labels.DataDictionary.defects`, found while it lays
 out its bits, and :func:`~flowcheck.model.validate_model` then makes the
 cross-reference checks.  Semantic defects are reported, local ones
@@ -20,7 +24,8 @@ straight-line actions; any other action type (branches, loops, forks,
 
 Memory: a file's text is freed once decoded, before the build, and one
 load's assignments share one ``str`` per distinct variable, label-type
-and label-value name (:data:`flowcheck.terms.NAMES`).
+and label-value name (:data:`flowcheck.terms.NAMES`); an unparsed one
+keeps only its text.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .model import (
     SystemCall,
     UsageScenario,
     VariableAction,
+    _Unparsed,
     assignment_from_text,
     validate_model,
 )
@@ -95,10 +101,15 @@ def _decode(text: str, source: str, timings):
 
 def model_from_data(data, base_dir=None, timings=None) -> ArchitectureModel:
     """Construct and validate a model from an already-parsed document."""
-    builder = _Builder(base_dir)
+    terms.SHARING = True
     try:
-        model = builder.build(data)
+        for eager in (False, True):  # eager, to word each defect the test may have seen
+            builder = _Builder(base_dir, eager)
+            model = builder.build(data)
+            if builder.sound:
+                break
     finally:
+        terms.SHARING = False
         terms.NAMES.clear()  # the model keeps the names it shares
     if timings:
         timings.split("build")
@@ -146,9 +157,35 @@ def _assignment_defects(a: Assignment, known, return_target: bool):
     return tuple(dict.fromkeys(out))
 
 
+def _reached(data) -> set | None:
+    """The (component id, signature id) of each seff that a usage scenario
+    reaches in the document; None when it is too malformed to tell."""
+    try:
+        component_of = {i["id"]: i["component"] for i in data["assembly"]["instances"]}
+        target = {(c["instance"], c["role"]): c["target"]
+                  for c in data["assembly"].get("connectors", [])}
+        seffs = {(c["id"], sig): actions for c in data["components"]
+                 for sig, actions in c.get("seffs", {}).items()}
+        seen, todo = set(), [(None, a) for s in data["usageScenarios"] for a in s["actions"]
+                             if a.get("type") == "call"]
+        for caller, action in todo:  # grows by the calls of each seff reached
+            instance = action["instance"] if caller is None else target.get((caller, action["role"]))
+            key = (instance, component_of.get(instance), action["signature"])
+            if key not in seen:
+                seen.add(key)
+                todo += [(instance, a) for a in seffs.get(key[1:], ()) if a.get("type") == "call"]
+        return {key[1:] for key in seen}
+    except (KeyError, TypeError, AttributeError):
+        return None
+
+
 class _Builder:
-    def __init__(self, base_dir):
+    def __init__(self, base_dir, eager=False):
         self.base_dir = Path(base_dir) if base_dir is not None else None
+        # Eager, every assignment is parsed as it is read.  If not, only those
+        # of the scenarios and of the seffs they reach; ``sound`` then tells
+        # whether the other records passed the test after the build.
+        self.eager = eager
         self.defects: list[str] = []  # structural
         self.semantic: list[str] = []  # local semantic
         self.dictionary = DataDictionary(())
@@ -157,6 +194,7 @@ class _Builder:
         # Assignment object; one dict per return_target flag, because a tuple
         # key per lookup would feed the cyclic collector during the build.
         self.verdicts: tuple[dict[Assignment, tuple[str, ...]], ...] = ({}, {})
+        self.unparsed: tuple[set[Assignment], set[Assignment]] = (set(), set())
 
     def defect(self, message: str) -> None:
         self.defects.append(message)
@@ -165,6 +203,8 @@ class _Builder:
         if not isinstance(data, dict):
             self.defect("model document must be a JSON object")
             data = {}
+        self.reached = None if self.eager else _reached(data)
+        self.eager = self.reached is None
         dictionary_data = self._member(data, "dictionary", dict, {})
         self.dictionary = self._dictionary(dictionary_data)
         self.known = self.dictionary.known_pairs()
@@ -172,7 +212,11 @@ class _Builder:
         components = self._components(self._member(data, "components", list, []))
         assembly = self._assembly(self._member(data, "assembly", dict, {}))
         deployment = self._deployment(self._member(data, "deployment", dict, {}))
+        self.eager = True  # every scenario is reached
         scenarios = self._scenarios(self._member(data, "usageScenarios", list, []))
+        self.sound = all(terms.check_assignments([a.text for a in records], self.known,
+                                                 RETURN_VARIABLE, return_target)
+                         for return_target, records in enumerate(self.unparsed) if records)
         return ArchitectureModel(self.dictionary, components, assembly, deployment, scenarios)
 
     def _member(self, data, name, expected_type, default):
@@ -258,27 +302,33 @@ class _Builder:
     def _at(where, action_id):
         return where if action_id is None else f"{where}, action '{action_id}'"
 
-    def _assignments(self, raw, where, action_id=None) -> tuple:
+    def _assignments(self, raw, where, action_id=None, return_target=False) -> tuple:
         # hot path at scale; defect prefixes are only built on defects
         if raw is None:
             raw = []
         if not isinstance(raw, list):
             self.defect(f"{self._at(where, action_id)}: assignments must be a list of strings")
             return ()
-        try:  # one C-level pass over a list that has no defect
-            return tuple(map(assignment_from_text, raw))
-        except (TypeError, TermSyntaxError):
-            pass  # not a string, or not a term: word each defect below
-        out = []
-        for text in raw:
-            if not isinstance(text, str):
-                self.defect(f"{self._at(where, action_id)}: assignment {text!r} must be a string")
-                continue
-            try:
-                out.append(assignment_from_text(text))
-            except TermSyntaxError as exc:
-                self.defect(f"{self._at(where, action_id)}: assignment '{_quoted(text)}': {exc}")
-        return tuple(out)
+        try:  # C-level passes over a list that has no defect
+            out = tuple(map(assignment_from_text, raw))
+            if self.eager:
+                for a in out:  # parse each new record, so that a defect is worded below
+                    if type(a) is _Unparsed:
+                        a.parse()
+        except (TypeError, TermSyntaxError):  # not a string, or not a term
+            out = []
+            for text in raw:
+                if not isinstance(text, str):
+                    self.defect(f"{self._at(where, action_id)}: assignment {text!r} must be a string")
+                    continue
+                try:
+                    out.append(assignment_from_text(text).parse())
+                except TermSyntaxError as exc:
+                    self.defect(f"{self._at(where, action_id)}: assignment '{_quoted(text)}': {exc}")
+            out = tuple(out)
+        if not self.eager:
+            self.unparsed[return_target].update(out)
+        return out
 
     def _bindings(self, raw, where) -> tuple:
         if raw is None:
@@ -348,6 +398,8 @@ class _Builder:
                     self.defect(f"{where}: seff '{sig_id}' must be a list of actions")
                     raw_actions = []
                 scope = set(params_of[sig_id]) if sig_id in params_of else None
+                if self.reached is not None:
+                    self.eager = (cid, sig_id) in self.reached
                 seffs.append(Seff(sig_id, self._actions(raw_actions, owner, True, scope)))
                 if scope is None:
                     self.semantic.append(f"{owner}: component does not provide this signature")
@@ -381,7 +433,7 @@ class _Builder:
     def _actions(self, raw, where, seff: bool, scope: set[str] | None) -> tuple:
         """Build one seff's or scenario's actions; with ``scope``, the variables
         in scope at the start, check each against the ones before it."""
-        semantic, verdicts, known = self.semantic, self.verdicts, self.known
+        semantic, verdicts, known, eager = self.semantic, self.verdicts, self.known, self.eager
         actions = []
         seen: set[str] = set()
         last = len(raw) - 1
@@ -418,6 +470,10 @@ class _Builder:
                 if action.result_variable is not None:
                     scope.add(action.result_variable)
                 assignments = action.result_assignments
+            if not eager:  # the records are tested after the build
+                if not is_return:  # as in every text that parses
+                    scope.update([a.text.partition(".")[0].strip() for a in assignments])
+                continue
             cache = verdicts[is_return]
             for a in assignments:
                 suffixes = cache.get(a)
@@ -446,7 +502,8 @@ class _Builder:
             if not seff:
                 self.defect(f"{here}: 'return' actions are only allowed inside seffs")
                 return None
-            return ReturnAction(aid, self._assignments(entry.get("assignments"), here))
+            return ReturnAction(aid, self._assignments(entry.get("assignments"), here,
+                                                       return_target=True))
         if kind == "call":
             signature = self._str(entry, "signature", here)
             bindings = self._bindings(entry.get("bindings"), here)

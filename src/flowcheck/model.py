@@ -64,41 +64,60 @@ def call_depth_message(chain) -> str:
     return f"call depth exceeded ({DEFAULT_MAX_CALL_DEPTH} nested calls): " + " -> ".join(chain)
 
 
-@dataclass(slots=True, eq=False)
 class Assignment:
-    """One parsed ``target := term`` label assignment.
+    """One ``target := term`` label assignment.  A record holds only its
+    ``text`` until :meth:`parse`, or the first read of another field,
+    fills them all (or raises :class:`~flowcheck.errors.TermSyntaxError`).
 
     ``target_type`` / ``target_value`` are ``None`` for wildcard
     segments; ``rhs`` is the term AST from :mod:`flowcheck.terms`, where
     one ``"and"`` or ``"or"`` node holds every operand of a chain, and
     ``refs`` holds its references, left to right.
 
-    Not frozen, as a frozen ``__init__`` costs several times as much.
     Equality is identity: :func:`assignment_from_text` interns instances
     by source text, and identity hashing keeps cache lookups flat instead
     of rehashing the term AST on every use.
     """
 
-    target_var: str
-    target_type: str | None
-    target_value: str | None
-    rhs: tuple
-    text: str
-    refs: tuple
+    __slots__ = ("text", "target_var", "target_type", "target_value", "rhs", "refs")
+
+    def parse(self) -> Assignment:
+        """This record with its fields filled; the text is parsed once."""
+        if type(self) is not Assignment:
+            (self.target_var, self.target_type, self.target_value), self.rhs, self.refs = (
+                terms.read_assignment(self.text))
+            self.__class__ = Assignment
+        return self
 
     def wildcard_arity(self) -> int:
         return terms.wildcard_arity(self.target_type, self.target_value)
 
 
+class _Unparsed(Assignment):
+    """A record not parsed yet: with the parse state in the class, a
+    parsed record reads its fields as plain slots."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):  # only a field not filled yet is missing
+        if name not in Assignment.__slots__[1:]:  # every field but the text
+            raise AttributeError(name)
+        return getattr(self.parse(), name)
+
+
 @lru_cache(maxsize=65536)
 def assignment_from_text(text: str) -> Assignment:
-    """Parse assignment text, memoized on the exact source string.
+    """The one record of an assignment text, memoized on the exact source
+    string; the text is parsed on first use.
 
     Models generated at scale repeat identical assignment strings many
     times; caching keeps loading linear in the number of distinct texts.
     """
-    (var, type_name, value), rhs, refs = terms.read_assignment(text)
-    return Assignment(var, type_name, value, rhs, text, refs)
+    if not isinstance(text, str):
+        raise TypeError(f"assignment text must be a str, not {type(text).__name__}")
+    record = _Unparsed.__new__(_Unparsed)
+    record.text = text
+    return record
 
 
 def clear_parse_cache() -> None:

@@ -44,7 +44,10 @@ replaced by ``r.*.*``, split off in one ``re.split`` that never matches
 inside an identifier.  The parser reads each distinct shape once, and
 the text's references fill a copy of its AST.  A shape that does not
 parse, or a reference that fails the reserved-word or wildcard checks,
-sends the text itself to the parser, which words the error.
+sends the text itself to the parser, which words the error.  The loader
+tests the texts it does not parse with one split of many texts joined
+by NULs; a reference's marker there, ``r.a.a``, ``r.a.*`` or ``r.*.*``,
+also tells its wildcard arity.
 
 :func:`compile_mask` compiles terms for both label assignments and
 constraints into bitmasks over a region: the bits of an assignment's
@@ -64,6 +67,7 @@ from .errors import TermSyntaxError
 __all__ = [
     "parse_term",
     "read_assignment",
+    "check_assignments",
     "iter_refs",
     "compile_mask",
     "wildcard_arity",
@@ -95,10 +99,12 @@ _REF_RE = re.compile(rf"(?<![A-Za-z0-9_]){_REF}")
 # token kinds: "ident", "assign", one of ".*&|!()"; "end" terminates
 _KINDS = {":=": "assign", **{symbol: symbol for symbol in ".*&|!()"}}
 
-# One str per distinct name that assignment parses store (hash-consing);
-# the loader empties it when a load ends.  sys.intern would make each
-# name immortal on 3.12, so names would pile up in a long-running process.
+# One str per distinct name that assignment parses store while SHARING
+# (hash-consing); the loader shares during a load and empties it after.
+# sys.intern would make each name immortal on 3.12, so names would pile
+# up in a long-running process.
 NAMES: dict[str, str] = {}
+SHARING = False
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -232,7 +238,7 @@ def read_assignment(text: str) -> tuple[tuple, tuple, tuple]:
     """
     parts = _REF_RE.split(text)
     refs = []
-    share = NAMES.setdefault
+    share = NAMES.setdefault if SHARING else {}.setdefault
     for var, type_name, value in zip(parts[1::6], parts[3::6], parts[5::6]):
         if type_name in RESERVED_WORDS or value in RESERVED_WORDS or type_name == "*" != value:
             break
@@ -248,6 +254,41 @@ def read_assignment(text: str) -> tuple[tuple, tuple, tuple]:
             pass
     target, rhs = parse_shape(text)  # words the error at its column in the text
     return target, rhs, tuple(iter_refs(rhs))
+
+
+_MARKERS = ("r.a.a", "r.a.*", "r.*.*")  # a reference of wildcard arity 0, 1, 2
+
+
+def check_assignments(texts: list[str], known, variable: str, targets: bool) -> bool:
+    """Whether each text reads as an assignment that names only pairs of
+    ``known`` (by wildcard arity, as :func:`wildcard_arity` counts), of
+    one arity, and that targets ``variable`` if ``targets``, else not.
+    The test takes texts in batches and parses each distinct shape once;
+    it may fail a text that holds, but never passes one that does not."""
+    marker = {("*" if t is None else t, "*" if v is None else v): _MARKERS[arity]
+              for arity, pairs in enumerate(known) for t, v in pairs
+              if RESERVED_WORDS.isdisjoint((t, v))}
+    target_re = re.compile(rf"(?:^|\0)\s*{re.escape(variable)}\s*\.")  # at a text's start
+    shapes: set[str] = set()
+    for start in range(0, len(texts), 256):  # small batches keep the split lists small
+        batch = texts[start:start + 256]
+        joined = "\0".join(batch)  # no reference spans a NUL
+        parts = _REF_RE.split(joined)
+        marks = list(map(marker.get, zip(parts[3::6], parts[5::6])))  # None: unknown
+        hits = len(target_re.findall(joined)) if variable in joined else 0
+        if None in marks or joined.count("\0") >= len(batch) or hits != targets * len(batch):
+            return False
+        shape = [None] * (2 * len(marks) + 1)
+        shape[::2], shape[1::2] = parts[::6], marks
+        for text in set("".join(shape).split("\0")) - shapes:
+            try:
+                (_, type_name, value), rhs = parse_shape(text)
+            except TermSyntaxError:
+                return False
+            if any(ref[2:] != (type_name, value) for ref in iter_refs(rhs)):
+                return False  # two wildcard arities in one text
+            shapes.add(text)
+    return True
 
 
 @lru_cache(maxsize=1024)

@@ -198,6 +198,31 @@ def test_validate_reports_defects(tmp_path, capsys):
     assert out.rstrip().endswith("2 defect(s)")
 
 
+def test_defect_lines_escape_control_characters(model_data, tmp_path, capsys):
+    # a line break in model text must not split a defect line, and an
+    # escape sequence must not reach the terminal; other text is kept
+    where = "component 'comp.a', seff 'svc', action 's0': assignment"
+    seff = model_data["components"][0]["seffs"]["svc"]
+    seff[0]["assignments"] = ["out.Color.Green :=\nTRUE\x85", "out.Color.Blue := p.Color.Red"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_data), encoding="utf-8")
+    code, out, _ = run_cli(["validate", path], capsys)
+    assert code == 2
+    assert out.splitlines() == [
+        f"{where} 'out.Color.Green :=\\nTRUE\\x85': unknown value 'Green' for label type 'Color'",
+        "1 defect(s)",
+    ]
+    seff[0]["assignments"] = ["\x1b[2Jout.Color.Blue := p.Color.Red | ü"]
+    path.write_text(json.dumps(model_data), encoding="utf-8")
+    code, out, err = run_cli(["analyze", path], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"{where} '\\x1b[2Jout.Color.Blue := p.Color.Red | ü': column 1: "
+        "unexpected character '\\x1b'",
+        f"error: cannot load model '{path}'",
+    ]
+
+
 def test_validate_deeply_nested_document_is_a_defect(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)

@@ -7,10 +7,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import minimal_model_data
-from flowcheck import loader, terms
-from flowcheck.errors import ModelLoadError
+from conftest import call_chain_model_data, minimal_model_data
+from flowcheck import cli, loader, terms
+from flowcheck.errors import ModelLoadError, TermSyntaxError
 from flowcheck.extraction import find_all_sequences
+from flowcheck.labels import DataDictionary, LabelType
 from flowcheck.loader import (
     load_model,
     load_model_text,
@@ -19,7 +20,7 @@ from flowcheck.loader import (
     save_model,
     serialize_model,
 )
-from flowcheck.model import assignment_from_text, clear_parse_cache
+from flowcheck.model import RETURN_VARIABLE, Assignment, assignment_from_text, clear_parse_cache
 from flowcheck.propagation import evaluate_all
 
 
@@ -330,7 +331,7 @@ SHAPE_REFS = ["p.Color.Red", "out.Color.Blue", "p.Color.*", "p.*.*", "p.Shape.X"
 SHAPES = ["{} := {}", "{} := !{} & TRUE", "{} := ({} | FALSE) & {}", "{} := {} |", "{}:={}.W"]
 
 
-def shared_shape_model_data(refs, shapes):
+def shared_shape_model_data(refs, shapes, scenario_texts=True):
     """Every shape over every pair of ``refs``: a few shapes, many texts."""
     texts = [shape.format(target, *[source] * shape.count("{}"))
              for shape in shapes for target in refs for source in refs]
@@ -339,21 +340,46 @@ def shared_shape_model_data(refs, shapes):
     seff[:1] = [{"type": "variable", "id": f"s{k}", "assignments": texts[k:k + 2]}
                 for k in range(0, len(texts), 2)]
     seff[-1]["assignments"] += [text for text in texts if text.startswith("RETURN")]
-    data["usageScenarios"][0]["actions"][0]["assignments"] += texts[::3]
+    if scenario_texts:
+        data["usageScenarios"][0]["actions"][0]["assignments"] += texts[::3]
     return data
 
 
-@pytest.mark.parametrize("refs, shapes", [
-    (["p.Color.Red", "out.Color.Blue", "v.Color.Red", "w.Color.Blue"], SHAPES[:3]),  # loads
-    (SHAPE_REFS[:8], SHAPES[:3]),  # unknown labels, arities, RETURN misused
-    (SHAPE_REFS, SHAPES),  # reserved words, wildcard types, syntax errors
-], ids=["clean", "semantic", "structural"])
-def test_shared_shapes_load_as_without_shapes(refs, shapes):
-    data = shared_shape_model_data(refs, shapes)
+def with_other_callee(data, called):
+    """``data`` with a clean second component; the scenario calls it if
+    ``called``, and then nothing reaches the first one."""
+    data["components"].append({
+        "id": "comp.z", "name": "Zeta", "labels": [],
+        "signatures": [{"id": "svc.z", "name": "serve", "parameters": ["p"]}],
+        "seffs": {"svc.z": [{"type": "return", "id": "z0",
+                             "assignments": ["RETURN.Color.Blue := p.Color.Red"]}]}})
+    data["assembly"]["instances"].append({"id": "inst.z", "component": "comp.z"})
+    data["deployment"]["allocations"]["inst.z"] = "host"
+    if called:
+        data["usageScenarios"][0]["actions"][1].update(instance="inst.z", signature="svc.z")
+    return data
+
+
+@pytest.mark.parametrize("refs, shapes, reached", [
+    (["p.Color.Red", "out.Color.Blue", "v.Color.Red", "w.Color.Blue"], SHAPES[:3], True),  # loads
+    (SHAPE_REFS[:8], SHAPES[:3], True),  # unknown labels, arities, RETURN misused
+    (SHAPE_REFS, SHAPES, True),  # reserved words, wildcard types, syntax errors
+    (["p.Color.Red", "out.Color.Blue", "v.Color.Red", "w.Color.Blue"], SHAPES[:3], False),
+    (SHAPE_REFS[:8], SHAPES[:3], False),
+    (SHAPE_REFS, SHAPES, False),
+], ids=["clean", "semantic", "structural",
+        "clean-unreached", "semantic-unreached", "structural-unreached"])
+def test_shared_shapes_load_as_without_shapes(refs, shapes, reached):
+    data = shared_shape_model_data(refs, shapes, scenario_texts=reached)
+    if not reached:  # the shapes sit in a seff that no scenario reaches
+        data = with_other_callee(data, called=True)
     loaded = _loaded(data)
     assert terms.parse_shape.cache_info().currsize > 0
     assert loaded == _loaded_without_shapes(data)
     assert len(loaded) >= 40
+    if not reached:  # the same lines, or records, as where a scenario reaches them
+        called = with_other_callee(shared_shape_model_data(refs, shapes, False), called=False)
+        assert loaded == _loaded(called)
 
 
 def test_clear_parse_cache_clears_the_shapes(model_data):
@@ -434,3 +460,131 @@ _assignment_paths = [path + (0,) for path in _paths(minimal_model_data())
 def test_mutated_document_loads_as_without_shapes(edits):
     data = _mutated(edits)
     assert _loaded(data) == _loaded_without_shapes(data)
+
+
+# Assignments that no usage scenario reaches are not parsed while loading:
+# a batch check tests them, and any text it cannot pass sends the load to
+# the eager walk, which words each defect.
+DICTIONARY = DataDictionary([LabelType("T", ["V", "W"]), LabelType("U", ["A"])])
+_VARS = ["x", "RETURN", "_a", "r", "q1", "a", "TRUEx", "FALSE_"]
+_PAIRS = [["T.V", "T.W", "U.A"], ["T.*", "U.*"], ["*.*"]]  # by wildcard arity
+_SPACES = ["", " ", "\u00a0", "\u2003", "\t", "\n", "\x85"]
+_NOISE = ["(", ")", "!", "&", "|", ":=", "\x00", "\x1b", "TRUE", "FALSE", ".", "*", "1", "é",
+          "U.W", "*.V", "TRUE.V", "T.FALSE", "Q.V", "\u3000", ".T", "x.T.V", "1r.T.V"]
+
+
+@st.composite
+def assignment_texts(draw):
+    """Texts near the valid ones: one arity, then perhaps a few edits."""
+    arity = draw(st.integers(0, 2))
+
+    def ref():
+        spaces = [draw(st.sampled_from(_SPACES)) for _ in range(4)]
+        type_name, value = draw(st.sampled_from(_PAIRS[arity])).split(".")
+        return (f"{draw(st.sampled_from(_VARS))}{spaces[0]}.{spaces[1]}{type_name}"
+                f"{spaces[2]}.{spaces[3]}{value}")
+
+    term = ref()
+    for _ in range(draw(st.integers(0, 3))):
+        other = draw(st.sampled_from([ref(), "TRUE", "FALSE"]))
+        shape = draw(st.sampled_from(["{} & {}", "{} | {}", "!({} | {})", "({}) & !{}", "!!{}|{}"]))
+        term = shape.format(term, other)
+    text = draw(st.sampled_from(_SPACES)) + ref() + draw(st.sampled_from([" := ", ":="])) + term
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(_NOISE)) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 3)):]
+    return text
+
+
+def passes(texts, return_target):
+    """The loader's test of texts it does not parse."""
+    return terms.check_assignments(texts, DICTIONARY.known_pairs(), RETURN_VARIABLE, return_target)
+
+
+def eager_defects(text, return_target):
+    clear_parse_cache()
+    try:
+        record = assignment_from_text(text).parse()
+    except TermSyntaxError as exc:
+        return [str(exc)]
+    return list(loader._assignment_defects(record, DICTIONARY.known_pairs(), return_target))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(assignment_texts(), min_size=1, max_size=4, unique=True), st.booleans())
+def test_batch_check_passes_only_texts_without_defects(texts, return_target):
+    if passes(texts, return_target):
+        assert [eager_defects(text, return_target) for text in texts] == [[]] * len(texts)
+
+
+def test_batch_check_passes_clean_texts_and_fails_each_defect():
+    clean = ["x.T.V := TRUE", " x \u00a0.\u2003T . W:=!(y.T.V | (z.T.W & FALSE))",
+             "a.U.* := RETURN.U.*", "b.*.* := ((((c.*.*))))", "r.T.V := r.T.V & !_r1.U.A"]
+    assert passes(clean, False)
+    assert passes(["RETURN.T.* := x.T.*", " RETURN . *.* := TRUE"], True)
+    bad = ["x.T.V := TRUE.T.V", "x.T.X := TRUE", "x.T.* := y.T.V", "RETURN.T.V := TRUE",
+           "x.*.V := TRUE", "x.TRUE.V := TRUE", "1r.T.V := TRUE", "x.T.V := y.T.V\x00",
+           "x.T.V := \x1by.T.V", "x.T.V := ((y.T.V)", "x.Q.V := TRUE", "x.T.V := é.T.V"]
+    for text in bad:
+        assert eager_defects(text, False)
+        assert not passes(clean + [text], False), text
+    assert not passes(["x.T.V := TRUE"], True)
+
+
+def fleet_model_data(components=8, entry=5):
+    """A chain of seffs whose assignments name their component; the
+    scenario enters at ``entry``, so nothing reaches the ones before it."""
+    data = call_chain_model_data(components, entries=(entry,))
+    for k, component in enumerate(data["components"]):
+        work = component["seffs"][f"c{k}.run"][0]["assignments"]
+        work += [f"w{k}.T.V := x.T.V & !p.T.V", f"w{k}.T.* := p.T.*"]
+    return data
+
+
+def texts_of(data, component_ids):
+    seffs = [actions for c in data["components"] if c["id"] in component_ids
+             for actions in c["seffs"].values()]
+    seffs += [s["actions"] for s in data["usageScenarios"]]
+    return {text for actions in seffs for action in actions
+            for text in action.get("assignments", []) + action.get("resultAssignments", [])}
+
+
+def test_analyze_parses_exactly_the_reached_assignments(tmp_path, monkeypatch, capsys):
+    data = fleet_model_data()
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    parsed = []
+    read = terms.read_assignment
+    monkeypatch.setattr(terms, "read_assignment", lambda text: parsed.append(text) or read(text))
+    clear_parse_cache()
+    assert cli.main(["analyze", str(path)]) == 0
+    reached = texts_of(data, {"c5", "c6", "c7"})
+    assert sorted(parsed) == sorted(reached)
+    assert len(texts_of(data, {c["id"] for c in data["components"]}) - reached) == 10
+
+
+def test_an_unreached_record_parses_on_first_read_as_the_eager_parse():
+    clear_parse_cache()
+    model = model_from_data(fleet_model_data())
+    assert terms.NAMES == {}
+    _, *records = model.components[0].seffs[0].actions[0].assignments  # w0's
+    assert [type(a) is Assignment for a in records] == [False] * 2  # not parsed yet
+    eager = [terms.read_assignment(a.text) for a in records]
+    assert terms.NAMES == {}
+    fields = [((a.target_var, a.target_type, a.target_value), a.rhs, a.refs) for a in records]
+    assert fields == eager
+    assert [type(a) is Assignment for a in records] == [True] * 2
+    assert terms.NAMES == {}
+
+
+def test_saving_a_model_with_unreached_records_writes_the_same_bytes(tmp_path):
+    data = fleet_model_data()
+    clear_parse_cache()
+    deferred, eager = tmp_path / "deferred.json", tmp_path / "eager.json"
+    save_model(model_from_data(data), deferred)
+    clear_parse_cache()
+    save_model(loader._Builder(None, eager=True).build(data), eager)
+    assert deferred.read_bytes() == eager.read_bytes()
