@@ -25,7 +25,6 @@ from .model import (
     DEFAULT_MAX_CALL_DEPTH,
     ArchitectureModel,
     ExternalCall,
-    ReturnAction,
     SystemCall,
     VariableAction,
     call_depth_message,
@@ -225,7 +224,5 @@ def _expand_call(index, instance_id, signature_id, elements, chain):
                     action.id, instance_id, action.result_variable, action.result_assignments
                 )
             )
-        elif isinstance(action, ReturnAction):
+        else:  # a ReturnAction
             append(SeffReturnNode(action.id, instance_id, action.assignments))
-        else:  # anything else acts on variables
-            append(SeffVariableNode(action.id, instance_id, action.assignments))

@@ -9,10 +9,11 @@ Loading walks the document once.  The builder collects *structural*
 defects (wrong JSON shapes or types, unparseable assignment texts,
 unknown labels) and checks each entry against its siblings as it reads
 it (duplicate ids, names, assignments, variable scope, Return placement,
-seff coverage).  It parses only the assignments of the seffs that a
-usage scenario reaches, found in the document first, and the
-scenarios'; it tests the others in batches after the build, and walks
-the document again, parsing them all, if that test cannot pass one.
+seff coverage); an action is built and checked in the one branch for its
+type.  It parses only the assignments of the seffs that a usage scenario
+reaches, found in the document first, and the scenarios'; it tests the
+others in batches after the build, and walks the document again, parsing
+them all, if that test cannot pass one.
 The dictionary's own defects come from
 :attr:`~flowcheck.labels.DataDictionary.defects`, found while it lays
 out its bits, and :func:`~flowcheck.model.validate_model` then makes the
@@ -22,10 +23,11 @@ first, only when there is no structural defect, and a single
 straight-line actions; any other action type (branches, loops, forks,
 ...) is rejected here.
 
-Memory: a file's text is freed once decoded, before the build, and one
-load's assignments share one ``str`` per distinct variable, label-type
-and label-value name (:data:`flowcheck.terms.NAMES`); an unparsed one
-keeps only its text.
+Memory: a file's text is freed once decoded, before the build, and the
+assignments that one walk of the document parses share one ``str`` per
+distinct variable, label-type and label-value name, through a table that
+the builder owns and passes to each parse; an unparsed one keeps only its
+text, and shares no name when it is parsed later.
 """
 
 from __future__ import annotations
@@ -101,16 +103,11 @@ def _decode(text: str, source: str, timings):
 
 def model_from_data(data, base_dir=None, timings=None) -> ArchitectureModel:
     """Construct and validate a model from an already-parsed document."""
-    terms.SHARING = True
-    try:
-        for eager in (False, True):  # eager, to word each defect the test may have seen
-            builder = _Builder(base_dir, eager)
-            model = builder.build(data)
-            if builder.sound:
-                break
-    finally:
-        terms.SHARING = False
-        terms.NAMES.clear()  # the model keeps the names it shares
+    for eager in (False, True):  # eager, to word each defect the test may have seen
+        builder = _Builder(base_dir, eager)
+        model = builder.build(data)
+        if builder.sound:
+            break
     if timings:
         timings.split("build")
     # structural defects make follow-up semantic noise likely; semantic
@@ -195,6 +192,7 @@ class _Builder:
         # key per lookup would feed the cyclic collector during the build.
         self.verdicts: tuple[dict[Assignment, tuple[str, ...]], ...] = ({}, {})
         self.unparsed: tuple[set[Assignment], set[Assignment]] = (set(), set())
+        self.names: dict[str, str] = {}  # one str per name that its parses store
 
     def defect(self, message: str) -> None:
         self.defects.append(message)
@@ -248,6 +246,14 @@ class _Builder:
             self.defect(f"member '{name}': malformed JSON in '{path}': {exc}")
             return None
 
+    def _objects(self, entries, message):
+        """The entries that are objects; each other one records ``message``."""
+        for entry in entries:
+            if isinstance(entry, dict):
+                yield entry
+            else:
+                self.defect(message)
+
     def _list(self, obj, key, where) -> list:
         value = obj.get(key, [])
         if isinstance(value, list):
@@ -259,10 +265,8 @@ class _Builder:
 
     def _dictionary(self, data) -> DataDictionary:
         types = []
-        for entry in self._list(data, "labelTypes", "dictionary"):
-            if not isinstance(entry, dict):
-                self.defect("dictionary: each label type must be an object")
-                continue
+        for entry in self._objects(self._list(data, "labelTypes", "dictionary"),
+                                   "dictionary: each label type must be an object"):
             name = self._str(entry, "name", "dictionary label type")
             values = entry.get("values", [])
             if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
@@ -314,7 +318,7 @@ class _Builder:
             if self.eager:
                 for a in out:  # parse each new record, so that a defect is worded below
                     if type(a) is _Unparsed:
-                        a.parse()
+                        a.parse(self.names)
         except (TypeError, TermSyntaxError):  # not a string, or not a term
             out = []
             for text in raw:
@@ -322,7 +326,7 @@ class _Builder:
                     self.defect(f"{self._at(where, action_id)}: assignment {text!r} must be a string")
                     continue
                 try:
-                    out.append(assignment_from_text(text).parse())
+                    out.append(assignment_from_text(text).parse(self.names))
                 except TermSyntaxError as exc:
                     self.defect(f"{self._at(where, action_id)}: assignment '{_quoted(text)}': {exc}")
             out = tuple(out)
@@ -357,10 +361,7 @@ class _Builder:
     def _components(self, raw) -> tuple:
         components = []
         seen: set[str] = set()
-        for entry in raw:
-            if not isinstance(entry, dict):
-                self.defect("components: each entry must be an object")
-                continue
+        for entry in self._objects(raw, "components: each entry must be an object"):
             cid = self._str(entry, "id", "component")
             if cid is None:
                 continue
@@ -372,10 +373,8 @@ class _Builder:
             name = entry.get("name", cid)
             labels = self._labels(entry, "labels", where)
             signatures = []
-            for sig in self._list(entry, "signatures", where):
-                if not isinstance(sig, dict):
-                    self.defect(f"{where}: each signature must be an object")
-                    continue
+            for sig in self._objects(self._list(entry, "signatures", where),
+                                     f"{where}: each signature must be an object"):
                 sig_id = self._str(sig, "id", f"{where} signature")
                 if sig_id is None:
                     continue
@@ -431,45 +430,66 @@ class _Builder:
             seen.add(param)
 
     def _actions(self, raw, where, seff: bool, scope: set[str] | None) -> tuple:
-        """Build one seff's or scenario's actions; with ``scope``, the variables
-        in scope at the start, check each against the ones before it."""
+        """Build one seff's or scenario's actions, each in the branch for its
+        type; with ``scope``, the variables in scope at the start, check each
+        against the ones before it.  An entry that does not build leaves a
+        structural defect, which hides every semantic one, so its checks may
+        stop half made."""
         semantic, verdicts, known, eager = self.semantic, self.verdicts, self.known, self.eager
+        if scope is None:  # not checked: its semantic defects go nowhere
+            semantic, scope = [], set()
         actions = []
         seen: set[str] = set()
         last = len(raw) - 1
-        for position, entry in enumerate(raw):
-            action = self._action(entry, where, seff=seff)
-            if action is None:
+        # positions count objects only, as a non-object leaves a structural defect
+        for position, entry in enumerate(self._objects(raw, f"{where}: each action must be an object")):
+            aid = entry.get("id")
+            if not isinstance(aid, str) or not aid:
+                self._str(entry, "id", f"{where} action")  # records the precise defect
                 continue
-            actions.append(action)
-            if scope is None:
-                continue
-            aid = action.id
             if aid in seen:
                 semantic.append(f"{where}, action '{aid}': duplicate action id")
             seen.add(aid)
-            is_return = False
-            # variable actions come first: scaled models are almost all of them
-            if isinstance(action, VariableAction):
-                assignments = action.assignments
-            elif isinstance(action, ReturnAction):
-                is_return = True
-                # by position in raw: an entry that did not build is a
-                # structural defect, and those hide every semantic one
+            kind = entry.get("type")
+            is_return = kind == "return"
+            if kind == "variable":  # first: scaled models are almost all of them
+                assignments = self._assignments(entry.get("assignments"), where, aid)
+                actions.append(VariableAction(aid, assignments))
+            elif is_return:
+                here = f"{where}, action '{aid}'"
+                if not seff:
+                    self.defect(f"{here}: 'return' actions are only allowed inside seffs")
+                    continue
                 if position != last:
-                    semantic.append(f"{where}, action '{aid}': Return must be the final action")
-                assignments = action.assignments
-            else:  # ExternalCall or SystemCall
-                for _, var in action.bindings:
+                    semantic.append(f"{here}: Return must be the final action")
+                assignments = self._assignments(entry.get("assignments"), here, return_target=True)
+                actions.append(ReturnAction(aid, assignments))
+            elif kind == "call":
+                here = f"{where}, action '{aid}'"
+                signature = self._str(entry, "signature", here)
+                bindings = self._bindings(entry.get("bindings"), here)
+                result = entry.get("result")
+                if result is not None and (not isinstance(result, str) or not result):
+                    self.defect(f"{here}: 'result' must be a non-empty string")
+                    result = None
+                assignments = self._assignments(entry.get("resultAssignments"), here)
+                if signature is None:
+                    continue
+                target = self._str(entry, "role" if seff else "instance", here)
+                if target is None:
+                    continue
+                call = ExternalCall if seff else SystemCall
+                actions.append(call(aid, target, signature, bindings, result, assignments))
+                for _, var in bindings:
                     if var not in scope:
-                        semantic.append(f"{where}, action '{aid}': binding references "
-                                        f"variable '{var}' not in scope")
-                if action.result_variable == RETURN_VARIABLE:
-                    semantic.append(f"{where}, action '{aid}': variable name "
-                                    f"{RETURN_VARIABLE} is reserved")
-                if action.result_variable is not None:
-                    scope.add(action.result_variable)
-                assignments = action.result_assignments
+                        semantic.append(f"{here}: binding references variable '{var}' not in scope")
+                if result == RETURN_VARIABLE:
+                    semantic.append(f"{here}: variable name {RETURN_VARIABLE} is reserved")
+                if result is not None:
+                    scope.add(result)
+            else:
+                self.defect(f"{where}, action '{aid}': unsupported action type {kind!r}")
+                continue
             if not eager:  # the records are tested after the build
                 if not is_return:  # as in every text that parses
                     scope.update([a.text.partition(".")[0].strip() for a in assignments])
@@ -485,54 +505,11 @@ class _Builder:
                     scope.add(a.target_var)
         return tuple(actions)
 
-    def _action(self, entry, where, *, seff: bool):
-        if not isinstance(entry, dict):
-            self.defect(f"{where}: each action must be an object")
-            return None
-        aid = entry.get("id")
-        if not isinstance(aid, str) or not aid:
-            self._str(entry, "id", f"{where} action")  # records the precise defect
-            return None
-        kind = entry.get("type")
-        if kind == "variable":
-            assignments = self._assignments(entry.get("assignments"), where, aid)
-            return VariableAction(aid, assignments)
-        here = f"{where}, action '{aid}'"
-        if kind == "return":
-            if not seff:
-                self.defect(f"{here}: 'return' actions are only allowed inside seffs")
-                return None
-            return ReturnAction(aid, self._assignments(entry.get("assignments"), here,
-                                                       return_target=True))
-        if kind == "call":
-            signature = self._str(entry, "signature", here)
-            bindings = self._bindings(entry.get("bindings"), here)
-            result = entry.get("result")
-            if result is not None and (not isinstance(result, str) or not result):
-                self.defect(f"{here}: 'result' must be a non-empty string")
-                result = None
-            result_assignments = self._assignments(entry.get("resultAssignments"), here)
-            if signature is None:
-                return None
-            if seff:
-                role = self._str(entry, "role", here)
-                if role is None:
-                    return None
-                return ExternalCall(aid, role, signature, bindings, result, result_assignments)
-            instance = self._str(entry, "instance", here)
-            if instance is None:
-                return None
-            return SystemCall(aid, instance, signature, bindings, result, result_assignments)
-        self.defect(f"{here}: unsupported action type {kind!r}")
-        return None
-
     def _assembly(self, raw) -> Assembly:
         instances = []
         seen: set = set()
-        for entry in self._list(raw, "instances", "assembly"):
-            if not isinstance(entry, dict):
-                self.defect("assembly: each instance must be an object")
-                continue
+        for entry in self._objects(self._list(raw, "instances", "assembly"),
+                                   "assembly: each instance must be an object"):
             iid = self._str(entry, "id", "assembly instance")
             component = self._str(entry, "component", f"assembly instance '{iid}'")
             if iid is not None and component is not None:
@@ -542,10 +519,8 @@ class _Builder:
                 instances.append(AssemblyInstance(iid, component))
         connectors = []
         seen = set()
-        for entry in self._list(raw, "connectors", "assembly"):
-            if not isinstance(entry, dict):
-                self.defect("assembly: each connector must be an object")
-                continue
+        for entry in self._objects(self._list(raw, "connectors", "assembly"),
+                                   "assembly: each connector must be an object"):
             instance = self._str(entry, "instance", "connector")
             role = self._str(entry, "role", "connector")
             target = self._str(entry, "target", "connector")
@@ -561,10 +536,8 @@ class _Builder:
     def _deployment(self, raw) -> Deployment:
         containers = []
         seen: set[str] = set()
-        for entry in self._list(raw, "containers", "deployment"):
-            if not isinstance(entry, dict):
-                self.defect("deployment: each container must be an object")
-                continue
+        for entry in self._objects(self._list(raw, "containers", "deployment"),
+                                   "deployment: each container must be an object"):
             cid = self._str(entry, "id", "container")
             if cid is None:
                 continue
@@ -589,10 +562,7 @@ class _Builder:
     def _scenarios(self, raw) -> tuple:
         scenarios = []
         seen: set[str] = set()
-        for entry in raw:
-            if not isinstance(entry, dict):
-                self.defect("usageScenarios: each entry must be an object")
-                continue
+        for entry in self._objects(raw, "usageScenarios: each entry must be an object"):
             sid = self._str(entry, "id", "usage scenario")
             if sid is None:
                 continue

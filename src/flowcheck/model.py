@@ -68,6 +68,8 @@ class Assignment:
     """One ``target := term`` label assignment.  A record holds only its
     ``text`` until :meth:`parse`, or the first read of another field,
     fills them all (or raises :class:`~flowcheck.errors.TermSyntaxError`).
+    The loader passes its table of names to :meth:`parse`, so that one
+    load's records share one ``str`` per name; a first read shares none.
 
     ``target_type`` / ``target_value`` are ``None`` for wildcard
     segments; ``rhs`` is the term AST from :mod:`flowcheck.terms`, where
@@ -81,11 +83,12 @@ class Assignment:
 
     __slots__ = ("text", "target_var", "target_type", "target_value", "rhs", "refs")
 
-    def parse(self) -> Assignment:
-        """This record with its fields filled; the text is parsed once."""
+    def parse(self, names: dict[str, str] | None = None) -> Assignment:
+        """This record with its fields filled; the text is parsed once, its
+        names looked up in ``names`` (see :func:`flowcheck.terms.read_assignment`)."""
         if type(self) is not Assignment:
             (self.target_var, self.target_type, self.target_value), self.rhs, self.refs = (
-                terms.read_assignment(self.text))
+                terms.read_assignment(self.text, names))
             self.__class__ = Assignment
         return self
 
@@ -121,11 +124,10 @@ def assignment_from_text(text: str) -> Assignment:
 
 
 def clear_parse_cache() -> None:
-    """Drop memoized parses, shapes and shared names; used by benchmarks
-    to start from cold state."""
+    """Drop memoized parses and shapes; used by benchmarks to start from
+    cold state."""
     assignment_from_text.cache_clear()
     terms.parse_shape.cache_clear()
-    terms.NAMES.clear()
 
 
 @dataclass(frozen=True, slots=True)

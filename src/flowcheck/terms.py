@@ -47,7 +47,9 @@ parse, or a reference that fails the reserved-word or wildcard checks,
 sends the text itself to the parser, which words the error.  The loader
 tests the texts it does not parse with one split of many texts joined
 by NULs; a reference's marker there, ``r.a.a``, ``r.a.*`` or ``r.*.*``,
-also tells its wildcard arity.
+also tells its wildcard arity.  Each load has its own table of names,
+so that its assignments share one ``str`` per distinct name
+(hash-consing; ``sys.intern`` would make each name immortal on 3.12).
 
 :func:`compile_mask` compiles terms for both label assignments and
 constraints into bitmasks over a region: the bits of an assignment's
@@ -74,7 +76,6 @@ __all__ = [
     "TermParser",
     "RESERVED_WORDS",
     "MAX_NESTING",
-    "NAMES",
 ]
 
 RESERVED_WORDS = frozenset({"TRUE", "FALSE"})
@@ -98,13 +99,6 @@ _REF_RE = re.compile(rf"(?<![A-Za-z0-9_]){_REF}")
 
 # token kinds: "ident", "assign", one of ".*&|!()"; "end" terminates
 _KINDS = {":=": "assign", **{symbol: symbol for symbol in ".*&|!()"}}
-
-# One str per distinct name that assignment parses store while SHARING
-# (hash-consing); the loader shares during a load and empties it after.
-# sys.intern would make each name immortal on 3.12, so names would pile
-# up in a long-running process.
-NAMES: dict[str, str] = {}
-SHARING = False
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -230,15 +224,16 @@ def parse_term(text: str) -> tuple:
     return node
 
 
-def read_assignment(text: str) -> tuple[tuple, tuple, tuple]:
+def read_assignment(text: str, names: dict[str, str] | None = None) -> tuple[tuple, tuple, tuple]:
     """Parse ``target := term`` into ((var, type, value), rhs AST, the
     rhs's references as :func:`iter_refs` yields them).
 
-    ``None`` in the target tuple marks a wildcard segment.
+    ``None`` in the target tuple marks a wildcard segment.  The parses
+    given one ``names`` table store one ``str`` per name.
     """
     parts = _REF_RE.split(text)
     refs = []
-    share = NAMES.setdefault if SHARING else {}.setdefault
+    share = ({} if names is None else names).setdefault
     for var, type_name, value in zip(parts[1::6], parts[3::6], parts[5::6]):
         if type_name in RESERVED_WORDS or value in RESERVED_WORDS or type_name == "*" != value:
             break

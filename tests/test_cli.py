@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from flowcheck import cli
+from flowcheck import benchgen, cli
 from flowcheck.benchgen import BenchFeature
 from flowcheck.cli import build_parser, main
 from flowcheck.extraction import find_all_sequences
@@ -223,6 +223,47 @@ def test_defect_lines_escape_control_characters(model_data, tmp_path, capsys):
     ]
 
 
+def test_sequences_of_a_model_that_cannot_be_loaded_exits_two(model_data, tmp_path, capsys):
+    # each defect on stderr, escaped, as analyze prints it
+    where = "component 'comp.a', seff 'svc', action 's0': assignment"
+    seff = model_data["components"][0]["seffs"]["svc"]
+    seff[0]["assignments"] = ["out.Color.Blue := p.Color.Red |\x1b"]
+    seff.append({"type": "loop", "id": "s9"})
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_data), encoding="utf-8")
+    code, out, err = run_cli(["sequences", path], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"{where} 'out.Color.Blue := p.Color.Red |\\x1b': column 32: "
+        "unexpected character '\\x1b'",
+        "component 'comp.a', seff 'svc', action 's9': unsupported action type 'loop'",
+        f"error: cannot load model '{path}'",
+    ]
+    assert run_cli(["analyze", path], capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("content, reason", [
+    (None, "[Errno 2] No such file or directory: '{}'"),
+    ("{}".encode("utf-16"), "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["missing", "not-utf-8"])
+def test_a_member_file_that_cannot_be_read_is_a_defect(model_data, tmp_path, command, content,
+                                                       reason, capsys):
+    member = tmp_path / "deployment.json"
+    if content is not None:
+        member.write_bytes(content)
+    model_data["deployment"] = "deployment.json"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_data), encoding="utf-8")
+    code, out, err = run_cli([command, path], capsys)
+    defect = f"member 'deployment': cannot read '{member}': " + reason.format(member)
+    assert code == 2
+    if command == "validate":
+        assert (out, err) == (f"{defect}\n1 defect(s)\n", "")
+    else:
+        assert (out, err) == ("", f"{defect}\nerror: cannot load model '{path}'\n")
+
+
 def test_validate_deeply_nested_document_is_a_defect(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
@@ -388,6 +429,44 @@ def test_bench_refuses_a_directory_as_out(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: cannot write --out '{tmp_path}'\n"
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("1,x", "error: --sizes must be a comma separated list of integers"),
+    ("0", "error: --sizes needs positive integers"),
+])
+def test_bench_rejects_bad_sizes(tmp_path, monkeypatch, sizes, message, capsys):
+    out_path = tmp_path / "bench.json"
+    monkeypatch.setattr(cli, "run_bench", None)  # no point may run
+    code, out, err = run_cli(
+        ["bench", "--feature", "seff-parameters", "--sizes", sizes, "--out", out_path], capsys)
+    assert (code, out, err) == (2, "", message + "\n")
+    assert not out_path.exists()
+
+
+def test_bench_records_a_point_whose_pipeline_raises_and_runs_the_next(tmp_path, monkeypatch,
+                                                                         capsys):
+    run_pipeline, calls = benchgen.run_pipeline, []
+
+    def fails_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("boom")
+        return run_pipeline(*args)
+
+    monkeypatch.setattr(benchgen, "run_pipeline", fails_first)
+    out_path = tmp_path / "bench.json"
+    code, out, err = run_cli(
+        ["bench", "--feature", "seff-parameters", "--sizes", "1,2", "--reps", "2",
+         "--out", out_path], capsys)
+    assert (code, out) == (0, f"wrote {out_path}\n")
+    assert "seff-parameters size=1 median=- [failed: RuntimeError: boom]" in err.splitlines()
+    first, second = json.loads(out_path.read_text())["points"]
+    assert (first["outcome"], first["median_ms"], first["reference_median_ms"]) == (
+        "failed: RuntimeError: boom", None, None)
+    assert second["outcome"] == "completed" and len(second["runs_ms"]) == 2
+    assert second["median_ms"] > 0 and second["reference_median_ms"] > 0
+    assert len(calls) == 3
 
 
 def test_bench_rejects_unknown_feature(capsys):

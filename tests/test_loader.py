@@ -3,6 +3,7 @@
 import json
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +163,24 @@ def test_non_list_labels_name_their_owner_and_key(model_data, path, defects):
     assert defects_of(model_data) == defects
 
 
+def test_unchecked_action_lists_report_no_action_defect(model_data):
+    # the seff of a signature that the component does not provide, and a
+    # second scenario of one id, are one defect each; their actions would
+    # break Return placement, unique ids, scope and the reserved RETURN
+    model_data["components"][0]["seffs"]["other"] = [
+        {"type": "return", "id": "r", "assignments": []},
+        {"type": "variable", "id": "r", "assignments": ["RETURN.Color.Red := TRUE"]}]
+    calls = [{"type": "call", "id": "c", "instance": "inst.a", "signature": "svc",
+              "bindings": {"p": "nowhere"}, "result": "RETURN"},
+             {"type": "call", "id": "c", "instance": "inst.a", "signature": "svc",
+              "bindings": {"p": "v"}}]
+    model_data["usageScenarios"].append({**model_data["usageScenarios"][0], "actions": calls})
+    assert defects_of(model_data) == [
+        "component 'comp.a', seff 'other': component does not provide this signature",
+        "duplicate usage scenario id 'scn'",
+    ]
+
+
 def test_defects_are_collected_not_first_only(model_data):
     # two independent faults in the same phase both get reported
     model_data["components"][0]["labels"] = ["Shape.Round"]
@@ -184,18 +203,19 @@ def test_assignment_defect_lines_are_bounded(model_data):
 
 
 @pytest.mark.parametrize("value", [5, None, "svc"])
-@pytest.mark.parametrize("path, where", [
-    (("components", 0, "signatures"), "component 'comp.a'"),
-    (("assembly", "instances"), "assembly"),
-    (("assembly", "connectors"), "assembly"),
-    (("deployment", "containers"), "deployment"),
-], ids=["signatures", "instances", "connectors", "containers"])
-def test_non_list_member_is_one_defect(model_data, path, where, value):
+@pytest.mark.parametrize("path, defect", [
+    (("components", 0, "signatures"), "component 'comp.a': 'signatures' must be a list"),
+    (("assembly", "instances"), "assembly: 'instances' must be a list"),
+    (("assembly", "connectors"), "assembly: 'connectors' must be a list"),
+    (("deployment", "containers"), "deployment: 'containers' must be a list"),
+    (("components", 0, "seffs", "svc"), "component 'comp.a': seff 'svc' must be a list of actions"),
+], ids=["signatures", "instances", "connectors", "containers", "seff"])
+def test_non_list_member_is_one_defect(model_data, path, defect, value):
     node = model_data
     for step in path[:-1]:
         node = node[step]
     node[path[-1]] = value
-    assert defects_of(model_data) == [f"{where}: '{path[-1]}' must be a list"]
+    assert defects_of(model_data) == [defect]
 
 
 def _paths(node, prefix=()):
@@ -317,7 +337,7 @@ def _loaded(data):
 def _loaded_without_shapes(data):
     parse = terms.parse_shape.__wrapped__  # the recursive-descent parser, uncached
 
-    def read_whole_text(text):
+    def read_whole_text(text, names=None):
         target, rhs = parse(text)
         return target, rhs, tuple(terms.iter_refs(rhs))
 
@@ -410,22 +430,20 @@ def test_a_load_empties_the_name_table_and_interns_nothing(model_data, monkeypat
 
     def spy(self, data):
         model = build(self, data)
-        stored.append(dict(terms.NAMES))
+        stored.append((dict(self.names), weakref.ref(self)))
         return model
 
     monkeypatch.setattr(loader._Builder, "build", spy)
     clear_parse_cache()
     model = model_from_data(model_data)
-    assert "Color" in stored[0] and terms.NAMES == {}
+    names, builder = stored[0]
+    assert "Color" in names and builder() is None  # the table goes with its builder
     assert model.scenarios[0].actions[0].assignments[0].target_type is not canonical
     model_data["usageScenarios"][0]["actions"][0]["assignments"] = ["w.Color.Red := TRUE",
                                                                      "w.Color.Blue := "]
     with pytest.raises(ModelLoadError):
         model_from_data(model_data)
-    assert "w" in stored[1] and terms.NAMES == {}
-    assignment_from_text("x.Color.Red := TRUE")
-    clear_parse_cache()
-    assert terms.NAMES == {}
+    assert "w" in stored[1][0] and "w" not in names  # each load has its own table
 
 
 def test_model_text_is_released_before_the_build(tmp_path, monkeypatch):
@@ -558,7 +576,8 @@ def test_analyze_parses_exactly_the_reached_assignments(tmp_path, monkeypatch, c
     path.write_text(json.dumps(data), encoding="utf-8")
     parsed = []
     read = terms.read_assignment
-    monkeypatch.setattr(terms, "read_assignment", lambda text: parsed.append(text) or read(text))
+    monkeypatch.setattr(terms, "read_assignment",
+                        lambda text, names=None: parsed.append(text) or read(text, names))
     clear_parse_cache()
     assert cli.main(["analyze", str(path)]) == 0
     reached = texts_of(data, {"c5", "c6", "c7"})
@@ -569,15 +588,12 @@ def test_analyze_parses_exactly_the_reached_assignments(tmp_path, monkeypatch, c
 def test_an_unreached_record_parses_on_first_read_as_the_eager_parse():
     clear_parse_cache()
     model = model_from_data(fleet_model_data())
-    assert terms.NAMES == {}
     _, *records = model.components[0].seffs[0].actions[0].assignments  # w0's
     assert [type(a) is Assignment for a in records] == [False] * 2  # not parsed yet
     eager = [terms.read_assignment(a.text) for a in records]
-    assert terms.NAMES == {}
     fields = [((a.target_var, a.target_type, a.target_value), a.rhs, a.refs) for a in records]
     assert fields == eager
     assert [type(a) is Assignment for a in records] == [True] * 2
-    assert terms.NAMES == {}
 
 
 def test_saving_a_model_with_unreached_records_writes_the_same_bytes(tmp_path):
