@@ -10,29 +10,35 @@ defects (wrong JSON shapes or types, unparseable assignment texts,
 unknown labels) and checks each entry against its siblings as it reads
 it (duplicate ids, names, assignments, variable scope, Return placement,
 seff coverage); an action is built and checked in the one branch for its
-type.  It parses only the assignments of the seffs that a usage scenario
-reaches, found in the document first, and the scenarios'; it tests the
-others in batches after the build, and walks the document again, parsing
-them all, if that test cannot pass one.
+type.  It builds the scenarios and the seffs that they reach, found in
+the document's members first.  Each other seff gets one walk over its
+raw entries, which keeps its calls and whether it ends in a Return, and
+it builds its actions on first read; its texts are tested in batches
+after the build, and the document is walked again, building every seff,
+if that test cannot pass one.  A seff whose walk finds what the build
+would record a defect for is built in place.
 The dictionary's own defects come from
 :attr:`~flowcheck.labels.DataDictionary.defects`, found while it lays
 out its bits, and :func:`~flowcheck.model.validate_model` then makes the
-cross-reference checks.  Semantic defects are reported, local ones
-first, only when there is no structural defect, and a single
-:class:`ModelLoadError` carries all of them.  Behaviour is restricted to
-straight-line actions; any other action type (branches, loops, forks,
-...) is rejected here.
+cross-reference checks, from the seffs' calls.  Semantic defects are
+reported, local ones first, only when there is no structural defect, and
+a single :class:`ModelLoadError` carries all of them.  Behaviour is
+restricted to straight-line actions; any other action type (branches,
+loops, forks, ...) is rejected here.
 
 Memory: a file's text is freed once decoded, before the build, and the
 assignments that one walk of the document parses share one ``str`` per
 distinct variable, label-type and label-value name, through a table that
-the builder owns and passes to each parse; an unparsed one keeps only its
-text, and shares no name when it is parsed later.
+the builder owns and passes to each parse.  A seff that no scenario
+reaches keeps its raw action list, and no records, until its first read,
+which parses its texts with a table of its own.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 from . import terms
@@ -55,6 +61,7 @@ from .model import (
     SystemCall,
     UsageScenario,
     VariableAction,
+    _Unbuilt,
     _Unparsed,
     assignment_from_text,
     validate_model,
@@ -102,17 +109,23 @@ def _decode(text: str, source: str, timings):
 
 
 def model_from_data(data, base_dir=None, timings=None) -> ArchitectureModel:
-    """Construct and validate a model from an already-parsed document."""
+    """Construct and validate a model from an already-parsed document.
+
+    A seff that no usage scenario reaches keeps its raw action list from
+    ``data``, and builds its actions from it on first read; the caller
+    must not change those lists while the model lives."""
     for eager in (False, True):  # eager, to word each defect the test may have seen
         builder = _Builder(base_dir, eager)
         model = builder.build(data)
         if builder.sound:
             break
+    structural, semantic = builder.defects, builder.semantic
+    del builder  # the checks below need none of its tables
     if timings:
         timings.split("build")
     # structural defects make follow-up semantic noise likely; semantic
     # defects are reported only for a structurally sound document
-    defects = builder.defects or builder.semantic + validate_model(model)
+    defects = structural or semantic + validate_model(model)
     if defects:
         raise ModelLoadError(defects)
     return model
@@ -154,16 +167,32 @@ def _assignment_defects(a: Assignment, known, return_target: bool):
     return tuple(dict.fromkeys(out))
 
 
-def _reached(data) -> set | None:
+def _built(dictionary, raw, where, params) -> tuple:
+    """The actions of a seff that no usage scenario reaches, built on their
+    first read as a load builds them; only a list changed since the load
+    can fail, and then raises :class:`ModelLoadError`."""
+    builder = _Builder(None)
+    builder.dictionary, builder.known = dictionary, dictionary.known_pairs()
+    actions = builder._actions(raw, where, True, set(params))
+    if builder.defects or builder.semantic:
+        raise ModelLoadError(builder.defects or builder.semantic)
+    return actions
+
+
+def _strings(values) -> bool:
+    return all(map(isinstance, values, repeat(str)))
+
+
+def _reached(components, assembly, scenarios) -> set | None:
     """The (component id, signature id) of each seff that a usage scenario
-    reaches in the document; None when it is too malformed to tell."""
+    reaches in the document's members; None when they are too malformed
+    to tell."""
     try:
-        component_of = {i["id"]: i["component"] for i in data["assembly"]["instances"]}
-        target = {(c["instance"], c["role"]): c["target"]
-                  for c in data["assembly"].get("connectors", [])}
-        seffs = {(c["id"], sig): actions for c in data["components"]
+        component_of = {i["id"]: i["component"] for i in assembly["instances"]}
+        target = {(c["instance"], c["role"]): c["target"] for c in assembly.get("connectors", [])}
+        seffs = {(c["id"], sig): actions for c in components
                  for sig, actions in c.get("seffs", {}).items()}
-        seen, todo = set(), [(None, a) for s in data["usageScenarios"] for a in s["actions"]
+        seen, todo = set(), [(None, a) for s in scenarios for a in s["actions"]
                              if a.get("type") == "call"]
         for caller, action in todo:  # grows by the calls of each seff reached
             instance = action["instance"] if caller is None else target.get((caller, action["role"]))
@@ -179,9 +208,8 @@ def _reached(data) -> set | None:
 class _Builder:
     def __init__(self, base_dir, eager=False):
         self.base_dir = Path(base_dir) if base_dir is not None else None
-        # Eager, every assignment is parsed as it is read.  If not, only those
-        # of the scenarios and of the seffs they reach; ``sound`` then tells
-        # whether the other records passed the test after the build.
+        # Eager, every seff is built as it is read.  If not, ``sound`` tells
+        # whether the texts of the seffs it only walked passed their test.
         self.eager = eager
         self.defects: list[str] = []  # structural
         self.semantic: list[str] = []  # local semantic
@@ -191,7 +219,7 @@ class _Builder:
         # Assignment object; one dict per return_target flag, because a tuple
         # key per lookup would feed the cyclic collector during the build.
         self.verdicts: tuple[dict[Assignment, tuple[str, ...]], ...] = ({}, {})
-        self.unparsed: tuple[set[Assignment], set[Assignment]] = (set(), set())
+        self.unchecked: tuple[list[str], list[str]] = ([], [])  # texts, by return target
         self.names: dict[str, str] = {}  # one str per name that its parses store
 
     def defect(self, message: str) -> None:
@@ -201,50 +229,50 @@ class _Builder:
         if not isinstance(data, dict):
             self.defect("model document must be a JSON object")
             data = {}
-        self.reached = None if self.eager else _reached(data)
-        self.eager = self.reached is None
-        dictionary_data = self._member(data, "dictionary", dict, {})
-        self.dictionary = self._dictionary(dictionary_data)
+        # each member is read once; a defect in reading it goes where it is built
+        members = {name: self._member(data, name, kind) for name, kind in (
+            ("dictionary", dict), ("components", list), ("assembly", dict),
+            ("deployment", dict), ("usageScenarios", list))}
+        self.reached = None if self.eager else _reached(
+            *(members[name][0] for name in ("components", "assembly", "usageScenarios")))
+        self.dictionary = self._dictionary(self._take(members["dictionary"]))
         self.known = self.dictionary.known_pairs()
         self.semantic.extend(self.dictionary.defects)
-        components = self._components(self._member(data, "components", list, []))
-        assembly = self._assembly(self._member(data, "assembly", dict, {}))
-        deployment = self._deployment(self._member(data, "deployment", dict, {}))
-        self.eager = True  # every scenario is reached
-        scenarios = self._scenarios(self._member(data, "usageScenarios", list, []))
-        self.sound = all(terms.check_assignments([a.text for a in records], self.known,
-                                                 RETURN_VARIABLE, return_target)
-                         for return_target, records in enumerate(self.unparsed) if records)
+        components = self._components(self._take(members["components"]))
+        assembly = self._assembly(self._take(members["assembly"]))
+        deployment = self._deployment(self._take(members["deployment"]))
+        scenarios = self._scenarios(self._take(members["usageScenarios"]))
+        self.sound = all(_strings(texts) and terms.check_assignments(
+            texts, self.known, RETURN_VARIABLE, return_target)
+            for return_target, texts in enumerate(self.unchecked) if texts)
         return ArchitectureModel(self.dictionary, components, assembly, deployment, scenarios)
 
-    def _member(self, data, name, expected_type, default):
+    def _member(self, data, name, expected_type) -> tuple:
+        """The member, read from its file if it names one, and the defect
+        that left it empty, or None."""
         value = data.get(name)
-        if value is None:
-            return default
         if isinstance(value, str):
-            value = self._load_ref(name, value)
-            if value is None:
-                return default
+            if self.base_dir is None:
+                return expected_type(), (f"member '{name}': file reference '{value}' "
+                                         "needs a base directory")
+            path = self.base_dir / value
+            try:  # no name holds the text, so it is freed once decoded
+                value = json.loads(path.read_text(encoding="utf-8-sig"))
+            except (OSError, UnicodeDecodeError) as exc:
+                return expected_type(), f"member '{name}': cannot read '{path}': {exc}"
+            except _JSON_ERRORS as exc:
+                return expected_type(), f"member '{name}': malformed JSON in '{path}': {exc}"
+        if value is None:
+            return expected_type(), None
         if not isinstance(value, expected_type):
-            self.defect(f"member '{name}' must be a {expected_type.__name__}")
-            return default
-        return value
+            return expected_type(), f"member '{name}' must be a {expected_type.__name__}"
+        return value, None
 
-    def _load_ref(self, name, ref):
-        if self.base_dir is None:
-            self.defect(f"member '{name}': file reference '{ref}' needs a base directory")
-            return None
-        path = self.base_dir / ref
-        try:
-            text = path.read_text(encoding="utf-8-sig")
-        except (OSError, UnicodeDecodeError) as exc:
-            self.defect(f"member '{name}': cannot read '{path}': {exc}")
-            return None
-        try:
-            return json.loads(text)
-        except _JSON_ERRORS as exc:
-            self.defect(f"member '{name}': malformed JSON in '{path}': {exc}")
-            return None
+    def _take(self, member):
+        value, defect = member
+        if defect:
+            self.defect(defect)
+        return value
 
     def _objects(self, entries, message):
         """The entries that are objects; each other one records ``message``."""
@@ -306,7 +334,7 @@ class _Builder:
     def _at(where, action_id):
         return where if action_id is None else f"{where}, action '{action_id}'"
 
-    def _assignments(self, raw, where, action_id=None, return_target=False) -> tuple:
+    def _assignments(self, raw, where, action_id=None) -> tuple:
         # hot path at scale; defect prefixes are only built on defects
         if raw is None:
             raw = []
@@ -315,10 +343,9 @@ class _Builder:
             return ()
         try:  # C-level passes over a list that has no defect
             out = tuple(map(assignment_from_text, raw))
-            if self.eager:
-                for a in out:  # parse each new record, so that a defect is worded below
-                    if type(a) is _Unparsed:
-                        a.parse(self.names)
+            for a in out:  # parse each new record, so that a defect is worded below
+                if type(a) is _Unparsed:
+                    a.parse(self.names)
         except (TypeError, TermSyntaxError):  # not a string, or not a term
             out = []
             for text in raw:
@@ -330,8 +357,6 @@ class _Builder:
                 except TermSyntaxError as exc:
                     self.defect(f"{self._at(where, action_id)}: assignment '{_quoted(text)}': {exc}")
             out = tuple(out)
-        if not self.eager:
-            self.unparsed[return_target].update(out)
         return out
 
     def _bindings(self, raw, where) -> tuple:
@@ -396,11 +421,12 @@ class _Builder:
                 if not isinstance(raw_actions, list):
                     self.defect(f"{where}: seff '{sig_id}' must be a list of actions")
                     raw_actions = []
-                scope = set(params_of[sig_id]) if sig_id in params_of else None
-                if self.reached is not None:
-                    self.eager = (cid, sig_id) in self.reached
-                seffs.append(Seff(sig_id, self._actions(raw_actions, owner, True, scope)))
-                if scope is None:
+                params = params_of.get(sig_id)
+                walk = self.reached is not None and params is not None and (cid, sig_id) not in self.reached
+                seff = walk and self._unbuilt(sig_id, raw_actions, owner, params)
+                scope = None if params is None else set(params)
+                seffs.append(seff or Seff(sig_id, self._actions(raw_actions, owner, True, scope)))
+                if params is None:
                     self.semantic.append(f"{owner}: component does not provide this signature")
             for sig_id in sorted(params_of.keys() - raw_seffs.keys()):
                 self.semantic.append(f"{where}: no seff for provided signature '{sig_id}'")
@@ -429,13 +455,56 @@ class _Builder:
                 self.semantic.append(f"signature '{sig_id}': duplicate parameter '{param}'")
             seen.add(param)
 
+    def _unbuilt(self, sig_id, raw, where, params: tuple) -> Seff | None:
+        """The seff of a signature that no usage scenario reaches, from one
+        walk over its raw entries: None if :meth:`_actions` would record a
+        defect for one of them, their assignment texts aside, which join the
+        test after the build.  The seff keeps its calls and builds its
+        actions on first read."""
+        scope, seen, calls, texts, done, kind = set(params), set(), [], ([], []), 0, None
+        last = len(raw) - 1
+        for position, entry in enumerate(raw):
+            if not isinstance(entry, dict):
+                return None
+            aid, kind = entry.get("id"), entry.get("type")
+            more = entry.get("resultAssignments" if kind == "call" else "assignments", [])
+            if not isinstance(aid, str) or not aid or aid in seen or not isinstance(more, list):
+                return None
+            seen.add(aid)
+            if kind == "call":
+                role, signature, result = entry.get("role"), entry.get("signature"), entry.get("result")
+                names = (role, signature) if result is None else (role, signature, result)
+                bindings = entry.get("bindings", {})
+                if not (_strings(names) and "" not in names and result != RETURN_VARIABLE
+                        and _strings(more) and isinstance(bindings, dict) and _strings(bindings.values())):
+                    return None
+                if not scope.issuperset(bindings.values()):
+                    # the targets of the texts before it join, read as each text that parses
+                    if not _strings(texts[0][done:]):
+                        return None
+                    scope.update([text.partition(".")[0].strip() for text in texts[0][done:]])
+                    done = len(texts[0])
+                    if not scope.issuperset(bindings.values()):
+                        return None
+                calls.append(ExternalCall(aid, role, signature, tuple(bindings.items()), result,
+                                          tuple(map(assignment_from_text, more))))
+                if result is not None:
+                    scope.add(result)
+            elif kind != "variable" and (kind != "return" or position != last):
+                return None
+            texts[kind == "return"].extend(more)
+        for unchecked, more in zip(self.unchecked, texts):
+            unchecked += more
+        return _Unbuilt(sig_id, partial(_built, self.dictionary, raw, where, params),
+                        tuple(calls), kind == "return")
+
     def _actions(self, raw, where, seff: bool, scope: set[str] | None) -> tuple:
         """Build one seff's or scenario's actions, each in the branch for its
         type; with ``scope``, the variables in scope at the start, check each
         against the ones before it.  An entry that does not build leaves a
         structural defect, which hides every semantic one, so its checks may
         stop half made."""
-        semantic, verdicts, known, eager = self.semantic, self.verdicts, self.known, self.eager
+        semantic, verdicts, known = self.semantic, self.verdicts, self.known
         if scope is None:  # not checked: its semantic defects go nowhere
             semantic, scope = [], set()
         actions = []
@@ -462,7 +531,7 @@ class _Builder:
                     continue
                 if position != last:
                     semantic.append(f"{here}: Return must be the final action")
-                assignments = self._assignments(entry.get("assignments"), here, return_target=True)
+                assignments = self._assignments(entry.get("assignments"), here)
                 actions.append(ReturnAction(aid, assignments))
             elif kind == "call":
                 here = f"{where}, action '{aid}'"
@@ -489,10 +558,6 @@ class _Builder:
                     scope.add(result)
             else:
                 self.defect(f"{where}, action '{aid}': unsupported action type {kind!r}")
-                continue
-            if not eager:  # the records are tested after the build
-                if not is_return:  # as in every text that parses
-                    scope.update([a.text.partition(".")[0].strip() for a in assignments])
                 continue
             cache = verdicts[is_return]
             for a in assignments:

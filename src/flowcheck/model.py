@@ -12,14 +12,17 @@ Action records are the one part of the graph constructed in bulk
 rather than frozen dataclasses: construction is a C-level tuple fill.
 
 ``validate_model`` makes the cross-reference checks and returns one
-message per defect instead of stopping at the first.  Among them is the
-call depth: extraction expands calls at most ``DEFAULT_MAX_CALL_DEPTH``
-deep, so a model that would need more is refused when it is loaded.
+message per defect instead of stopping at the first.  It reads each
+seff's calls and whether it ends in a Return, which a seff that no usage
+scenario reaches has before its actions are built, on first read.  Among
+the checks is the call depth: extraction expands calls at most
+``DEFAULT_MAX_CALL_DEPTH`` deep, so a model that would need more is
+refused when it is loaded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -164,10 +167,44 @@ class ReturnAction(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class Seff:
-    """Behaviour of one provided signature: an ordered list of actions."""
+    """Behaviour of one provided signature: an ordered list of actions,
+    its external calls, and whether it ends in a Return."""
 
     signature_id: str
     actions: tuple
+    calls: tuple[ExternalCall, ...] = field(init=False, repr=False, compare=False)
+    returns: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        actions = self.actions
+        calls = tuple([a for a in actions if isinstance(a, ExternalCall)])
+        object.__setattr__(self, "calls", calls)
+        object.__setattr__(self, "returns", bool(actions) and isinstance(actions[-1], ReturnAction))
+
+
+class _Unbuilt(Seff):
+    """A seff whose ``actions`` slot holds the function that builds them,
+    until their first read makes it a plain :class:`Seff`."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):  # the signature id, the build function, calls, returns
+        for name, value in zip(Seff.__slots__, fields):
+            getattr(Seff, name).__set__(self, value)
+
+    @property
+    def actions(self):
+        Seff.actions.__set__(self, Seff.actions.__get__(self)())
+        object.__setattr__(self, "__class__", Seff)
+        return self.actions
+
+    def __eq__(self, other):  # built first, so that it compares as a Seff
+        return self.actions is not None and self == other
+
+    __hash__ = Seff.__hash__
+
+    def __reduce__(self):
+        return Seff, (self.signature_id, self.actions)
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,26 +402,20 @@ def validate_model(model: ArchitectureModel) -> list[str]:
                 )
         if call.result_variable is not None:
             seff = index.seffs.get((component.id, signature.id))
-            if not (seff and seff.actions and isinstance(seff.actions[-1], ReturnAction)):
+            if not (seff and seff.returns):
                 defects.append(
                     f"{where}: result variable set but seff of "
                     f"'{signature.id}' has no Return action"
                 )
 
-    # one walk over each action list; the instances below reuse its calls
-    calls_of: dict[int, list] = {}
     for component in model.components:
-        calls = calls_of[id(component)] = []
         for seff in component.seffs:
             owner = signature_owner.get(seff.signature_id)
             # a seff for a signature its component does not provide is not checked
-            provided = owner is not None and owner[0] is component
-            for action in seff.actions:
-                if isinstance(action, ExternalCall):
-                    calls.append(action)
-                    if provided:
-                        where = f"component '{component.id}', seff '{seff.signature_id}'"
-                        check_call(f"{where}, action '{action.id}'", action)
+            if owner is not None and owner[0] is component:
+                for action in seff.calls:
+                    check_call(f"component '{component.id}', seff '{seff.signature_id}', "
+                               f"action '{action.id}'", action)
 
     # each instance is allocated, and its component and external calls resolve
     for instance in model.assembly.instances:
@@ -396,7 +427,7 @@ def validate_model(model: ArchitectureModel) -> list[str]:
                 f"instance '{instance.id}': unknown component '{instance.component_id}'"
             )
             continue
-        for action in calls_of[id(component)]:
+        for action in [call for seff in component.seffs for call in seff.calls]:
             where = f"instance '{instance.id}', call '{action.id}'"
             target_id = index.connectors.get((instance.id, action.role))
             if target_id is None:
@@ -468,9 +499,7 @@ def _too_deep(index: ModelIndex, memo: dict, instance_id, signature_id, depth):
         memo[key] = None
         instance = index.instances.get(instance_id)
         seff = instance and index.seffs.get((instance.component_id, signature_id))
-        for action in seff.actions if seff else ():
-            if not isinstance(action, ExternalCall):
-                continue
+        for action in seff.calls if seff else ():
             target = index.connectors.get((instance_id, action.role))
             tail = target and _too_deep(index, memo, target, action.signature_id, depth + 1)
             if tail is not None:

@@ -1,5 +1,6 @@
 """JSON loading, file references, serialization, and round trips."""
 
+import copy
 import json
 import sys
 import tracemalloc
@@ -21,7 +22,13 @@ from flowcheck.loader import (
     save_model,
     serialize_model,
 )
-from flowcheck.model import RETURN_VARIABLE, Assignment, assignment_from_text, clear_parse_cache
+from flowcheck.model import (
+    RETURN_VARIABLE,
+    Assignment,
+    Seff,
+    assignment_from_text,
+    clear_parse_cache,
+)
 from flowcheck.propagation import evaluate_all
 
 
@@ -570,30 +577,198 @@ def texts_of(data, component_ids):
             for text in action.get("assignments", []) + action.get("resultAssignments", [])}
 
 
-def test_analyze_parses_exactly_the_reached_assignments(tmp_path, monkeypatch, capsys):
-    data = fleet_model_data()
-    path = tmp_path / "fleet.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+def parsed_by_analyze(path, monkeypatch):
+    """The texts that ``analyze`` of the model at ``path`` parses."""
     parsed = []
     read = terms.read_assignment
     monkeypatch.setattr(terms, "read_assignment",
                         lambda text, names=None: parsed.append(text) or read(text, names))
     clear_parse_cache()
     assert cli.main(["analyze", str(path)]) == 0
+    return sorted(parsed)
+
+
+def test_analyze_parses_exactly_the_reached_assignments(tmp_path, monkeypatch, capsys):
+    data = fleet_model_data()
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
     reached = texts_of(data, {"c5", "c6", "c7"})
-    assert sorted(parsed) == sorted(reached)
+    assert parsed_by_analyze(path, monkeypatch) == sorted(reached)
     assert len(texts_of(data, {c["id"] for c in data["components"]}) - reached) == 10
 
 
-def test_an_unreached_record_parses_on_first_read_as_the_eager_parse():
+def test_a_document_split_into_member_files_parses_the_same_texts(tmp_path, monkeypatch, capsys):
+    data = fleet_model_data()
+    reached = texts_of(data, {"c5", "c6", "c7"})
+    for name in ("components", "assembly", "usageScenarios"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(data[name]), encoding="utf-8")
+        data[name] = f"{name}.json"
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert parsed_by_analyze(path, monkeypatch) == sorted(reached)
+
+
+def test_member_defects_keep_their_place_among_the_build_defects(model_data, tmp_path):
+    model_data["dictionary"]["labelTypes"].append(7)
+    model_data["components"] = "missing.json"
+    model_data["assembly"]["instances"].append(7)
+    (tmp_path / "broken.json").write_text("{", encoding="utf-8")
+    model_data["deployment"] = "broken.json"
+    (tmp_path / "scenarios.json").write_text("{}", encoding="utf-8")
+    model_data["usageScenarios"] = "scenarios.json"
+    with pytest.raises(ModelLoadError) as info:
+        model_from_data(model_data, base_dir=tmp_path)
+    starts = ["dictionary: each label type must be an object",
+              "member 'components': cannot read",
+              "assembly: each instance must be an object",
+              "member 'deployment': malformed JSON in",
+              "member 'usageScenarios' must be a list"]
+    defects = info.value.defects
+    assert len(defects) == len(starts) and all(map(str.startswith, defects, starts)), defects
+
+
+# A seff that no usage scenario reaches is checked from its raw entries
+# and builds its actions on first read; the cross-reference checks read
+# only its calls and whether it ends in a Return.
+def record_fields(actions):
+    """Each action's type and fields, an assignment as its own fields:
+    assignment records compare by identity."""
+    def fields(value):
+        if isinstance(value, tuple) and value and isinstance(value[0], Assignment):
+            return tuple((a.text, a.target_var, a.target_type, a.target_value, a.rhs, a.refs)
+                         for a in value)
+        return value
+    return [(type(action), *map(fields, action)) for action in actions]
+
+
+def test_an_unreached_seff_builds_on_first_read_as_the_eager_build():
+    data = fleet_model_data()
     clear_parse_cache()
-    model = model_from_data(fleet_model_data())
-    _, *records = model.components[0].seffs[0].actions[0].assignments  # w0's
-    assert [type(a) is Assignment for a in records] == [False] * 2  # not parsed yet
-    eager = [terms.read_assignment(a.text) for a in records]
-    fields = [((a.target_var, a.target_type, a.target_value), a.rhs, a.refs) for a in records]
-    assert fields == eager
-    assert [type(a) is Assignment for a in records] == [True] * 2
+    eager = loader._Builder(None, eager=True).build(data)
+    clear_parse_cache()
+    model = model_from_data(data)
+    for component, built in zip(model.components[:5], eager.components):
+        (seff,), (expected,) = component.seffs, built.seffs
+        assert type(seff) is not Seff  # not built yet
+        assert (seff.calls, seff.returns) == (expected.calls, expected.returns)
+        assert record_fields(seff.actions) == record_fields(expected.actions)
+        assert type(seff) is Seff
+        assert type(seff.actions[0].assignments[0]) is Assignment  # parsed as it was built
+
+
+def test_an_unreached_seff_compares_hashes_and_copies_as_a_built_one():
+    data = fleet_model_data()
+    built, *unbuilt = [model_from_data(data).components[0].seffs[0] for _ in range(4)]
+    assert built.actions and type(built) is Seff
+    assert built == unbuilt[0] and unbuilt[1] == built and hash(unbuilt[2]) == hash(built)
+    assert [type(seff) for seff in unbuilt] == [Seff] * 3
+    duplicate = copy.copy(model_from_data(data).components[0].seffs[0])
+    assert type(duplicate) is Seff and duplicate == built
+
+
+def test_a_changed_unreached_seff_fails_its_first_read():
+    data = fleet_model_data()
+    model = model_from_data(data)
+    data["components"][0]["seffs"]["c0.run"][0]["assignments"].append("w.T.X := TRUE")
+    with pytest.raises(ModelLoadError) as info:
+        model.components[0].seffs[0].actions
+    assert list(info.value.defects) == [
+        "component 'c0', seff 'c0.run', action 'c0.work': assignment 'w.T.X := TRUE': "
+        "unknown value 'X' for label type 'T'"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate", "sequences"])
+def test_no_command_builds_an_unreached_seff(tmp_path, monkeypatch, capsys, command):
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(fleet_model_data()), encoding="utf-8")
+    built = []
+    actions = loader._Builder._actions
+    monkeypatch.setattr(loader._Builder, "_actions",
+                        lambda self, raw, where, *rest: built.append(where)
+                        or actions(self, raw, where, *rest))
+    assert cli.main([command, str(path)]) == 0
+    assert sorted(built) == ["component 'c5', seff 'c5.run'", "component 'c6', seff 'c6.run'",
+                             "component 'c7', seff 'c7.run'", "scenario 'u0'"]
+
+
+def test_the_builder_is_freed_before_the_cross_reference_checks(monkeypatch):
+    builders, alive = [], []
+    build, validate = loader._Builder.build, loader.validate_model
+    monkeypatch.setattr(loader._Builder, "build",
+                        lambda self, data: builders.append(weakref.ref(self)) or build(self, data))
+    monkeypatch.setattr(loader, "validate_model",
+                        lambda model: alive.append(builders[-1]() is not None) or validate(model))
+    model_from_data(fleet_model_data())
+    assert len(builders) == 1 and alive == [False]
+
+
+def _checked(data, eager):
+    """``_loaded(data)``, and each seff's calls and Return fact as the
+    cross-reference checks read them: a seff not built yet has those its
+    walk kept.  Eager, the load builds every seff as it reads it."""
+    builder = loader._Builder
+    with pytest.MonkeyPatch.context() as patch:
+        if eager:
+            patch.setattr(loader, "_Builder", lambda base_dir, eager=False: builder(base_dir, True))
+        loaded = _loaded(data)
+        try:
+            model = model_from_data(data)
+        except ModelLoadError:
+            return loaded
+    return loaded, [(record_fields(seff.calls), seff.returns)
+                    for component in model.components for seff in component.seffs]
+
+
+UNREACHED = fleet_model_data(components=4, entry=2)  # nothing reaches c0 and c1
+_ENTRY_EDITS = [("id", ""), ("id", 5), ("type", "variable"), ("type", "return"),
+                ("type", "call"), ("type", "loop")]
+_CALL_EDITS = _ENTRY_EDITS + [
+    ("bindings", {}), ("bindings", {"p": "w0"}), ("bindings", {"p": "nope"}),
+    ("bindings", {"p": ["x"]}), ("bindings", {"q": "x"}), ("bindings", None), ("result", "r"),
+    ("result", ""), ("result", "RETURN"), ("result", 3), ("role", ""), ("role", None),
+    ("signature", "c3.run"), ("signature", 5), ("resultAssignments", [1]),
+    ("resultAssignments", "x"), ("resultAssignments", ["r.T.V := x.T.V"]),
+    ("resultAssignments", ["RETURN.T.V := TRUE"])]
+_TEXT_EDITS = _ENTRY_EDITS + [
+    ("assignments", None), ("assignments", "x.T.V"), ("assignments", [1]),
+    ("assignments", ["RETURN.T.V := TRUE"]), ("assignments", ["x.T.V := y.T.X"]),
+    ("assignments", ["w.T.* := x.T.V"]), ("assignments", ["x.T.V :="])]
+
+
+@st.composite
+def unreached_edits(draw):
+    """Edits of the action lists of seffs that no scenario reaches."""
+    data = copy.deepcopy(UNREACHED)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, 1))
+        actions = data["components"][k]["seffs"][f"c{k}.run"]
+        if not actions:
+            continue
+        n = draw(st.sampled_from(range(len(actions))))
+        how = draw(st.sampled_from(["set", "set", "set", "delete", "insert", "move", "twin", "drop"]))
+        if how == "drop":
+            actions.pop(n)
+        elif how == "insert":  # a non-object entry, or another Return
+            entry = draw(st.sampled_from([1, "x", [], None, {"type": "return", "id": "again"}]))
+            actions.insert(n, entry)
+        elif how == "move":  # this entry to the end, so that the Return is not
+            actions.append(actions.pop(n))
+        elif isinstance(actions[n], dict):
+            edits = _CALL_EDITS if actions[n].get("type") == "call" else _TEXT_EDITS
+            key, value = draw(st.sampled_from(edits))
+            if how == "twin":  # the id of another entry
+                actions[n]["id"] = getattr(actions[n - 1], "get", {}.get)("id")
+            elif how == "delete":
+                actions[n].pop(key, None)
+            else:
+                actions[n][key] = value
+    return data
+
+
+@settings(derandomize=True, database=None, max_examples=800, deadline=None)
+@given(unreached_edits())
+def test_mutated_unreached_seffs_load_as_when_built_eagerly(data):
+    assert _checked(data, eager=False) == _checked(data, eager=True)
 
 
 def test_saving_a_model_with_unreached_records_writes_the_same_bytes(tmp_path):
