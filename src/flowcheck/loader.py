@@ -11,12 +11,11 @@ unknown labels) and checks each entry against its siblings as it reads
 it (duplicate ids, names, assignments, variable scope, Return placement,
 seff coverage); an action is built and checked in the one branch for its
 type.  It builds the scenarios and the seffs that they reach, found in
-the document's members first.  Each other seff gets one walk over its
-raw entries, which keeps its calls and whether it ends in a Return, and
-it builds its actions on first read; its texts are tested in batches
-after the build, and the document is walked again, building every seff,
-if that test cannot pass one.  A seff whose walk finds what the build
-would record a defect for is built in place.
+the document's members first.  Each other seff goes through the same
+walk, which words each defect alike but keeps only its calls and whether
+it ends in a Return, and it builds its actions on first read; its texts
+are tested in batches after the build, and the document is walked again,
+building every seff, if that test cannot pass one.
 The dictionary's own defects come from
 :attr:`~flowcheck.labels.DataDictionary.defects`, found while it lays
 out its bits, and :func:`~flowcheck.model.validate_model` then makes the
@@ -334,13 +333,18 @@ class _Builder:
     def _at(where, action_id):
         return where if action_id is None else f"{where}, action '{action_id}'"
 
-    def _assignments(self, raw, where, action_id=None) -> tuple:
+    def _assignments(self, raw, where, action_id=None, unchecked=None):
+        """The parsed records of a list of texts; given ``unchecked``, the
+        texts themselves, which join it for the batch test."""
         # hot path at scale; defect prefixes are only built on defects
         if raw is None:
             raw = []
         if not isinstance(raw, list):
             self.defect(f"{self._at(where, action_id)}: assignments must be a list of strings")
             return ()
+        if unchecked is not None:
+            unchecked += raw
+            return raw
         try:  # C-level passes over a list that has no defect
             out = tuple(map(assignment_from_text, raw))
             for a in out:  # parse each new record, so that a defect is worded below
@@ -422,10 +426,12 @@ class _Builder:
                     self.defect(f"{where}: seff '{sig_id}' must be a list of actions")
                     raw_actions = []
                 params = params_of.get(sig_id)
-                walk = self.reached is not None and params is not None and (cid, sig_id) not in self.reached
-                seff = walk and self._unbuilt(sig_id, raw_actions, owner, params)
                 scope = None if params is None else set(params)
-                seffs.append(seff or Seff(sig_id, self._actions(raw_actions, owner, True, scope)))
+                if self.reached is None or params is None or (cid, sig_id) in self.reached:
+                    seffs.append(Seff(sig_id, self._actions(raw_actions, owner, True, scope)))
+                else:  # its actions are built on first read
+                    seffs.append(_Unbuilt(sig_id, partial(_built, self.dictionary, raw_actions, owner, params),
+                                          *self._actions(raw_actions, owner, True, scope, walk=True)))
                 if params is None:
                     self.semantic.append(f"{owner}: component does not provide this signature")
             for sig_id in sorted(params_of.keys() - raw_seffs.keys()):
@@ -455,61 +461,27 @@ class _Builder:
                 self.semantic.append(f"signature '{sig_id}': duplicate parameter '{param}'")
             seen.add(param)
 
-    def _unbuilt(self, sig_id, raw, where, params: tuple) -> Seff | None:
-        """The seff of a signature that no usage scenario reaches, from one
-        walk over its raw entries: None if :meth:`_actions` would record a
-        defect for one of them, their assignment texts aside, which join the
-        test after the build.  The seff keeps its calls and builds its
-        actions on first read."""
-        scope, seen, calls, texts, done, kind = set(params), set(), [], ([], []), 0, None
-        last = len(raw) - 1
-        for position, entry in enumerate(raw):
-            if not isinstance(entry, dict):
-                return None
-            aid, kind = entry.get("id"), entry.get("type")
-            more = entry.get("resultAssignments" if kind == "call" else "assignments", [])
-            if not isinstance(aid, str) or not aid or aid in seen or not isinstance(more, list):
-                return None
-            seen.add(aid)
-            if kind == "call":
-                role, signature, result = entry.get("role"), entry.get("signature"), entry.get("result")
-                names = (role, signature) if result is None else (role, signature, result)
-                bindings = entry.get("bindings", {})
-                if not (_strings(names) and "" not in names and result != RETURN_VARIABLE
-                        and _strings(more) and isinstance(bindings, dict) and _strings(bindings.values())):
-                    return None
-                if not scope.issuperset(bindings.values()):
-                    # the targets of the texts before it join, read as each text that parses
-                    if not _strings(texts[0][done:]):
-                        return None
-                    scope.update([text.partition(".")[0].strip() for text in texts[0][done:]])
-                    done = len(texts[0])
-                    if not scope.issuperset(bindings.values()):
-                        return None
-                calls.append(ExternalCall(aid, role, signature, tuple(bindings.items()), result,
-                                          tuple(map(assignment_from_text, more))))
-                if result is not None:
-                    scope.add(result)
-            elif kind != "variable" and (kind != "return" or position != last):
-                return None
-            texts[kind == "return"].extend(more)
-        for unchecked, more in zip(self.unchecked, texts):
-            unchecked += more
-        return _Unbuilt(sig_id, partial(_built, self.dictionary, raw, where, params),
-                        tuple(calls), kind == "return")
-
-    def _actions(self, raw, where, seff: bool, scope: set[str] | None) -> tuple:
+    def _actions(self, raw, where, seff: bool, scope: set[str] | None, walk=False) -> tuple:
         """Build one seff's or scenario's actions, each in the branch for its
         type; with ``scope``, the variables in scope at the start, check each
         against the ones before it.  An entry that does not build leaves a
         structural defect, which hides every semantic one, so its checks may
-        stop half made."""
+        stop half made.
+
+        ``walk``, for a seff that no usage scenario reaches, makes the same
+        checks and words each defect alike, but parses no text: the texts
+        join the batch test, and the scope learns their targets only when a
+        call binds a variable not in it.  It builds only the calls, and
+        returns them with whether the seff ends in a Return."""
         semantic, verdicts, known = self.semantic, self.verdicts, self.known
         if scope is None:  # not checked: its semantic defects go nowhere
             semantic, scope = [], set()
-        actions = []
+        texts, return_texts = self.unchecked if walk else (None, None)
+        learnt = walk and len(texts)  # the texts before it are in scope, or another seff's
+        actions = []  # walking, the calls only
         seen: set[str] = set()
         last = len(raw) - 1
+        kind = None
         # positions count objects only, as a non-object leaves a structural defect
         for position, entry in enumerate(self._objects(raw, f"{where}: each action must be an object")):
             aid = entry.get("id")
@@ -522,8 +494,9 @@ class _Builder:
             kind = entry.get("type")
             is_return = kind == "return"
             if kind == "variable":  # first: scaled models are almost all of them
-                assignments = self._assignments(entry.get("assignments"), where, aid)
-                actions.append(VariableAction(aid, assignments))
+                assignments = self._assignments(entry.get("assignments"), where, aid, texts)
+                if not walk:
+                    actions.append(VariableAction(aid, assignments))
             elif is_return:
                 here = f"{where}, action '{aid}'"
                 if not seff:
@@ -531,17 +504,26 @@ class _Builder:
                     continue
                 if position != last:
                     semantic.append(f"{here}: Return must be the final action")
-                assignments = self._assignments(entry.get("assignments"), here)
-                actions.append(ReturnAction(aid, assignments))
+                assignments = self._assignments(entry.get("assignments"), here, unchecked=return_texts)
+                if not walk:
+                    actions.append(ReturnAction(aid, assignments))
             elif kind == "call":
                 here = f"{where}, action '{aid}'"
                 signature = self._str(entry, "signature", here)
                 bindings = self._bindings(entry.get("bindings"), here)
+                if walk and not scope.issuperset([var for _, var in bindings]):
+                    # the targets of the texts before it, read as a text that
+                    # passes the batch test parses; a text not a str fails it
+                    scope.update([text.partition(".")[0].strip() for text in texts[learnt:]
+                                  if isinstance(text, str)])
+                    learnt = len(texts)
                 result = entry.get("result")
                 if result is not None and (not isinstance(result, str) or not result):
                     self.defect(f"{here}: 'result' must be a non-empty string")
                     result = None
-                assignments = self._assignments(entry.get("resultAssignments"), here)
+                assignments = self._assignments(entry.get("resultAssignments"), here, unchecked=texts)
+                if walk:  # records that parse on first use
+                    assignments = tuple(map(assignment_from_text, assignments)) if _strings(assignments) else ()
                 if signature is None:
                     continue
                 target = self._str(entry, "role" if seff else "instance", here)
@@ -559,6 +541,8 @@ class _Builder:
             else:
                 self.defect(f"{where}, action '{aid}': unsupported action type {kind!r}")
                 continue
+            if walk:  # the batch test checks its texts
+                continue
             cache = verdicts[is_return]
             for a in assignments:
                 suffixes = cache.get(a)
@@ -568,7 +552,7 @@ class _Builder:
                     semantic.append(f"{where}, action '{aid}': assignment '{_quoted(a.text)}': {suffix}")
                 if not is_return:
                     scope.add(a.target_var)
-        return tuple(actions)
+        return (tuple(actions), kind == "return") if walk else tuple(actions)
 
     def _assembly(self, raw) -> Assembly:
         instances = []

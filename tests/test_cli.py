@@ -469,6 +469,20 @@ def test_bench_records_a_point_whose_pipeline_raises_and_runs_the_next(tmp_path,
     assert len(calls) == 3
 
 
+def test_bench_records_a_point_that_runs_out_of_memory(tmp_path, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(benchgen, "run_pipeline", exhausted)
+    out_path = tmp_path / "bench.json"
+    code, out, err = run_cli(
+        ["bench", "--feature", "seff-parameters", "--sizes", "1", "--out", out_path], capsys)
+    assert (code, out) == (0, f"wrote {out_path}\n")
+    assert "seff-parameters size=1 median=- [failed: out of memory]" in err.splitlines()
+    (point,) = json.loads(out_path.read_text())["points"]
+    assert (point["outcome"], point["median_ms"]) == ("failed: out of memory", None)
+
+
 def test_bench_rejects_unknown_feature(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bench", "--feature", "nonsense", "--sizes", "1"])

@@ -91,6 +91,11 @@ def test_dictionary_equality_is_structural():
     assert a == b
     assert hash(a) == hash(b)
     assert a != DataDictionary((LabelType("Enc", ("On", "Off")),))
+    # label sets are equal when their masks and their dictionaries are
+    assert a.set_from_mask(1) == b.set_from_mask(1)
+    assert hash(a.set_from_mask(1)) == hash(b.set_from_mask(1))
+    assert a.set_from_mask(1) != b.set_from_mask(0)
+    assert a.set_from_mask(1) != DataDictionary((LabelType("Enc", ("On", "Off")),)).set_from_mask(1)
 
 
 def test_is_identifier():

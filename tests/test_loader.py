@@ -7,7 +7,7 @@ import tracemalloc
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import call_chain_model_data, minimal_model_data
 from flowcheck import cli, loader, terms
@@ -683,9 +683,13 @@ def test_no_command_builds_an_unreached_seff(tmp_path, monkeypatch, capsys, comm
     path.write_text(json.dumps(fleet_model_data()), encoding="utf-8")
     built = []
     actions = loader._Builder._actions
-    monkeypatch.setattr(loader._Builder, "_actions",
-                        lambda self, raw, where, *rest: built.append(where)
-                        or actions(self, raw, where, *rest))
+
+    def build_mode(self, raw, where, *rest, walk=False):  # the walk builds no records
+        if not walk:
+            built.append(where)
+        return actions(self, raw, where, *rest, walk=walk)
+
+    monkeypatch.setattr(loader._Builder, "_actions", build_mode)
     assert cli.main([command, str(path)]) == 0
     assert sorted(built) == ["component 'c5', seff 'c5.run'", "component 'c6', seff 'c6.run'",
                              "component 'c7', seff 'c7.run'", "scenario 'u0'"]
@@ -765,8 +769,20 @@ def unreached_edits(draw):
     return data
 
 
+def twin_and_unknown_label():
+    """An unreached seff with a duplicate action id, which its walk words,
+    and a text with an unknown label value, which fails the batch test, so
+    that the eager build words both."""
+    data = copy.deepcopy(UNREACHED)
+    actions = data["components"][0]["seffs"]["c0.run"]
+    actions[1]["id"] = actions[0]["id"]
+    actions[0]["assignments"].append("w.T.V := p.T.X")
+    return data
+
+
 @settings(derandomize=True, database=None, max_examples=800, deadline=None)
 @given(unreached_edits())
+@example(twin_and_unknown_label())
 def test_mutated_unreached_seffs_load_as_when_built_eagerly(data):
     assert _checked(data, eager=False) == _checked(data, eager=True)
 

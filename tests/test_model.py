@@ -2,7 +2,9 @@
 
 import pytest
 
-from flowcheck.errors import ModelLoadError, UnknownElementError
+from conftest import unchecked_model
+from flowcheck.errors import ExtractionError, ModelLoadError, UnknownElementError
+from flowcheck.extraction import find_all_sequences
 from flowcheck.loader import model_from_data
 from flowcheck.model import (
     RETURN_VARIABLE,
@@ -157,6 +159,9 @@ def test_unknown_component_reference(model_data):
     model_data["assembly"]["instances"][0]["component"] = "comp.ghost"
     assert any("instance 'inst.a': unknown component 'comp.ghost'" in d
                for d in defects_of(model_data))
+    # a model built without the loader's checks fails in extraction instead
+    with pytest.raises(ExtractionError, match="instance 'inst.a' names unknown component 'comp.ghost'"):
+        find_all_sequences(unchecked_model(model_data))
 
 
 def test_unallocated_instance(model_data):

@@ -491,8 +491,10 @@ def test_kernel_push_snapshots_empty_frame():
 
 def test_kernel_rejects_apply_without_frame():
     apply = UserVariableNode("a", "s", ())
-    with pytest.raises(PropagationError, match="no active frame"):
-        kernel.run_sequence([(apply,)], _no_ops)
+    call = CallingUserNode("c", "s", "i", "sig", ())  # reads its bindings from the top frame
+    for element in (apply, call):
+        with pytest.raises(PropagationError, match="no active frame"):
+            kernel.run_sequence([(element,)], _no_ops)
 
 
 def test_kernel_rejects_unbalanced_pops():

@@ -124,6 +124,7 @@ def _constraint(text):
 @pytest.mark.parametrize("parse, text, reason, position", [
     (_constraint, "VIOLATION a.b.c WHERE TRUE AND DATA TRUE", "expected 'WHERE'", 11),
     (_constraint, "VIOLATION n WHERE TRUE AND.T.V DATA TRUE", "expected 'DATA'", 26),
+    (_constraint, "VIOLATION TRUE WHERE TRUE AND DATA TRUE", "constraint name 'TRUE' is reserved", 10),
     (parse_term, "TRUE.T.V", "unexpected trailing input", 4),
     (parse_assignment, "TRUE.T.V := TRUE", "'TRUE' is reserved", 0),
     (parse_term, "a.TRUE.V", "'TRUE' is reserved", 2),
