@@ -28,7 +28,7 @@ import gc
 import json
 import statistics
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import collector_paused, run_pipeline
 from .constraints import parse_constraint
@@ -57,16 +57,14 @@ class BenchFeature(enum.Enum):
     SEFF_PARAMETERS = "seff-parameters"
 
 
-@dataclass(frozen=True)
-class BenchConfig:
+class BenchConfig(NamedTuple):
     feature: BenchFeature
     sizes: tuple[int, ...] = DEFAULT_SIZES
     repetitions: int = 10
     timeout_s: float = 600.0
 
 
-@dataclass(frozen=True)
-class BenchResult:
+class BenchResult(NamedTuple):
     feature: BenchFeature
     size: int
     runs_ms: tuple[float, ...]

@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from .analysis import DataFlowAnalysis, collector_paused, run_pipeline
-from .benchgen import BenchConfig, BenchFeature, run_bench, write_bench_json
 from .constraints import format_report, load_constraints
 from .errors import FlowcheckError, ModelLoadError
 from .loader import load_model
@@ -115,7 +114,19 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _feature(name: str):
+    """The ``--feature`` argument; only ``bench`` imports its harness."""
+    from .benchgen import BenchFeature
+    try:
+        return BenchFeature(name)
+    except ValueError:
+        names = ", ".join(repr(feature.value) for feature in BenchFeature)
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {names})") from None
+
+
 def _cmd_bench(args) -> int:
+    from .benchgen import BenchConfig, BenchFeature, run_bench, write_bench_json
+
     try:
         sizes = tuple(int(part) for part in args.sizes.split(",") if part)
     except ValueError:
@@ -130,7 +141,7 @@ def _cmd_bench(args) -> int:
     out = Path(args.out)
     if out.is_dir() or not os.access(out if out.exists() else out.parent, os.W_OK):
         return _fail(f"error: cannot write --out '{out}'")
-    features = [BenchFeature(args.feature)] if args.feature else list(BenchFeature)
+    features = [args.feature] if args.feature else list(BenchFeature)
 
     def progress(result):
         median = "-" if result.median_ms is None else f"{result.median_ms:.3f} ms"
@@ -184,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run the scalability benchmark")
     bench.add_argument(
         "--feature",
-        choices=[f.value for f in BenchFeature],
+        type=_feature,
         help="model feature to scale (default: all four, one after another)",
     )
     bench.add_argument(

@@ -13,8 +13,7 @@ set or the dictionary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DictionaryError
 
@@ -31,8 +30,7 @@ def is_identifier(name: object) -> bool:
     return isinstance(name, str) and name.isascii() and name.isidentifier()
 
 
-@dataclass(frozen=True, slots=True)
-class Label:
+class Label(NamedTuple):
     """One (type, value) characteristic, e.g. ``Encryption.Encrypted``."""
 
     type: str
@@ -42,16 +40,13 @@ class Label:
         return f"{self.type}.{self.value}"
 
 
-@dataclass(frozen=True, slots=True)
-class LabelType:
+class LabelType(NamedTuple("LabelType", [("name", str), ("values", tuple[str, ...])])):
     """A named label type together with its closed set of values."""
 
-    name: str
-    values: tuple[str, ...]
+    __slots__ = ()
 
-    def __init__(self, name: str, values: Iterable[str]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "values", tuple(values))
+    def __new__(cls, name: str, values: Iterable[str]):
+        return super().__new__(cls, name, tuple(values))
 
 
 class DataDictionary:

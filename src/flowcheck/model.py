@@ -7,9 +7,12 @@ components and wires required roles to provider instances; a deployment
 allocates instances to containers; usage scenarios describe how users
 interact with the assembled system.
 
-Action records are the one part of the graph constructed in bulk
-(generated models hold many thousand), so they are tuple-backed records
-rather than frozen dataclasses: construction is a C-level tuple fill.
+Each record is a ``NamedTuple``, built by a C-level tuple fill and
+defined at import, which every command pays, at a fraction of a frozen
+dataclass's cost.  Three are slotted classes instead: an
+:class:`Assignment`, parsed on first use, a :class:`Seff`, which holds
+its build function until its actions are first read, and the
+:class:`ArchitectureModel`, which holds its lookup index.
 
 ``validate_model`` makes the cross-reference checks and returns one
 message per defect instead of stopping at the first.  It reads each
@@ -22,7 +25,6 @@ refused when it is loaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -133,8 +135,7 @@ def clear_parse_cache() -> None:
     terms.parse_shape.cache_clear()
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
+class Signature(NamedTuple):
     id: str
     name: str
     parameters: tuple[str, ...]
@@ -165,21 +166,53 @@ class ReturnAction(NamedTuple):
     assignments: tuple[Assignment, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Seff:
+class _Record:
+    """A slotted record, immutable as the tuple-backed ones, that
+    compares, hashes, prints and copies by the fields in ``_fields``."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:  # an unbuilt seff read here becomes a Seff
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if not isinstance(other, _Record) or other._fields != self._fields:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        values = self._values()
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, values))})"
+
+    def __reduce__(self):
+        values = self._values()
+        return type(self), values
+
+
+class Seff(_Record):
     """Behaviour of one provided signature: an ordered list of actions,
-    its external calls, and whether it ends in a Return."""
+    its external calls, and whether it ends in a Return, which derive
+    from the actions and take no part in comparing or copying."""
 
-    signature_id: str
-    actions: tuple
-    calls: tuple[ExternalCall, ...] = field(init=False, repr=False, compare=False)
-    returns: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("signature_id", "actions", "calls", "returns")
+    _fields = ("signature_id", "actions")
 
-    def __post_init__(self):
-        actions = self.actions
-        calls = tuple([a for a in actions if isinstance(a, ExternalCall)])
-        object.__setattr__(self, "calls", calls)
-        object.__setattr__(self, "returns", bool(actions) and isinstance(actions[-1], ReturnAction))
+    def __init__(self, signature_id: str, actions: tuple):
+        _Record.__init__(self, signature_id, actions,
+                         tuple([a for a in actions if isinstance(a, ExternalCall)]),
+                         bool(actions) and isinstance(actions[-1], ReturnAction))
 
 
 class _Unbuilt(Seff):
@@ -198,17 +231,8 @@ class _Unbuilt(Seff):
         object.__setattr__(self, "__class__", Seff)
         return self.actions
 
-    def __eq__(self, other):  # built first, so that it compares as a Seff
-        return self.actions is not None and self == other
 
-    __hash__ = Seff.__hash__
-
-    def __reduce__(self):
-        return Seff, (self.signature_id, self.actions)
-
-
-@dataclass(frozen=True, slots=True)
-class Component:
+class Component(NamedTuple):
     id: str
     name: str
     labels: LabelSet
@@ -216,34 +240,29 @@ class Component:
     seffs: tuple[Seff, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class AssemblyInstance:
+class AssemblyInstance(NamedTuple):
     id: str
     component_id: str
 
 
-@dataclass(frozen=True, slots=True)
-class Connector:
+class Connector(NamedTuple):
     instance_id: str
     role: str
     target_instance_id: str
 
 
-@dataclass(frozen=True, slots=True)
-class Assembly:
+class Assembly(NamedTuple):
     instances: tuple[AssemblyInstance, ...]
     connectors: tuple[Connector, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Container:
+class Container(NamedTuple):
     id: str
     name: str
     labels: LabelSet
 
 
-@dataclass(frozen=True, slots=True)
-class Deployment:
+class Deployment(NamedTuple):
     containers: tuple[Container, ...]
     allocations: tuple[tuple[str, str], ...]  # (instance id, container id)
 
@@ -259,26 +278,23 @@ class SystemCall(NamedTuple):
     result_assignments: tuple[Assignment, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class UsageScenario:
+class UsageScenario(NamedTuple):
     id: str
     name: str
     user_labels: LabelSet
     actions: tuple
 
 
-@dataclass(frozen=True)
-class ArchitectureModel:
-    """The complete input to an analysis run.
+class ArchitectureModel(_Record):
+    """The complete input to an analysis run.  A slotted class and not a
+    tuple, so that :func:`index_of` can attach a lookup index on first
+    use; a copy builds its own."""
 
-    Not slotted: a lazily built lookup index is attached on first use.
-    """
+    __slots__ = ("dictionary", "components", "assembly", "deployment", "scenarios", "_index")
+    _fields = __slots__[:-1]
 
-    dictionary: DataDictionary
-    components: tuple[Component, ...]
-    assembly: Assembly
-    deployment: Deployment
-    scenarios: tuple[UsageScenario, ...]
+    def __init__(self, dictionary, components, assembly, deployment, scenarios):
+        _Record.__init__(self, dictionary, components, assembly, deployment, scenarios)
 
 
 # ---------------------------------------------------------------------------

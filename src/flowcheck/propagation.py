@@ -33,10 +33,10 @@ each value it shares with the target's type onto the target's bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import kernel, terms
 from .errors import DictionaryError
@@ -145,8 +145,7 @@ _USER_SIDE = frozenset({UserStart, UserVariableNode, CallingUserNode, ReturningU
 # results
 
 
-@dataclass(frozen=True, slots=True)
-class DataFlowVariable:
+class DataFlowVariable(NamedTuple):
     """One variable visible at a sequence element, with its labels."""
 
     name: str

@@ -412,7 +412,7 @@ def test_bench_rejects_non_positive_or_non_finite_timeout(tmp_path, timeout, cap
 
 def test_bench_refuses_out_in_a_missing_directory(tmp_path, monkeypatch, capsys):
     out_path = tmp_path / "missing" / "bench.json"
-    monkeypatch.setattr(cli, "run_bench", None)  # no point may run
+    monkeypatch.setattr(benchgen, "run_bench", None)  # no point may run
     code, out, err = run_cli(
         ["bench", "--feature", "seff-parameters", "--sizes", "1", "--reps", "1",
          "--out", out_path], capsys)
@@ -422,7 +422,7 @@ def test_bench_refuses_out_in_a_missing_directory(tmp_path, monkeypatch, capsys)
 
 
 def test_bench_refuses_a_directory_as_out(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_bench", None)  # no point may run
+    monkeypatch.setattr(benchgen, "run_bench", None)  # no point may run
     code, out, err = run_cli(
         ["bench", "--feature", "seff-parameters", "--sizes", "1", "--reps", "1",
          "--out", tmp_path], capsys)
@@ -437,7 +437,7 @@ def test_bench_refuses_a_directory_as_out(tmp_path, monkeypatch, capsys):
 ])
 def test_bench_rejects_bad_sizes(tmp_path, monkeypatch, sizes, message, capsys):
     out_path = tmp_path / "bench.json"
-    monkeypatch.setattr(cli, "run_bench", None)  # no point may run
+    monkeypatch.setattr(benchgen, "run_bench", None)  # no point may run
     code, out, err = run_cli(
         ["bench", "--feature", "seff-parameters", "--sizes", sizes, "--out", out_path], capsys)
     assert (code, out, err) == (2, "", message + "\n")
@@ -487,6 +487,24 @@ def test_bench_rejects_unknown_feature(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bench", "--feature", "nonsense", "--sizes", "1"])
     assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --feature: invalid choice: 'nonsense'" in err
+    assert all(repr(feature.value) in err for feature in BenchFeature)
+
+
+# What importing the package or its command line adds to a bare
+# interpreter: neither pays for dataclasses or statistics, nor loads the
+# bench harness or the test-only reference interpreter.
+@pytest.mark.parametrize("module", ["flowcheck", "flowcheck.cli"])
+def test_import_loads_neither_dataclasses_nor_the_bench_harness(module):
+    program = (f"import sys; bare = set(sys.modules); import {module}; "
+               "print(*sorted(set(sys.modules) - bare))")
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          check=True)
+    added = set(proc.stdout.split())
+    assert module in added
+    assert not added & {"dataclasses", "inspect", "statistics", "flowcheck.benchgen",
+                        "flowcheck.oracle"}
 
 
 def test_analyze_crash_exits_two(shop_no_encrypt_path, monkeypatch, capsys):

@@ -183,9 +183,9 @@ def test_loader_ignores_an_unreachable_cycle():
 def test_extraction_error_names_scenario(model_data):
     model = model_from_data(model_data)
     # break the index after validation by rebuilding with an empty assembly
-    import dataclasses
-    from flowcheck.model import Assembly
-    broken = dataclasses.replace(model, assembly=Assembly((), ()))
+    from flowcheck.model import ArchitectureModel, Assembly
+    broken = ArchitectureModel(model.dictionary, model.components, Assembly((), ()),
+                               model.deployment, model.scenarios)
     with pytest.raises(ExtractionError, match="scenario 'scn':"):
         find_all_sequences(broken)
 

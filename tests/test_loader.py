@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 import sys
 import tracemalloc
 import weakref
@@ -13,7 +14,7 @@ from conftest import call_chain_model_data, minimal_model_data
 from flowcheck import cli, loader, terms
 from flowcheck.errors import ModelLoadError, TermSyntaxError
 from flowcheck.extraction import find_all_sequences
-from flowcheck.labels import DataDictionary, LabelType
+from flowcheck.labels import DataDictionary, Label, LabelType
 from flowcheck.loader import (
     load_model,
     load_model_text,
@@ -24,12 +25,15 @@ from flowcheck.loader import (
 )
 from flowcheck.model import (
     RETURN_VARIABLE,
+    ArchitectureModel,
     Assignment,
+    Component,
     Seff,
+    Signature,
     assignment_from_text,
     clear_parse_cache,
 )
-from flowcheck.propagation import evaluate_all
+from flowcheck.propagation import DataFlowVariable, evaluate_all
 
 
 def defects_of(data):
@@ -664,6 +668,66 @@ def test_an_unreached_seff_compares_hashes_and_copies_as_a_built_one():
     assert [type(seff) for seff in unbuilt] == [Seff] * 3
     duplicate = copy.copy(model_from_data(data).components[0].seffs[0])
     assert type(duplicate) is Seff and duplicate == built
+    assert repr(model_from_data(data).components[0].seffs[0]) == repr(built)
+
+
+# The records' fields, by type: none of them can be assigned or deleted.
+RECORD_FIELDS = {
+    Signature: ("id", "name", "parameters"),
+    Component: ("id", "name", "labels", "signatures", "seffs"),
+    Seff: ("signature_id", "actions", "calls", "returns"),
+    ArchitectureModel: ("dictionary", "components", "assembly", "deployment", "scenarios"),
+    LabelType: ("name", "values"),
+    Label: ("type", "value"),
+    DataFlowVariable: ("name", "labels"),
+}
+
+
+def fields_of(record):
+    return next(names for kind, names in RECORD_FIELDS.items() if isinstance(record, kind))
+
+
+def loaded_records():
+    """A loaded model whose c0 seff no scenario reaches and whose c6 seff
+    one does, and one record of each type in ``RECORD_FIELDS``."""
+    model = model_from_data(fleet_model_data())
+    unreached, reached = model.components[0], model.components[6]
+    return model, [model, unreached, reached, unreached.signatures[0], unreached.seffs[0],
+                   reached.seffs[0], LabelType("T", ["V", "W"]), Label("T", "V"),
+                   DataFlowVariable("x", model.dictionary.set_from_mask(1))]
+
+
+def test_records_copy_pickle_and_refuse_assignment_and_deletion():
+    reference = model_to_json(model_from_data(fleet_model_data()))
+    for index in range(9):
+        model, records = loaded_records()  # fresh, so that each copy meets an unbuilt seff
+        record = records[index]
+        assert type(model.components[0].seffs[0]) is not Seff
+        assert copy.copy(record) == record
+        for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            if index == 0:
+                assert model_to_json(clone) == reference
+    for record in loaded_records()[1]:
+        for name in fields_of(record):
+            value = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is value
+
+
+def test_records_print_their_fields():
+    model, records = loaded_records()
+    for seff in (seff for component in model.components for seff in component.seffs):
+        expected = f"Seff(signature_id={seff.signature_id!r}, actions={seff.actions!r})"
+        assert repr(seff) == expected  # built by the line above
+    for record in records:
+        names = fields_of(record)[:2] if isinstance(record, Seff) else fields_of(record)
+        fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
+        assert repr(record) == f"{type(record).__name__}({fields})"
+    assert repr(records[6]) == "LabelType(name='T', values=('V', 'W'))"
+    assert repr(records[7]) == "Label(type='T', value='V')"
 
 
 def test_a_changed_unreached_seff_fails_its_first_read():
