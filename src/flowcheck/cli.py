@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .analysis import DataFlowAnalysis, collector_paused, run_pipeline
-from .constraints import format_report, load_constraints
+from .constraints import escape_controls, format_report, load_constraints
 from .errors import FlowcheckError, ModelLoadError
 from .loader import load_model
 
@@ -34,18 +34,12 @@ def propagation_dump(propagated) -> str:
         for element_index, result in enumerate(sequence.results):
             element = result.element
             node = ",".join(result.node_labels.names()) or "-"
-            lines.append(
-                f"ELEM {element_index} {element.kind} {element.element_id} NODE {node}"
-            )
+            lines.append(escape_controls(
+                f"ELEM {element_index} {element.kind} {element.element_id} NODE {node}"))
             for variable in result.variables:
                 labels = ",".join(variable.labels.names()) or "-"
-                lines.append(f"VAR {variable.name} {labels}")
+                lines.append(escape_controls(f"VAR {variable.name} {labels}"))
     return "\n".join(lines)
-
-
-# C0 and C1 control characters as a Python literal writes them, so that
-# model text in a defect neither breaks its line nor drives the terminal
-_ESCAPES = {code: repr(chr(code))[1:-1] for code in (*range(0x20), *range(0x7F, 0xA0))}
 
 
 def _fail(message: str) -> int:
@@ -55,7 +49,7 @@ def _fail(message: str) -> int:
 
 def _cannot_load(path, exc: ModelLoadError) -> int:
     for defect in exc.defects:
-        print(defect.translate(_ESCAPES), file=sys.stderr)
+        print(escape_controls(defect), file=sys.stderr)
     return _fail(f"error: cannot load model '{path}'")
 
 
@@ -98,7 +92,7 @@ def _cmd_sequences(args) -> int:
     for index, sequence in enumerate(analysis.find_all_sequences()):
         print(f"SEQUENCE {index}")
         for element_index, element in enumerate(sequence):
-            print(f"{element_index} {element.kind} {element.element_id}")
+            print(escape_controls(f"{element_index} {element.kind} {element.element_id}"))
     return 0
 
 
@@ -107,7 +101,7 @@ def _cmd_validate(args) -> int:
         load_model(args.model)
     except ModelLoadError as exc:
         for defect in exc.defects:
-            print(defect.translate(_ESCAPES))
+            print(escape_controls(defect))
         print(f"{len(exc.defects)} defect(s)")
         return 2
     print("OK")

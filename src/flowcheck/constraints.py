@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 from . import terms
 from .errors import ConstraintError, DictionaryError, TermSyntaxError
-from .kernel import APPLY, FRAME_EFFECTS
+from .kernel import APPLY
 from .labels import DataDictionary
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "query",
     "query_many",
     "format_report",
+    "escape_controls",
 ]
 
 NODE_PREFIX = "node"
@@ -241,7 +242,7 @@ def _walk(elements, masks, deltas, changes, node_ok, data_ok, frame=()) -> list:
         satisfying = {var for var, mask in frame if data_ok[mask]} if frame else set()
         names = None  # sorted ``satisfying``; None while stale
     for at, end in pairwise(changes):
-        if data_ok is not None and FRAME_EFFECTS[type(elements[at])] == APPLY:
+        if data_ok is not None and elements[at].effect == APPLY:
             for var, mask in deltas[at]:
                 if data_ok[mask] != (var in satisfying):
                     satisfying ^= {var}
@@ -291,6 +292,16 @@ def query_many(propagated_sequences, constraints) -> dict[str, list[Violation]]:
     return out
 
 
+# C0 and C1 control characters as a Python literal writes them, so that
+# model text in an output line neither breaks it nor drives the terminal
+_ESCAPES = {code: repr(chr(code))[1:-1] for code in (*range(0x20), *range(0x7F, 0xA0))}
+
+
+def escape_controls(line: str) -> str:
+    """``line`` with its control characters escaped; most lines hold none."""
+    return line if line.isprintable() else line.translate(_ESCAPES)
+
+
 def format_report(violations_by_name: dict[str, list[Violation]], order=None) -> str:
     """Render the violation report; one line per violation plus a total."""
     lines = []
@@ -298,13 +309,13 @@ def format_report(violations_by_name: dict[str, list[Violation]], order=None) ->
     for name in order if order is not None else violations_by_name.keys():
         for violation in violations_by_name.get(name, ()):
             variables = ",".join(violation.variable_names) or "-"
-            lines.append(
+            lines.append(escape_controls(
                 f"CONSTRAINT {violation.constraint_name} "
                 f"SEQ {violation.sequence_index} "
                 f"ELEM {violation.element_index} "
                 f"NODE {violation.element_id} "
                 f"VARS {variables}"
-            )
+            ))
             total += 1
     lines.append(f"TOTAL {total} violations")
     return "\n".join(lines)

@@ -10,9 +10,10 @@ calling bracket, and between them the body of that call, nested calls
 expanded in place.  A body is built once per extraction for its
 (instance, signature) pair, and every sequence making the call holds it.
 
-Sequence elements are tuple-backed records: they are constructed in
-bulk, one per expanded action, so construction cost matters on large
-models, and being tuples makes them genuinely immutable.
+Sequence elements are tuple-backed records, built in bulk, one per
+expanded action, and immutable.  Each class declares its ``kind``, its
+``effect`` on the frame stack (see :mod:`flowcheck.kernel`) and whether
+it runs on the user's node (``user_side``) or on its instance's.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import itertools
 from typing import Iterator, NamedTuple
 
 from .errors import CallDepthError, ExtractionError, UnknownElementError
+from .kernel import APPLY, CALL, POP_BIND, PUSH
 from .model import (
     DEFAULT_MAX_CALL_DEPTH,
     ArchitectureModel,
@@ -53,6 +55,8 @@ class UserStart(NamedTuple):
     scenario_id: str
 
     kind = "UserStart"
+    effect = PUSH
+    user_side = True
 
 
 class UserVariableNode(NamedTuple):
@@ -61,6 +65,8 @@ class UserVariableNode(NamedTuple):
     assignments: tuple
 
     kind = "UserVariableNode"
+    effect = APPLY
+    user_side = True
 
 
 class CallingUserNode(NamedTuple):
@@ -73,6 +79,8 @@ class CallingUserNode(NamedTuple):
     bindings: tuple
 
     kind = "CallingUserNode"
+    effect = CALL
+    user_side = True
 
 
 class ReturningUserNode(NamedTuple):
@@ -84,6 +92,8 @@ class ReturningUserNode(NamedTuple):
     result_assignments: tuple
 
     kind = "ReturningUserNode"
+    effect = POP_BIND
+    user_side = True
 
 
 class SeffVariableNode(NamedTuple):
@@ -92,6 +102,8 @@ class SeffVariableNode(NamedTuple):
     assignments: tuple
 
     kind = "SeffVariableNode"
+    effect = APPLY
+    user_side = False
 
 
 class CallingSeffNode(NamedTuple):
@@ -104,6 +116,8 @@ class CallingSeffNode(NamedTuple):
     bindings: tuple
 
     kind = "CallingSeffNode"
+    effect = CALL
+    user_side = False
 
 
 class ReturningSeffNode(NamedTuple):
@@ -113,6 +127,8 @@ class ReturningSeffNode(NamedTuple):
     result_assignments: tuple
 
     kind = "ReturningSeffNode"
+    effect = POP_BIND
+    user_side = False
 
 
 class SeffReturnNode(NamedTuple):
@@ -123,6 +139,8 @@ class SeffReturnNode(NamedTuple):
     assignments: tuple
 
     kind = "SeffReturnNode"
+    effect = APPLY
+    user_side = False
 
 
 class ActionSequence:

@@ -2,7 +2,7 @@
 
 Masks are plain ints of arbitrary width, frames are dicts mapping
 variable names to masks.  What an element does to the frame stack
-follows :data:`FRAME_EFFECTS`; the assignments it runs come from a
+follows its ``effect``; the assignments it runs come from a
 ``lower`` function that maps an assignment tuple to its ops, called
 for each element of a part but the repeats in a run (below) before the
 part is walked, and once per memo for a shared body.
@@ -50,41 +50,17 @@ from __future__ import annotations
 from itertools import repeat
 
 from .errors import PropagationError
-from .extraction import (
-    CallingSeffNode,
-    CallingUserNode,
-    ReturningSeffNode,
-    ReturningUserNode,
-    SeffReturnNode,
-    SeffVariableNode,
-    UserStart,
-    UserVariableNode,
-)
 from .model import RETURN_VARIABLE
 
+# An element's ``effect``, declared by its class: PUSH and CALL open a new
+# top frame (CALL holds only the ``bindings``), APPLY writes the targets of
+# ``assignments`` in it, and POP_BIND returns to the caller's frame and
+# writes ``result_variable`` and the targets of ``result_assignments``.
 PUSH = 0
 APPLY = 1
 CALL = 2
 POP_BIND = 3
 REPEAT = 4  # a step, not an element kind: a run of repeated idempotent APPLY elements
-
-# What each element kind does to the frame stack.  The kernel walks by
-# this table, and replay and the constraint query read it to tell an
-# APPLY delta from a whole new top frame.  PUSH and CALL open a new top
-# frame (CALL holds only the ``bindings``), APPLY writes the targets of
-# ``assignments`` in it, and POP_BIND returns to the caller's frame and
-# writes ``result_variable`` and the targets of ``result_assignments``.
-FRAME_EFFECTS = {
-    UserStart: PUSH,
-    UserVariableNode: APPLY,
-    SeffVariableNode: APPLY,
-    SeffReturnNode: APPLY,
-    CallingUserNode: CALL,
-    CallingSeffNode: CALL,
-    ReturningUserNode: POP_BIND,
-    ReturningSeffNode: POP_BIND,
-}
-
 
 NO_CHANGE = ()  # the delta of every APPLY element that changes nothing
 
@@ -127,7 +103,7 @@ def run_sequence(parts, lower, memo=None, changes=None, idempotent=None) -> list
             summary = _walk(_steps(part, lower, idempotent), stack)
         else:
             previous = parts[n - 1]
-            if not previous or FRAME_EFFECTS.get(type(previous[-1])) != CALL:
+            if not previous or getattr(previous[-1], "effect", None) != CALL:
                 raise PropagationError("a shared body must follow a calling bracket")
             key = (id(part), out[-1][-1])
             summary = memo.get(key)
@@ -155,7 +131,7 @@ def _steps(elements, lower, idempotent) -> list:
             run[1] += 1
             continue
         run = None
-        effect = FRAME_EFFECTS.get(type(element))
+        effect = getattr(element, "effect", None)
         if effect == APPLY:
             kind, assignments = type(element), element.assignments
             steps.append((effect, lower(assignments), element))
@@ -238,7 +214,7 @@ def replay(elements, deltas) -> list[dict]:
     frames: list[dict] = []
     frame: dict = {}
     for element, delta in zip(elements, deltas):
-        frame = frame.copy() if FRAME_EFFECTS.get(type(element)) == APPLY else {}
+        frame = frame.copy() if element.effect == APPLY else {}
         frame.update(delta)
         frames.append(frame)
     return frames

@@ -178,6 +178,9 @@ class DataDictionary:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):  # a copy starts with empty caches
+        return DataDictionary, (self.label_types,)
+
     def __repr__(self) -> str:
         return f"DataDictionary({len(self.label_types)} types, {self.size} labels)"
 

@@ -100,6 +100,9 @@ class Assignment:
     def wildcard_arity(self) -> int:
         return terms.wildcard_arity(self.target_type, self.target_value)
 
+    def __reduce__(self):  # a copy is the interned record; this one stays unparsed
+        return assignment_from_text, (self.text,)
+
 
 class _Unparsed(Assignment):
     """A record not parsed yet: with the parse state in the class, a

@@ -40,13 +40,7 @@ from typing import NamedTuple
 
 from . import kernel, terms
 from .errors import DictionaryError
-from .extraction import (
-    ActionSequence,
-    CallingUserNode,
-    ReturningUserNode,
-    UserStart,
-    UserVariableNode,
-)
+from .extraction import ActionSequence
 from .labels import DataDictionary, LabelSet
 from .model import ArchitectureModel, index_of
 
@@ -135,10 +129,6 @@ def _lower_program(dictionary: DataDictionary, assignments: tuple):
         program = _build_program(dictionary, assignments)
         cache[assignments] = program
     return program
-
-
-# a seff's calling bracket still runs on the caller's node
-_USER_SIDE = frozenset({UserStart, UserVariableNode, CallingUserNode, ReturningUserNode})
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +333,7 @@ def propagate(model: ArchitectureModel, sequence: ActionSequence, memo=None) -> 
             masks, nodes = body
             changes[n] = memo.get(id(walk)) or memo.setdefault(id(walk), sorted({*nodes, *walk}))
         else:  # mostly all on the user's node, whose first position the kernel records
-            masks = [user_mask if type(element) in _USER_SIDE else node_mask(element.instance_id)
+            masks = [user_mask if element.user_side else node_mask(element.instance_id)
                      for element in elements]
             if walk[0] or masks.count(user_mask) != len(masks):
                 changes[n] = sorted({*node_changes(masks), *walk})

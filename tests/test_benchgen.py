@@ -68,6 +68,8 @@ def test_all_violations_constraint_matches_every_element(feature):
 def test_generator_rejects_size_zero():
     with pytest.raises(ValueError, match="size must be at least 1"):
         generate_bench_model(BenchFeature.VARIABLE_ACTIONS, 0)
+    with pytest.raises(ValueError, match="unknown bench feature 'variable-actions'"):
+        generate_bench_model("variable-actions", 3)
 
 
 def test_generated_text_is_deterministic():

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from flowcheck import benchgen, cli
+from flowcheck import analysis, benchgen, cli
 from flowcheck.benchgen import BenchFeature
 from flowcheck.cli import build_parser, main
 from flowcheck.extraction import find_all_sequences
@@ -74,7 +74,7 @@ def test_analyze_reruns_are_identical(shop_no_encrypt_path, geo_constraints_path
     assert first == second
 
 
-def test_analyze_timing_goes_to_stderr(shop_path, geo_constraints_path, capsys):
+def test_analyze_timing_goes_to_stderr(shop_path, geo_constraints_path, monkeypatch, capsys):
     code, out, err = run_cli(
         ["analyze", shop_path, "--constraints", geo_constraints_path, "--timing"], capsys)
     assert code == 0
@@ -98,6 +98,11 @@ def test_analyze_timing_goes_to_stderr(shop_path, geo_constraints_path, capsys):
     peak, *marks = map(float, match.groups())
     # a high-water mark never falls, and the last is the whole run's
     assert marks == sorted(marks) and marks[-1] == peak
+    # where the platform has no getrusage, each mark reads 0
+    monkeypatch.setattr(analysis, "getrusage", None)
+    _, _, err = run_cli(
+        ["analyze", shop_path, "--constraints", geo_constraints_path, "--timing"], capsys)
+    assert err.splitlines()[-1] == "maxrss 0.0 MiB (" + ", ".join(f"{stage} 0.0" for stage in stages) + ")"
 
 
 def test_analyze_timing_splits_the_load(shop_path, geo_constraints_path, capsys):
@@ -221,6 +226,46 @@ def test_defect_lines_escape_control_characters(model_data, tmp_path, capsys):
         "unexpected character '\\x1b'",
         f"error: cannot load model '{path}'",
     ]
+
+
+def test_names_with_control_characters_keep_each_line_one_line(
+        models_dir, geo_constraints_path, tmp_path, capsys):
+    # an action id that forges a report line, a result name that forges a
+    # dump line and a scenario id that drives the terminal are escaped as
+    # defect lines are; other text is kept
+    data = json.loads((models_dir / "online_shop_no_encrypt.json").read_text(encoding="utf-8"))
+    data["components"][1]["seffs"]["store"][0]["id"] = (
+        "act.db.log VARS payload\nTOTAL 0 violations\n\x1b[31mspoof")
+    data["components"][0]["seffs"]["buy"][0]["result"] = "ack\nELEM 99 Forged x NODE -"
+    data["usageScenarios"][0]["id"] = "kauf-ü\x1b[2J"
+    path = tmp_path / "shop.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    (tmp_path / "dictionary.json").write_bytes((models_dir / "dictionary.json").read_bytes())
+    log = "act.db.log VARS payload\\nTOTAL 0 violations\\n\\x1b[31mspoof"
+    start = "kauf-ü\\x1b[2J"
+    args = ["analyze", path, "--constraints", geo_constraints_path]
+    assert run_cli(args, capsys) == (1, (
+        f"CONSTRAINT geo SEQ 0 ELEM 4 NODE {log} VARS payload,stored\n"
+        "CONSTRAINT geo SEQ 0 ELEM 5 NODE act.db.ret VARS payload,stored\n"
+        "TOTAL 2 violations\n"), "")
+    code, out, _ = run_cli([*args, "--dump-propagation"], capsys)
+    lines = out.splitlines()
+    assert code == 1 and "\x1b" not in out
+    assert [line for line in lines if line.startswith("ELEM ")] == [
+        f"ELEM 0 UserStart {start} NODE ServerLocation.EU",
+        "ELEM 1 UserVariableNode u.data NODE ServerLocation.EU",
+        "ELEM 2 CallingUserNode u.buy NODE ServerLocation.EU",
+        "ELEM 3 CallingSeffNode act.shop.store NODE ServerLocation.EU",
+        f"ELEM 4 SeffVariableNode {log} NODE ServerLocation.nonEU",
+        "ELEM 5 SeffReturnNode act.db.ret NODE ServerLocation.nonEU",
+        "ELEM 6 ReturningSeffNode act.shop.store NODE ServerLocation.EU",
+        "ELEM 7 ReturningUserNode u.buy NODE ServerLocation.EU",
+    ]
+    assert "VAR ack\\nELEM 99 Forged x NODE - -" in lines
+    assert run_cli(["sequences", path], capsys) == (0, (
+        f"SEQUENCE 0\n0 UserStart {start}\n1 UserVariableNode u.data\n2 CallingUserNode u.buy\n"
+        f"3 CallingSeffNode act.shop.store\n4 SeffVariableNode {log}\n5 SeffReturnNode act.db.ret\n"
+        "6 ReturningSeffNode act.shop.store\n7 ReturningUserNode u.buy\n"), "")
 
 
 def test_sequences_of_a_model_that_cannot_be_loaded_exits_two(model_data, tmp_path, capsys):

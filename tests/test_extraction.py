@@ -194,5 +194,7 @@ def test_sequence_container_protocol(shop_path):
     seq = find_all_sequences(load_model(shop_path))[0]
     assert len(seq.elements) == 9
     assert seq.elements[0].element_id == "purchase"
+    assert seq[0] == UserStart("purchase", "purchase")
+    assert seq[-1] is seq.elements[-1] is seq.parts[-1][-1]
     ids = [el.element_id for el in seq.elements]
     assert ids.count("u.buy") == 2  # calling and returning bracket

@@ -91,6 +91,8 @@ def test_dictionary_equality_is_structural():
     assert a == b
     assert hash(a) == hash(b)
     assert a != DataDictionary((LabelType("Enc", ("On", "Off")),))
+    assert (a == a.label_types) is False  # not an error against another type
+    assert (a.set_from_mask(1) == 1) is False
     # label sets are equal when their masks and their dictionaries are
     assert a.set_from_mask(1) == b.set_from_mask(1)
     assert hash(a.set_from_mask(1)) == hash(b.set_from_mask(1))

@@ -704,7 +704,9 @@ def test_records_copy_pickle_and_refuse_assignment_and_deletion():
         record = records[index]
         assert type(model.components[0].seffs[0]) is not Seff
         assert copy.copy(record) == record
+        assert (record == object()) is False
         for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert clone == record
             if index == 0:
                 assert model_to_json(clone) == reference
     for record in loaded_records()[1]:
@@ -715,6 +717,16 @@ def test_records_copy_pickle_and_refuse_assignment_and_deletion():
             with pytest.raises(AttributeError):
                 delattr(record, name)
             assert getattr(record, name) is value
+
+
+def test_a_propagated_model_copies_and_pickles_with_empty_caches(models_dir):
+    model = load_model(models_dir / "online_shop_no_encrypt.json")
+    propagated = evaluate_all(model, find_all_sequences(model))
+    assert model.dictionary.lower_cache  # holds compiled closures
+    for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert clone == model
+        assert (clone.dictionary.lower_cache, clone.dictionary.keep_cache) == ({}, {})
+        assert evaluate_all(clone, find_all_sequences(clone)) == propagated
 
 
 def test_records_print_their_fields():

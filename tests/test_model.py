@@ -1,5 +1,8 @@
 """Model records, assignment interning, the index, and whole-model validation."""
 
+import copy
+import pickle
+
 import pytest
 
 from conftest import unchecked_model
@@ -9,6 +12,7 @@ from flowcheck.loader import model_from_data
 from flowcheck.model import (
     RETURN_VARIABLE,
     index_of,
+    Assignment,
     ExternalCall,
     ReturnAction,
     SystemCall,
@@ -36,6 +40,21 @@ def test_assignment_interning():
     assert a.target_type == "T"
     assert a.target_value == "V"
     assert a.text == "x.T.V := TRUE"
+    # a name that is not a field is missing without parsing the text
+    broken = assignment_from_text("x.T.V := (((")
+    assert not hasattr(broken, "nope")
+    assert type(broken) is not Assignment
+
+
+def test_assignment_copies_and_pickles_as_its_interned_record():
+    # neither copying nor pickling parses the record, nor fails on a text
+    # that does not parse
+    for text in ("copied.T.V := y.T.V", "copied.T.V := ((("):
+        record = assignment_from_text(text)
+        for clone in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert clone is record
+        assert type(record) is not Assignment
 
 
 def test_assignment_wildcard_arity():

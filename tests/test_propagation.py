@@ -87,7 +87,9 @@ def test_frozen_shop_traces(models_dir, model_name, expected):
 def test_engine_matches_naive_interpreter(models_dir, model_name):
     model = load_model(models_dir / model_name)
     seq = find_all_sequences(model)[0]
-    assert propagate(model, seq) == oracle_propagate(model, seq)
+    propagated = propagate(model, seq)
+    assert propagated == oracle_propagate(model, seq)
+    assert (propagated == seq) is False and (propagated[0] == seq[0]) is False
 
 
 def test_result_bound_through_return(model_data):
@@ -411,7 +413,7 @@ def test_assignment_deltas_hold_exactly_what_changed(seed):
         frames = oracle_propagate(model, sequence).frames
         deltas = propagate(model, sequence).deltas
         for n, (element, delta) in enumerate(zip(sequence, deltas)):
-            if kernel.FRAME_EFFECTS[type(element)] != kernel.APPLY:
+            if element.effect != kernel.APPLY:
                 continue
             before = frames[n - 1]
             assert len(dict(delta)) == len(delta)
