@@ -5,6 +5,12 @@
     flowcheck validate MODEL
     flowcheck bench [--feature NAME] [--sizes 1,10,100] [--reps 3] [--out FILE]
 
+The three model commands read a command line that spells each option in
+full, at most once, and holds no path starting with ``-`` without
+building argparse's parser; every other command line goes to that
+parser, which prints the help and every usage error.  Importing this
+module loads neither argparse nor gettext.
+
 Exit codes: 0 no violations, 1 violations found, 2 usage or load errors
 and unexpected failures.
 Reports are deterministic: two runs over the same inputs produce byte
@@ -13,10 +19,10 @@ identical output.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .analysis import DataFlowAnalysis, collector_paused, run_pipeline
 from .constraints import escape_controls, format_report, load_constraints
@@ -110,6 +116,8 @@ def _cmd_validate(args) -> int:
 
 def _feature(name: str):
     """The ``--feature`` argument; only ``bench`` imports its harness."""
+    import argparse
+
     from .benchgen import BenchFeature
     try:
         return BenchFeature(name)
@@ -157,6 +165,8 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="flowcheck",
         description="Design-time confidentiality analysis of architecture models",
@@ -210,9 +220,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"analyze": _cmd_analyze, "sequences": _cmd_sequences, "validate": _cmd_validate}
+# analyze's options, each with the attribute argparse stores it in
+_ANALYZE_OPTIONS = {"--constraints": "constraints", "--dump-propagation": "dump_propagation",
+                    "--timing": "timing"}
+
+
+def _read(argv: list):
+    """What ``build_parser().parse_args(argv)`` returns for a plain
+    ``analyze``, ``sequences`` or ``validate`` command line: one model
+    path, and each option at most once and spelled in full, with neither
+    the path nor an option's value starting with ``-``.  None for every
+    other command line, which argparse then reads, helps with or refuses."""
+    func = _COMMANDS.get(argv[0]) if argv else None
+    if func is None:
+        return None
+    args = SimpleNamespace(command=argv[0], func=func)
+    options = {}
+    if func is _cmd_analyze:
+        args.constraints, args.dump_propagation, args.timing = None, False, False
+        options = dict(_ANALYZE_OPTIONS)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if hasattr(args, "model"):
+                return None
+            args.model = token
+            continue
+        name = options.pop(token, None)  # a repeated option is no longer there
+        if name is None:
+            return None
+        if name == "constraints":
+            args.constraints = next(tokens, "-")
+            if args.constraints[:1] == "-":
+                return None
+        else:
+            setattr(args, name, True)
+    return args if hasattr(args, "model") else None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     # one pause for the whole command, so that no collection scans the
     # model, the sequences and the deltas while the report is written
     try:

@@ -35,6 +35,7 @@ from . import terms
 from .errors import ConstraintError, DictionaryError, TermSyntaxError
 from .kernel import APPLY
 from .labels import DataDictionary
+from .loader import read_text
 
 __all__ = [
     "Constraint",
@@ -168,7 +169,7 @@ def parse_constraints_text(
 def load_constraints(path, dictionary: DataDictionary) -> list[Constraint]:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConstraintError(f"cannot read constraints file '{path}': {exc}") from None
     return parse_constraints_text(text, dictionary, source=str(path))
@@ -292,9 +293,11 @@ def query_many(propagated_sequences, constraints) -> dict[str, list[Violation]]:
     return out
 
 
-# C0 and C1 control characters as a Python literal writes them, so that
+# C0 and C1 control characters, and the line and paragraph separators that
+# str.splitlines() also splits on, as a Python literal writes them, so that
 # model text in an output line neither breaks it nor drives the terminal
-_ESCAPES = {code: repr(chr(code))[1:-1] for code in (*range(0x20), *range(0x7F, 0xA0))}
+_ESCAPES = {code: repr(chr(code))[1:-1]
+            for code in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}
 
 
 def escape_controls(line: str) -> str:

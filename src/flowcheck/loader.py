@@ -36,6 +36,7 @@ which parses its texts with a table of its own.
 from __future__ import annotations
 
 import json
+from codecs import BOM_UTF8
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -73,6 +74,7 @@ __all__ = [
     "serialize_model",
     "model_to_json",
     "save_model",
+    "read_text",
 ]
 
 # json.loads raises JSONDecodeError (a ValueError) on bad syntax, a plain
@@ -81,12 +83,33 @@ __all__ = [
 _JSON_ERRORS = (ValueError, RecursionError)
 
 
+def read_text(path) -> str:
+    """The file's text, or UnicodeDecodeError, exactly as
+    ``Path(path).read_text(encoding="utf-8-sig")`` gives it, but without
+    loading that codec: a leading byte order mark is dropped, and
+    ``\\r\\n`` and ``\\r`` read as ``\\n``."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        if BOM_UTF8.startswith(data):  # part of a mark: the codec waits for the rest
+            return ""
+        if not data.startswith(BOM_UTF8):
+            raise
+        # the codec decodes what follows the mark, so positions count from there
+        raise UnicodeDecodeError(exc.encoding, data[3:], exc.start - 3, exc.end - 3,
+                                 exc.reason) from None
+    if data.startswith(BOM_UTF8):
+        text = text[1:]
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def load_model(path, timings=None) -> ArchitectureModel:
     """Load, construct and validate a model from a JSON file; ``timings``
     (:class:`~flowcheck.analysis.Timings`) gets the json and build parts."""
     path = Path(path)
     try:  # no name holds the text, so it is freed before the build
-        data = _decode(path.read_text(encoding="utf-8-sig"), str(path), timings)
+        data = _decode(read_text(path), str(path), timings)
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelLoadError([f"cannot read model file '{path}': {exc}"]) from None
     return model_from_data(data, base_dir=path.parent, timings=timings)
@@ -256,7 +279,7 @@ class _Builder:
                                          "needs a base directory")
             path = self.base_dir / value
             try:  # no name holds the text, so it is freed once decoded
-                value = json.loads(path.read_text(encoding="utf-8-sig"))
+                value = json.loads(read_text(path))
             except (OSError, UnicodeDecodeError) as exc:
                 return expected_type(), f"member '{name}': cannot read '{path}': {exc}"
             except _JSON_ERRORS as exc:

@@ -398,34 +398,31 @@ def validate_model(model: ArchitectureModel) -> list[str]:
     signature_owner = index.signature_owner
     defects: list[str] = []
 
-    def check_call(where: str, call) -> None:
+    def call_defects(call) -> list[str]:
+        """What is wrong with ``call``, each without saying where; the
+        caller words that only for a call with a defect, which few have."""
         resolved = signature_owner.get(call.signature_id)
         if resolved is None:
-            defects.append(f"{where}: unknown signature '{call.signature_id}'")
-            return
+            return [f"unknown signature '{call.signature_id}'"]
         component, signature = resolved
+        found = []
         params = set(signature.parameters)
         for param, _ in call.bindings:
             if param not in params:
-                defects.append(
-                    f"{where}: binding names unknown parameter '{param}' "
-                    f"of signature '{signature.id}'"
-                )
+                found.append(
+                    f"binding names unknown parameter '{param}' of signature '{signature.id}'")
         # the callee frame holds only bound parameters, so an unbound one
         # would fail the first call that passes it on
         bound = {param for param, _ in call.bindings}
         for param in signature.parameters:
             if param not in bound:
-                defects.append(
-                    f"{where}: parameter '{param}' of signature '{signature.id}' is not bound"
-                )
+                found.append(f"parameter '{param}' of signature '{signature.id}' is not bound")
         if call.result_variable is not None:
             seff = index.seffs.get((component.id, signature.id))
             if not (seff and seff.returns):
-                defects.append(
-                    f"{where}: result variable set but seff of "
-                    f"'{signature.id}' has no Return action"
-                )
+                found.append(
+                    f"result variable set but seff of '{signature.id}' has no Return action")
+        return found
 
     for component in model.components:
         for seff in component.seffs:
@@ -433,8 +430,9 @@ def validate_model(model: ArchitectureModel) -> list[str]:
             # a seff for a signature its component does not provide is not checked
             if owner is not None and owner[0] is component:
                 for action in seff.calls:
-                    check_call(f"component '{component.id}', seff '{seff.signature_id}', "
-                               f"action '{action.id}'", action)
+                    for defect in call_defects(action):
+                        defects.append(f"component '{component.id}', seff "
+                                       f"'{seff.signature_id}', action '{action.id}': {defect}")
 
     # each instance is allocated, and its component and external calls resolve
     for instance in model.assembly.instances:
@@ -447,17 +445,17 @@ def validate_model(model: ArchitectureModel) -> list[str]:
             )
             continue
         for action in [call for seff in component.seffs for call in seff.calls]:
-            where = f"instance '{instance.id}', call '{action.id}'"
             target_id = index.connectors.get((instance.id, action.role))
             if target_id is None:
-                defects.append(f"{where}: no connector for role '{action.role}'")
+                defects.append(f"instance '{instance.id}', call '{action.id}': "
+                               f"no connector for role '{action.role}'")
                 continue
             target = index.instances.get(target_id)
             provider = signature_owner.get(action.signature_id)
             if target and provider and target.component_id != provider[0].id:
                 defects.append(
-                    f"{where}: connector target '{target_id}' does not provide "
-                    f"signature '{action.signature_id}'"
+                    f"instance '{instance.id}', call '{action.id}': connector target "
+                    f"'{target_id}' does not provide signature '{action.signature_id}'"
                 )
 
     for connector in model.assembly.connectors:
@@ -491,7 +489,8 @@ def validate_model(model: ArchitectureModel) -> list[str]:
                     f"{where}: instance '{instance.id}' does not provide "
                     f"signature '{action.signature_id}'"
                 )
-            check_call(where, action)
+            for defect in call_defects(action):
+                defects.append(f"{where}: {defect}")
             # one defect per (instance, signature) pair nested too deeply
             pair = (instance.id, action.signature_id)
             tail = None if pair in too_deep else _too_deep(index, depths, *pair, 1)

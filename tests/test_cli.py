@@ -1,13 +1,16 @@
 """The command line interface: exit codes, output shapes, determinism."""
 
 import codecs
+import contextlib
 import gc
+import io
 import json
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flowcheck import analysis, benchgen, cli
 from flowcheck.benchgen import BenchFeature
@@ -232,16 +235,19 @@ def test_names_with_control_characters_keep_each_line_one_line(
         models_dir, geo_constraints_path, tmp_path, capsys):
     # an action id that forges a report line, a result name that forges a
     # dump line and a scenario id that drives the terminal are escaped as
-    # defect lines are; other text is kept
+    # defect lines are, as are the line and paragraph separators that
+    # str.splitlines() also splits on; other text is kept
     data = json.loads((models_dir / "online_shop_no_encrypt.json").read_text(encoding="utf-8"))
     data["components"][1]["seffs"]["store"][0]["id"] = (
-        "act.db.log VARS payload\nTOTAL 0 violations\n\x1b[31mspoof")
-    data["components"][0]["seffs"]["buy"][0]["result"] = "ack\nELEM 99 Forged x NODE -"
+        "act.db.log VARS payload\nTOTAL 0 violations\n\x1b[31mspoof\u2028TOTAL 0 violations")
+    data["components"][0]["seffs"]["buy"][0]["result"] = (
+        "ack\nELEM 99 Forged x NODE -\u2029ELEM 98 Forged y NODE -")
     data["usageScenarios"][0]["id"] = "kauf-ü\x1b[2J"
     path = tmp_path / "shop.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     (tmp_path / "dictionary.json").write_bytes((models_dir / "dictionary.json").read_bytes())
-    log = "act.db.log VARS payload\\nTOTAL 0 violations\\n\\x1b[31mspoof"
+    log = ("act.db.log VARS payload\\nTOTAL 0 violations\\n\\x1b[31mspoof"
+           "\\u2028TOTAL 0 violations")
     start = "kauf-ü\\x1b[2J"
     args = ["analyze", path, "--constraints", geo_constraints_path]
     assert run_cli(args, capsys) == (1, (
@@ -261,7 +267,7 @@ def test_names_with_control_characters_keep_each_line_one_line(
         "ELEM 6 ReturningSeffNode act.shop.store NODE ServerLocation.EU",
         "ELEM 7 ReturningUserNode u.buy NODE ServerLocation.EU",
     ]
-    assert "VAR ack\\nELEM 99 Forged x NODE - -" in lines
+    assert "VAR ack\\nELEM 99 Forged x NODE -\\u2029ELEM 98 Forged y NODE - -" in lines
     assert run_cli(["sequences", path], capsys) == (0, (
         f"SEQUENCE 0\n0 UserStart {start}\n1 UserVariableNode u.data\n2 CallingUserNode u.buy\n"
         f"3 CallingSeffNode act.shop.store\n4 SeffVariableNode {log}\n5 SeffReturnNode act.db.ret\n"
@@ -549,7 +555,89 @@ def test_import_loads_neither_dataclasses_nor_the_bench_harness(module):
     added = set(proc.stdout.split())
     assert module in added
     assert not added & {"dataclasses", "inspect", "statistics", "flowcheck.benchgen",
-                        "flowcheck.oracle"}
+                        "flowcheck.oracle", "argparse", "gettext"}
+
+
+def test_analyze_loads_neither_argparse_nor_the_utf_8_sig_codec(shop_path, geo_constraints_path):
+    # a model command reads its command line without argparse, and its
+    # files without the codec that drops a byte order mark
+    program = ("import sys; bare = set(sys.modules); from flowcheck.cli import main; "
+               f"code = main(['analyze', {str(shop_path)!r}, "
+               f"'--constraints', {str(geo_constraints_path)!r}]); "
+               "print(code, *sorted(set(sys.modules) - bare), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "TOTAL 0 violations\n"
+    code, *added = proc.stderr.split()
+    assert code == "0" and "flowcheck.cli" in added
+    assert not set(added) & {"argparse", "gettext", "locale", "encodings.utf_8_sig"}
+
+
+_OPTIONS = ["--constraints", "--dump-propagation", "--timing", "--feature", "--sizes", "--reps",
+            "--out", "--timeout", "--help"]
+_TOKENS = [
+    "analyze", "sequences", "validate", "bench", "ana",
+    *_OPTIONS, *(option[:length] for option in _OPTIONS for length in (3, 6)),
+    "--constraints=c.txt", "--timing=1", "--x=y", "-h", "--", "-", "-5", "", "m.json", "c.txt",
+    "a b.json",
+]
+
+
+@st.composite
+def _model_command_lines(draw):
+    """A model command line in any order, some with one token from
+    ``_TOKENS`` put in, so that many read without argparse."""
+    command = draw(st.sampled_from(["analyze", "sequences", "validate"]))
+    parts = [[draw(st.sampled_from(["m.json", "", "a b.json"]))]]
+    if command == "analyze":
+        parts += draw(st.lists(st.sampled_from(
+            [["--constraints", "c.txt"], ["--constraints", ""], ["--timing"],
+             ["--dump-propagation"]]), max_size=3, unique_by=lambda part: part[0]))
+    argv = [command, *(token for part in draw(st.permutations(parts)) for token in part)]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TOKENS)))
+    return argv
+
+
+def _reading(read, argv):
+    """What ``read(argv)`` returns, as a dict, or the code of the
+    SystemExit it raises; with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(read(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=7),
+    _model_command_lines(),
+))
+@example(["analyze", "m.json", "--constraints", "c.txt", "--dump-propagation", "--timing"])
+@example(["analyze", "--timing", "--constraints", "", "m.json"])
+@example(["sequences", "m.json"])
+@example(["validate", "m.json"])
+@example(["analyze", "m.json", "--constraints"])
+@example(["analyze", "m.json", "--constraints", "-5"])
+@example(["analyze", "m.json", "--constraints", "--timing"])
+@example(["analyze", "m.json", "--timing", "--timing"])
+@example(["analyze", "-5"])
+@example(["validate", "m.json", "c.txt"])
+@example(["sequences", "--", "m.json"])
+@example([])
+def test_a_command_line_reads_as_argparse_reads_it(argv):
+    # main reads a plain model command itself and hands every other
+    # command line to argparse, so both give the same values, or the same
+    # exit and message
+    expected = _reading(build_parser().parse_args, argv)
+    if isinstance(expected[0], dict):
+        read = cli._read(list(argv))
+        assert read is None or (vars(read), "", "") == expected
+    else:  # main, handed a command line argparse refuses, exits as argparse does
+        assert _reading(main, argv) == expected
 
 
 def test_analyze_crash_exits_two(shop_no_encrypt_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from codecs import BOM_UTF8
 import pickle
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from flowcheck.loader import (
     load_model_text,
     model_from_data,
     model_to_json,
+    read_text,
     save_model,
     serialize_model,
 )
@@ -871,3 +873,38 @@ def test_saving_a_model_with_unreached_records_writes_the_same_bytes(tmp_path):
     clear_parse_cache()
     save_model(loader._Builder(None, eager=True).build(data), eager)
     assert deferred.read_bytes() == eager.read_bytes()
+
+
+def _text_or_error(read, path):
+    try:
+        return read(path)
+    except UnicodeDecodeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def read_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("read") / "file"
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.booleans(), st.one_of(
+    st.lists(st.sampled_from([BOM_UTF8, BOM_UTF8[:1], BOM_UTF8[:2], BOM_UTF8[1:], b"\r", b"\n",
+                              b"\r\n", b"a", "é€😀".encode(), b"\xc3", b"\xe2\x82",
+                              b"\xf0\x9f\x98", b"\xff", b"\xed\xa0\x80", b"\xc0\xaf"]),
+             max_size=8).map(b"".join),
+    st.binary(max_size=12),
+))
+@example(False, b"")
+@example(True, b"")
+@example(False, BOM_UTF8[:2])
+@example(True, b"{}\r\n\r" + BOM_UTF8 + b"x")
+@example(True, b"ok \xe2\x82")
+@example(False, "a\r\nb\rc".encode())
+def test_read_text_reads_as_the_utf_8_sig_codec_does(read_path, bom, data):
+    # a file with or without a byte order mark, one past the start, line
+    # ends of each kind, and bytes that are not UTF-8 or end inside a
+    # character: the same text, or the same error and position
+    read_path.write_bytes(BOM_UTF8 * bom + data)
+    expected = _text_or_error(lambda path: path.read_text(encoding="utf-8-sig"), read_path)
+    assert _text_or_error(read_text, read_path) == expected
