@@ -36,7 +36,6 @@ which parses its texts with a table of its own.
 from __future__ import annotations
 
 import json
-from codecs import BOM_UTF8
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -84,24 +83,9 @@ _JSON_ERRORS = (ValueError, RecursionError)
 
 
 def read_text(path) -> str:
-    """The file's text, or UnicodeDecodeError, exactly as
-    ``Path(path).read_text(encoding="utf-8-sig")`` gives it, but without
-    loading that codec: a leading byte order mark is dropped, and
-    ``\\r\\n`` and ``\\r`` read as ``\\n``."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        if BOM_UTF8.startswith(data):  # part of a mark: the codec waits for the rest
-            return ""
-        if not data.startswith(BOM_UTF8):
-            raise
-        # the codec decodes what follows the mark, so positions count from there
-        raise UnicodeDecodeError(exc.encoding, data[3:], exc.start - 3, exc.end - 3,
-                                 exc.reason) from None
-    if data.startswith(BOM_UTF8):
-        text = text[1:]
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    """The file's text without a leading byte order mark, read with the
+    UTF-8 codec the interpreter has loaded at start-up, not ``utf-8-sig``."""
+    return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
 
 
 def load_model(path, timings=None) -> ArchitectureModel:
